@@ -25,14 +25,13 @@ import numpy as np
 from .cayley import cayley
 from .linalg import (
     EXPANSION_CAP,
-    ExpansionLimitError,
     as_matrix,
     complex_to_pair,
     det,
-    leading_signature,
+    flipped_determinants,
+    flipped_minor_expansion,
     max_abs,
     principal_block,
-    principal_minor_expansion,
     principal_minor_terms,
 )
 from .spaces import CorootSystem, SpaceSpec, coroots
@@ -199,23 +198,16 @@ def diagonal_via_minors(g, tol_factor: float = GENERIC_TOL) -> DiagonalReport:
     )
 
 
-def flipped_determinants(X) -> np.ndarray:
-    """``det(1 + I_k X)`` for k = 0..n; ``I_0`` is the identity."""
-    X = as_matrix(X)
-    n = X.shape[0]
-    eye = np.eye(n, dtype=complex)
-    out = np.empty(n + 1, dtype=complex)
-    for k in range(n + 1):
-        out[k] = det(eye + leading_signature(n, k) @ X)
-    return out
+def _clears_cutoffs(dets: np.ndarray, cutoffs: np.ndarray) -> list[bool]:
+    """Per-k flags ``|dets[k]| > cutoffs[k - 1]``, k = 1..n."""
+    return [bool(abs(d) > c) for d, c in zip(dets[1:], cutoffs)]
 
 
 def tangent_genericity(X, tol_factor: float = GENERIC_TOL) -> list[bool]:
     """Per-k flags: |det(1 + I_k X)| clears the cutoff, k = 1..n."""
     X = as_matrix(X)
     dets = flipped_determinants(X)
-    cutoffs = _flipped_cutoffs(dets[0], X.shape[0], tol_factor)
-    return [bool(abs(d) > c) for d, c in zip(dets[1:], cutoffs)]
+    return _clears_cutoffs(dets, _flipped_cutoffs(dets[0], X.shape[0], tol_factor))
 
 
 def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None,
@@ -253,18 +245,16 @@ def diagonal_via_fredholm(X, cap: int = EXPANSION_CAP,
                           tol_factor: float = GENERIC_TOL) -> DiagonalReport:
     """Same ratios with every determinant built from principal minors.
 
-    The expansion enumerates all 2**n principal minors of ``I_k X`` for
-    each k, so this route is capped and serves as the independent
-    combinatorial oracle for :func:`diagonal_via_cayley`.
+    The 2**n principal minors of ``X`` are computed once and each
+    ``det(1 + I_k X)`` is their sum with the signs of flip k (see
+    :func:`~bruhatdiag.linalg.flipped_minor_expansion`).  Only principal
+    submatrices of ``X`` are factorized, never ``1 + I_k X``, so this
+    route is capped and serves as the independent combinatorial oracle
+    for :func:`diagonal_via_cayley`.
     """
     X = as_matrix(X)
     n = X.shape[0]
-    if n > cap:
-        raise ExpansionLimitError(
-            f"ambient size {n} exceeds the expansion cap {cap}")
-    dets = np.empty(n + 1, dtype=complex)
-    for k in range(n + 1):
-        dets[k] = principal_minor_expansion(leading_signature(n, k) @ X, cap=cap)
+    dets = flipped_minor_expansion(X, cap)
     cutoffs = _flipped_cutoffs(dets[0], n, tol_factor)
     for k in range(1, n + 1):
         if abs(dets[k]) <= cutoffs[k - 1]:
@@ -335,7 +325,7 @@ def diagonal_via_coroots(spec: SpaceSpec, X,
                     raise BranchAmbiguityError(
                         f"half exponent {num}/2 on non-positive ratio {r!r}")
                 entries[j] *= np.sqrt(r.real) ** num
-    return _report("coroot_product", entries, tangent_genericity(X, tol_factor))
+    return _report("coroot_product", entries, _clears_cutoffs(dets, cutoffs))
 
 
 def relative_gap(a, b) -> float:
@@ -368,12 +358,21 @@ def cross_check(X, spec: Optional[SpaceSpec] = None,
 
 
 def max_cross_gap(reports: dict[str, DiagonalReport]) -> float:
-    """Worst entrywise :func:`relative_gap` over all pairs of reports."""
-    tags = sorted(reports)
-    worst = 0.0
-    for i, a in enumerate(tags):
-        for b in tags[i + 1:]:
-            ea, eb = reports[a].entries, reports[b].entries
-            for x, y in zip(ea, eb):
-                worst = max(worst, relative_gap(x, y))
-    return worst
+    """Worst entrywise :func:`relative_gap` over all pairs of reports.
+
+    All ordered pairs are compared at once; the gap is symmetric and a
+    report against itself gives 0, so the maximum is the pairwise one.
+    Magnitudes use ``np.hypot`` because it rounds as Python's
+    ``abs(complex)`` does (``np.abs`` can differ in the last bit), and
+    ``np.fmax`` skips NaN gaps as the scalar ``max`` does, so the result
+    equals the :func:`relative_gap` loop exactly.
+    """
+    if not reports:
+        return 0.0
+    n = min(len(r.entries) for r in reports.values())
+    E = np.stack([r.entries[:n] for r in reports.values()])
+    mag = np.hypot(E.real, E.imag)
+    diff = E[:, None] - E[None]
+    scale = np.fmax(np.fmax(1.0, mag[:, None]), mag[None])
+    gaps = np.hypot(diff.real, diff.imag) / scale
+    return float(np.fmax.reduce(gaps, axis=None, initial=0.0))

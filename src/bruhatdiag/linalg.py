@@ -5,10 +5,19 @@ All public index arguments are 1-based; 0-based storage never leaks out.
 Determinants go through LAPACK's partially pivoted LU (``numpy.linalg.det``),
 and the principal-minor expansion provides the independent combinatorial
 route to ``det(1 + A)`` for cross checks.
+
+Both routes come in a stacked form for the leading sign flips
+``det(1 + I_k A)``, k = 0..n: :func:`flipped_determinants` is one batched LU
+call on the n + 1 flipped matrices, and :func:`flipped_minor_expansion`
+computes every principal minor of ``A`` once (one gather and one batched
+``det`` per subset size) and forms the n + 1 expansions as signed sums,
+since the minor of ``I_k A`` on ``alpha`` is
+``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -147,6 +156,38 @@ def det(A) -> complex:
     return complex(np.linalg.det(A))
 
 
+@functools.lru_cache(maxsize=EXPANSION_CAP * (EXPANSION_CAP + 1) // 2)
+def _subset_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index sets of one size and their sign under every leading flip.
+
+    Returns the ``(S, size)`` 0-based subsets of ``range(n)`` in
+    lexicographic order and the ``(n + 1, S)`` matrix whose entry
+    ``(k, t)`` is ``(-1)**|subset_t & range(k)|``.  The cache holds every
+    table up to :data:`EXPANSION_CAP` (the uncapped
+    :func:`principal_minor_terms` evicts entries rather than growing it);
+    both arrays are read-only because every caller shares them.
+    """
+    subsets = np.array(list(itertools.combinations(range(n), size)),
+                       dtype=np.intp).reshape(-1, size)
+    below = np.arange(n + 1)[:, None, None] > subsets
+    # C order keeps each flip's row contiguous, so the row sums taken in
+    # flipped_minor_expansion add in the order a 1-D sum would.
+    signs = np.ascontiguousarray(np.where(below.sum(axis=2) % 2, -1.0, 1.0))
+    subsets.flags.writeable = False
+    signs.flags.writeable = False
+    return subsets, signs
+
+
+def _minors_by_size(A: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per subset size 1..n: ``(subsets, signs, minors)`` from :func:`_subset_table`
+    and one batched ``det`` of the gathered principal submatrices."""
+    n = A.shape[0]
+    for size in range(1, n + 1):
+        subsets, signs = _subset_table(n, size)
+        minors = np.linalg.det(A[subsets[:, :, None], subsets[:, None, :]])
+        yield subsets, signs, minors
+
+
 def principal_minor_terms(A) -> Iterator[tuple[tuple[int, ...], complex]]:
     """Yield ``(alpha, det A[alpha, alpha])`` over all index sets.
 
@@ -154,21 +195,21 @@ def principal_minor_terms(A) -> Iterator[tuple[tuple[int, ...], complex]]:
     within each size, starting with the empty set (whose minor is 1).
     """
     A = as_matrix(A)
-    n = A.shape[0]
     yield (), 1.0 + 0.0j
-    for size in range(1, n + 1):
-        for alpha in itertools.combinations(range(n), size):
-            ix = np.array(alpha)
-            minor = complex(np.linalg.det(A[np.ix_(ix, ix)]))
+    for subsets, _, minors in _minors_by_size(A):
+        for alpha, minor in zip(subsets.tolist(), minors.tolist()):
             yield tuple(i + 1 for i in alpha), minor
 
 
-def principal_minor_expansion(A, cap: int = EXPANSION_CAP) -> complex:
-    """``det(1 + A)`` as the sum of all principal minors of ``A``.
+def flipped_minor_expansion(A, cap: int = EXPANSION_CAP) -> np.ndarray:
+    """``det(1 + I_k A)`` for k = 0..n, each as a sum of principal minors.
 
-    The sum has 2**n terms (the empty set contributes 1), so the side
-    length is capped; above the cap the caller should evaluate
-    ``det(1 + A)`` directly.
+    Every principal minor of ``A`` is computed once; the expansion for
+    flip k is the sum of those minors signed by ``(-1)**|alpha & {1..k}|``.
+    Sizes are accumulated in ascending order starting from the empty
+    set's 1, and no LU of ``1 + I_k A`` is ever formed, so this stays an
+    independent oracle for :func:`flipped_determinants`.  There are 2**n
+    minors, so the side length is capped.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -176,15 +217,37 @@ def principal_minor_expansion(A, cap: int = EXPANSION_CAP) -> complex:
         raise ExpansionLimitError(
             f"matrix size {n} exceeds the expansion cap {cap}; use det(1 + A) directly"
         )
-    total = 1.0 + 0.0j
-    for size in range(1, n + 1):
-        subsets = list(itertools.combinations(range(n), size))
-        stack = np.empty((len(subsets), size, size), dtype=complex)
-        for t, alpha in enumerate(subsets):
-            ix = np.array(alpha)
-            stack[t] = A[np.ix_(ix, ix)]
-        total += complex(np.linalg.det(stack).sum())
-    return total
+    totals = np.ones(n + 1, dtype=complex)
+    for _, signs, minors in _minors_by_size(A):
+        totals += (signs * minors).sum(axis=1)
+    return totals
+
+
+def principal_minor_expansion(A, cap: int = EXPANSION_CAP) -> complex:
+    """``det(1 + A)`` as the sum of all principal minors of ``A``.
+
+    This is the unflipped (k = 0) row of :func:`flipped_minor_expansion`.
+    The sum has 2**n terms (the empty set contributes 1), so the side
+    length is capped; above the cap the caller should evaluate
+    ``det(1 + A)`` directly.
+    """
+    return complex(flipped_minor_expansion(A, cap)[0])
+
+
+def flipped_determinants(A) -> np.ndarray:
+    """``det(1 + I_k A)`` for k = 0..n from one stacked LU call.
+
+    ``I_0`` is the identity; for n = 0 the single entry is the empty
+    determinant 1.  Row i of ``1 + I_k A`` is row i of ``1 - A`` when
+    i < k and of ``1 + A`` otherwise, so the stack is one selection
+    between those two matrices (the same values as ``1 + I_k @ A``,
+    with a single stack-sized allocation).
+    """
+    A = as_matrix(A)
+    n = A.shape[0]
+    eye = np.eye(n)
+    flipped = np.arange(n) < np.arange(n + 1)[:, None]
+    return np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
 
 
 def max_abs(A) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 from .linalg import (
     antitranspose,
     conj_antitranspose,
+    flipped_determinants,
     leading_signature,
     max_abs,
     pair_to_complex,
@@ -338,16 +339,9 @@ def random_coordinates(spec: SpaceSpec, rng: np.random.Generator,
 
 
 def _min_flipped_det(spec: SpaceSpec, coords: Coordinates) -> float:
-    X = build_tangent(spec, coords)
-    N = spec.ambient
-    eye = np.eye(N, dtype=complex)
-    signs = np.ones(N)
-    worst = np.inf
-    for k in range(1, N + 1):
-        signs[:k] = -1.0
-        signs[k:] = 1.0
-        worst = min(worst, abs(np.linalg.det(eye + signs[:, None] * X)))
-    return float(worst)
+    """Smallest ``|det(1 + I_k X)|`` over k = 1..N (``inf`` when N = 0)."""
+    dets = flipped_determinants(build_tangent(spec, coords))[1:]
+    return float(np.hypot(dets.real, dets.imag).min(initial=np.inf))
 
 
 def _sample_coordinates(spec: SpaceSpec, rng: np.random.Generator,

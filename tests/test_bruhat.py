@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -274,3 +275,102 @@ class TestGenericity:
         for _ in range(50):
             X = build_tangent(spec, random_coordinates(spec, rng, radius=0.5))
             assert all(tangent_genericity(X))
+
+
+def _expansion_reference(A):
+    """det(1 + A) as the size-by-size sum of principal minors, one gather
+    per index set: the loop the batched expansion replaced."""
+    n = A.shape[0]
+    total = 1.0 + 0.0j
+    for size in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), size))
+        stack = np.empty((len(subsets), size, size), dtype=complex)
+        for t, alpha in enumerate(subsets):
+            ix = np.array(alpha)
+            stack[t] = A[np.ix_(ix, ix)]
+        total += complex(np.linalg.det(stack).sum())
+    return total
+
+
+def _random_skew_hermitian(rng, n):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.3 * (A - A.conj().T)
+
+
+def _count_det_calls(monkeypatch):
+    """Record the shape of every array passed to ``np.linalg.det``."""
+    shapes = []
+    real_det = np.linalg.det
+
+    def counting_det(a):
+        shapes.append(np.shape(a))
+        return real_det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    return shapes
+
+
+class TestSharedDeterminantCore:
+    def test_fredholm_bitwise_equal_to_per_flip_expansion(self):
+        rng = np.random.default_rng(60)
+        for n in range(1, 11):
+            X = _random_skew_hermitian(rng, n)
+            dets = np.array([_expansion_reference(leading_signature(n, k) @ X)
+                             for k in range(n + 1)])
+            report = diagonal_via_fredholm(X)
+            assert np.array_equal(report.entries, dets[1:] / dets[:-1]), n
+
+    def test_fredholm_empty_matrix(self):
+        report = diagonal_via_fredholm(np.zeros((0, 0)))
+        assert report.entries.shape == (0,)
+        assert report.product == 1.0
+
+    def test_stacked_flips_bitwise_equal_to_per_flip_loop(self):
+        rng = np.random.default_rng(61)
+        for N in (0, 1, 5, 20, 50):
+            X = _random_skew_hermitian(rng, N)
+            eye = np.eye(N, dtype=complex)
+            loop = [det(eye + leading_signature(N, k) @ X) for k in range(N + 1)]
+            assert np.array_equal(flipped_determinants(X), np.array(loop)), N
+
+    def test_max_cross_gap_equals_pairwise_loop(self):
+        def loop(reports):
+            tags = sorted(reports)
+            worst = 0.0
+            for i, a in enumerate(tags):
+                for b in tags[i + 1:]:
+                    for x, y in zip(reports[a].entries, reports[b].entries):
+                        worst = max(worst, relative_gap(x, y))
+            return worst
+
+        rng = np.random.default_rng(62)
+        for spec in FAMILY_CASES:
+            for _ in range(20):
+                X = build_tangent(spec, random_coordinates(spec, rng))
+                reports = cross_check(X, spec)
+                assert max_cross_gap(reports) == loop(reports), spec.family
+        # a NaN gap is skipped, as the scalar max skips it
+        bad = dict(reports)
+        entries = reports["gauss"].entries.copy()
+        entries[0] = np.nan
+        bad["gauss"] = dataclasses.replace(reports["gauss"], entries=entries)
+        assert max_cross_gap(bad) == loop(bad)
+        assert max_cross_gap({}) == 0.0
+
+    def test_fredholm_takes_one_det_call_per_subset_size(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        for n in (1, 4, 7, 10):
+            X = _random_skew_hermitian(rng, n)
+            shapes = _count_det_calls(monkeypatch)
+            diagonal_via_fredholm(X)
+            assert len(shapes) == n
+            assert [s[1:] for s in shapes] == [(k, k) for k in range(1, n + 1)]
+
+    def test_cross_check_stacks_flipped_determinants_at_most_twice(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        for spec in FAMILY_CASES:
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            N = spec.ambient
+            shapes = _count_det_calls(monkeypatch)
+            cross_check(X, spec)
+            assert 1 <= shapes.count((N + 1, N, N)) <= 2, spec.family
