@@ -13,6 +13,15 @@ along independent paths so they can be cross checked:
 * ``diagonal_via_cayley``     -- sign-flipped determinant ratios in ``X``
 * ``diagonal_via_fredholm``   -- principal-minor expansion of those determinants
 * ``diagonal_via_coroots``    -- determinant ratios raised to exponent vectors
+
+Each route reads one determinant table: the leading minors of ``g`` for
+``minor_ratio``, the stacked ``det(1 + I_k X)`` for ``cayley_det`` and
+``coroot_product``, the principal-minor table for ``fredholm``.
+:func:`cross_check` builds ``g = cayley(X)``, the leading minors and the
+flipped stack once per tangent and hands them to every report that reads
+them, including the minor-identity residual of ``cayley_det``; only
+bitwise-identical recomputation is shared, never one route's result with
+another route.
 """
 
 from __future__ import annotations
@@ -27,11 +36,9 @@ from .linalg import (
     EXPANSION_CAP,
     as_matrix,
     complex_to_pair,
-    det,
     flipped_determinants,
     flipped_minor_expansion,
     max_abs,
-    principal_block,
     principal_minor_terms,
 )
 from .spaces import CorootSystem, SpaceSpec, coroots
@@ -73,6 +80,28 @@ def _flipped_cutoffs(det_plus: complex, n: int, tol_factor: float) -> np.ndarray
     max-norm is at most 1; so the image cutoff rescales by |det(1 + X)|.
     """
     return np.full(n, tol_factor * max(abs(det_plus), 1e-300))
+
+
+def _checked_ratios(values: np.ndarray, cutoffs: np.ndarray, route: str) -> np.ndarray:
+    """Telescoping ratios ``values[k] / values[k - 1]``, k = 1..n.
+
+    Every ``|values[k]|`` must clear ``cutoffs[k - 1]``; the first that
+    does not raises :class:`NonGenericError` with step k and ``route``.
+    """
+    for k in range(1, len(values)):
+        if abs(values[k]) <= cutoffs[k - 1]:
+            raise NonGenericError(k, abs(values[k]), route)
+    return values[1:] / values[:-1]
+
+
+def _flipped_ratios(dets: np.ndarray, tol_factor: float, route: str) -> np.ndarray:
+    """Checked ratios of the flipped determinants ``det(1 + I_k X)``, k = 0..n."""
+    return _checked_ratios(dets, _flipped_cutoffs(dets[0], len(dets) - 1, tol_factor), route)
+
+
+def _check_ambient(X: np.ndarray, spec: SpaceSpec) -> None:
+    if X.shape[0] != spec.ambient:
+        raise ValueError(f"matrix has shape {X.shape}, ambient size is {spec.ambient}")
 
 
 @dataclass
@@ -165,13 +194,18 @@ def diagonal_via_gauss(g, tol_factor: float = GENERIC_TOL) -> DiagonalReport:
 
 
 def leading_minors(g) -> np.ndarray:
-    """``det(g[k])`` for k = 0..n, with the empty minor equal to 1."""
+    """``det(g[k])`` for k = 0..n, with the empty minor equal to 1.
+
+    ``g`` is validated once and each block goes straight to LAPACK.  This
+    is the table :func:`cross_check` shares between ``minor_ratio`` and
+    the ``cayley_det`` minor-identity residual.
+    """
     g = as_matrix(g)
     n = g.shape[0]
     out = np.empty(n + 1, dtype=complex)
     out[0] = 1.0
     for k in range(1, n + 1):
-        out[k] = det(principal_block(g, k))
+        out[k] = np.linalg.det(g[:k, :k])
     return out
 
 
@@ -183,19 +217,19 @@ def point_genericity(g, tol_factor: float = GENERIC_TOL) -> list[bool]:
     return [bool(abs(m) > c) for m, c in zip(minors, cutoffs)]
 
 
+def _minor_ratio_report(g: np.ndarray, minors: np.ndarray,
+                        tol_factor: float) -> DiagonalReport:
+    entries = _checked_ratios(minors, _minor_cutoffs(g, tol_factor), "minor_ratio")
+    return _report(
+        "minor_ratio", entries, [True] * len(entries),
+        min_abs_minor=float(np.abs(minors[1:]).min()) if len(minors) > 1 else None,
+    )
+
+
 def diagonal_via_minors(g, tol_factor: float = GENERIC_TOL) -> DiagonalReport:
     """Diagonal as the telescoping ratios of leading principal minors."""
     g = as_matrix(g)
-    minors = leading_minors(g)
-    cutoffs = _minor_cutoffs(g, tol_factor)
-    for k in range(1, len(minors)):
-        if abs(minors[k]) <= cutoffs[k - 1]:
-            raise NonGenericError(k, abs(minors[k]), "minor_ratio")
-    entries = minors[1:] / minors[:-1]
-    return _report(
-        "minor_ratio", entries, [True] * (len(minors) - 1),
-        min_abs_minor=float(np.abs(minors[1:]).min()) if len(minors) > 1 else None,
-    )
+    return _minor_ratio_report(g, leading_minors(g), tol_factor)
 
 
 def _clears_cutoffs(dets: np.ndarray, cutoffs: np.ndarray) -> list[bool]:
@@ -210,35 +244,39 @@ def tangent_genericity(X, tol_factor: float = GENERIC_TOL) -> list[bool]:
     return _clears_cutoffs(dets, _flipped_cutoffs(dets[0], X.shape[0], tol_factor))
 
 
+def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
+                       minors: np.ndarray) -> DiagonalReport:
+    """Report of the checked ``dets`` ratios ``entries``, with the minor-identity
+    residual taken against the leading ``minors`` of ``g = cayley(X)``."""
+    if len(dets) > 1:
+        scale = np.maximum(1.0, np.abs(dets[1:]))
+        residual = float((np.abs(minors[1:] * dets[0] - dets[1:]) / scale).max())
+    else:
+        residual = 0.0
+    return _report(
+        "cayley_det", entries, [True] * len(entries),
+        lemma3_residual=residual,
+        min_abs_minor=float(np.abs(dets[1:]).min()) if len(dets) > 1 else None,
+    )
+
+
 def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None,
                         tol_factor: float = GENERIC_TOL) -> DiagonalReport:
     """Diagonal of the Cayley image directly from ``det(1 + I_k X)`` ratios.
 
     Also evaluates, as a side diagnostic, the worst relative residual of
     the minor identity ``det(g[k]) det(1 + X) = det(1 + I_k X)`` over k.
+    Called on its own, the route builds ``g = cayley(X)`` and its leading
+    minors for that residual once the ratios have passed the genericity
+    check; :func:`cross_check` builds the same report from the ``g``,
+    minors and flipped stack it shares with the other routes.
     """
     X = as_matrix(X)
-    if spec is not None and X.shape[0] != spec.ambient:
-        raise ValueError(f"matrix has shape {X.shape}, ambient size is {spec.ambient}")
+    if spec is not None:
+        _check_ambient(X, spec)
     dets = flipped_determinants(X)
-    cutoffs = _flipped_cutoffs(dets[0], X.shape[0], tol_factor)
-    for k in range(1, len(dets)):
-        if abs(dets[k]) <= cutoffs[k - 1]:
-            raise NonGenericError(k, abs(dets[k]), "cayley_det")
-    entries = dets[1:] / dets[:-1]
-
-    g = cayley(X)
-    minors = leading_minors(g)[1:]
-    if len(dets) > 1:
-        scale = np.maximum(1.0, np.abs(dets[1:]))
-        residual = float((np.abs(minors * dets[0] - dets[1:]) / scale).max())
-    else:
-        residual = 0.0
-    return _report(
-        "cayley_det", entries, [True] * (len(dets) - 1),
-        lemma3_residual=residual,
-        min_abs_minor=float(np.abs(dets[1:]).min()) if len(dets) > 1 else None,
-    )
+    entries = _flipped_ratios(dets, tol_factor, "cayley_det")
+    return _cayley_det_report(dets, entries, leading_minors(cayley(X)))
 
 
 def diagonal_via_fredholm(X, cap: int = EXPANSION_CAP,
@@ -252,15 +290,9 @@ def diagonal_via_fredholm(X, cap: int = EXPANSION_CAP,
     route is capped and serves as the independent combinatorial oracle
     for :func:`diagonal_via_cayley`.
     """
-    X = as_matrix(X)
-    n = X.shape[0]
     dets = flipped_minor_expansion(X, cap)
-    cutoffs = _flipped_cutoffs(dets[0], n, tol_factor)
-    for k in range(1, n + 1):
-        if abs(dets[k]) <= cutoffs[k - 1]:
-            raise NonGenericError(k, abs(dets[k]), "fredholm")
-    entries = dets[1:] / dets[:-1]
-    return _report("fredholm", entries, [True] * n)
+    entries = _flipped_ratios(dets, tol_factor, "fredholm")
+    return _report("fredholm", entries, [True] * len(entries))
 
 
 def unbalanced_minor_max(X, m: int) -> float:
@@ -280,22 +312,9 @@ def unbalanced_minor_max(X, m: int) -> float:
     return worst
 
 
-def diagonal_via_coroots(spec: SpaceSpec, X,
-                         tol_factor: float = GENERIC_TOL) -> DiagonalReport:
-    """Diagonal as a product of determinant ratios raised to exponent vectors.
-
-    Entry ``j`` is the product over the family's ratio indices ``k`` of
-    ``(det(1 + I_k X)/det(1 + X)) ** e_k[j]``.  The terminal factor's
-    exponents arrive as halves; for every family here the numerators are
-    even, so the arithmetic stays in integer powers and no root branch is
-    ever chosen.  Requires ``X`` to be a tangent of ``spec``.
-    """
-    X = as_matrix(X)
+def _coroot_report(spec: SpaceSpec, dets: np.ndarray, tol_factor: float) -> DiagonalReport:
     N = spec.ambient
-    if X.shape[0] != N:
-        raise ValueError(f"matrix has shape {X.shape}, ambient size is {N}")
     system: CorootSystem = coroots(spec)
-    dets = flipped_determinants(X)
     cutoffs = _flipped_cutoffs(dets[0], N, tol_factor)
     if abs(dets[0]) <= tol_factor:
         raise NonGenericError(0, abs(dets[0]), "coroot_product")
@@ -328,6 +347,21 @@ def diagonal_via_coroots(spec: SpaceSpec, X,
     return _report("coroot_product", entries, _clears_cutoffs(dets, cutoffs))
 
 
+def diagonal_via_coroots(spec: SpaceSpec, X,
+                         tol_factor: float = GENERIC_TOL) -> DiagonalReport:
+    """Diagonal as a product of determinant ratios raised to exponent vectors.
+
+    Entry ``j`` is the product over the family's ratio indices ``k`` of
+    ``(det(1 + I_k X)/det(1 + X)) ** e_k[j]``.  The terminal factor's
+    exponents arrive as halves; for every family here the numerators are
+    even, so the arithmetic stays in integer powers and no root branch is
+    ever chosen.  Requires ``X`` to be a tangent of ``spec``.
+    """
+    X = as_matrix(X)
+    _check_ambient(X, spec)
+    return _coroot_report(spec, flipped_determinants(X), tol_factor)
+
+
 def relative_gap(a, b) -> float:
     """Scale-aware gap |a - b| / max(1, |a|, |b|) between two complex values."""
     a, b = complex(a), complex(b)
@@ -342,18 +376,29 @@ def cross_check(X, spec: Optional[SpaceSpec] = None,
     Returns a dict keyed by method tag.  The Fredholm route joins only
     when the ambient size is within the expansion cap; the exponent
     product route joins when a family spec is supplied.
+
+    ``g = cayley(X)``, its leading minors and the flipped stack
+    ``det(1 + I_k X)`` are built once here: ``gauss`` reads ``g``,
+    ``minor_ratio`` and the ``cayley_det`` residual read the minors,
+    ``cayley_det`` and ``coroot_product`` read the stack.  Each report
+    and each error equals the one the standalone route gives.
     """
     X = as_matrix(X)
     g = cayley(X)
+    minors = leading_minors(g)
+    dets = flipped_determinants(X)
     out = {
         "gauss": diagonal_via_gauss(g, tol_factor),
-        "minor_ratio": diagonal_via_minors(g, tol_factor),
-        "cayley_det": diagonal_via_cayley(X, spec, tol_factor),
+        "minor_ratio": _minor_ratio_report(g, minors, tol_factor),
     }
+    if spec is not None:
+        _check_ambient(X, spec)
+    out["cayley_det"] = _cayley_det_report(
+        dets, _flipped_ratios(dets, tol_factor, "cayley_det"), minors)
     if X.shape[0] <= cap:
         out["fredholm"] = diagonal_via_fredholm(X, cap, tol_factor)
     if spec is not None:
-        out["coroot_product"] = diagonal_via_coroots(spec, X, tol_factor)
+        out["coroot_product"] = _coroot_report(spec, dets, tol_factor)
     return out
 
 

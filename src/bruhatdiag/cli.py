@@ -303,8 +303,9 @@ def _cmd_enumerate(args) -> int:
             entry["deviations"] = [None if d is None else d for d in lr.deviations]
             entry["converged"] = lr.converged
             all_converged &= lr.converged
+            last = lr.deviations[-1] if lr.deviations else None
             line += "  final_dev=" + (
-                _fmt(lr.computed[-1]) if lr.computed else "n/a"
+                "n/a" if last is None else _fmt(last)
             ) + ("  converged" if lr.converged else "  NOT-CONVERGED")
         items.append(entry)
         lines.append(line)

@@ -16,13 +16,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bruhat import NonGenericError, diagonal_via_cayley
+from .bruhat import GENERIC_TOL, NonGenericError, _check_ambient, _flipped_ratios
+from .linalg import as_matrix, flipped_determinants
 from .spaces import SpaceSpec
 
 #: Default geometric grid of scaling parameters for limit checks.
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
 
-#: A limit check converges when the last computed deviation is below this.
+#: A limit check converges when the deviation at the last grid point is
+#: computed and at most this.
 LIMIT_TOL = 1e-3
 
 
@@ -234,7 +236,8 @@ class LimitReport:
     Deviations are measured as ``|d_k - sign_k| / max(1, |d_k|)`` so the
     two members of a reciprocal pair of entries score identically; a
     ``None`` deviation marks a grid point where the scaled tangent was
-    non-generic and was skipped.
+    non-generic and was skipped.  A skipped last point means the check did
+    not converge, whatever the earlier points read.
     """
 
     rep: ComponentRep
@@ -253,14 +256,21 @@ class LimitReport:
 
     @property
     def converged(self) -> bool:
-        seq = self.computed
-        return bool(seq) and seq[-1] <= self.final_tol
+        last = self.deviations[-1] if self.deviations else None
+        return last is not None and last <= self.final_tol
 
 
 def limit_check(rep: ComponentRep, X=None,
                 t_grid: Sequence[float] = DEFAULT_GRID,
                 final_tol: float = LIMIT_TOL) -> LimitReport:
-    """Evaluate the diagonal along ``t X`` and compare against the signs."""
+    """Evaluate the diagonal along ``t X`` and compare against the signs.
+
+    Each grid point needs only the ``cayley_det`` entries: one flipped
+    stack ``det(1 + I_k tX)``, its cutoffs and its checked ratios.  The
+    Cayley image and the minor-identity residual, which
+    :func:`~bruhatdiag.bruhat.diagonal_via_cayley` would also build, are
+    not computed.
+    """
     spec = rep.spec
     if X is None:
         X = construct_witness(rep)
@@ -271,12 +281,13 @@ def limit_check(rep: ComponentRep, X=None,
         if rep.is_identity:
             deviations.append(0.0)
             continue
+        tX = as_matrix(t * X)
+        _check_ambient(tX, spec)
         try:
-            report = diagonal_via_cayley(t * X, spec)
+            d = _flipped_ratios(flipped_determinants(tX), GENERIC_TOL, "cayley_det")
         except NonGenericError:
             deviations.append(None)
             continue
-        d = report.entries
         dev = float(np.max(np.abs(d - target) / np.maximum(1.0, np.abs(d))))
         deviations.append(dev)
     return LimitReport(rep=rep, t_grid=tuple(float(t) for t in t_grid),

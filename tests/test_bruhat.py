@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bruhatdiag import bruhat
 from bruhatdiag.bruhat import (
     NonGenericError,
     cross_check,
@@ -21,7 +22,13 @@ from bruhatdiag.bruhat import (
     unbalanced_minor_max,
 )
 from bruhatdiag.cayley import cayley
-from bruhatdiag.linalg import ExpansionLimitError, det, leading_signature, submatrix
+from bruhatdiag.linalg import (
+    EXPANSION_CAP,
+    ExpansionLimitError,
+    det,
+    leading_signature,
+    submatrix,
+)
 from bruhatdiag.spaces import (
     Coordinates,
     SpaceSpec,
@@ -374,3 +381,125 @@ class TestSharedDeterminantCore:
             shapes = _count_det_calls(monkeypatch)
             cross_check(X, spec)
             assert 1 <= shapes.count((N + 1, N, N)) <= 2, spec.family
+
+
+LARGE_CASES = [aiii(10, 10), aiii(5, 45)]
+
+
+def _count_linalg_calls(monkeypatch):
+    """Record the shape of every ``np.linalg.det`` argument and every
+    ``np.linalg.solve`` call."""
+    det_shapes, solves = _count_det_calls(monkeypatch), []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solves.append(np.shape(a))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return det_shapes, solves
+
+
+def _standalone_routes(X, spec):
+    """Every route called on its own, in :func:`cross_check` order."""
+    g = cayley(X)
+    routes = {
+        "gauss": lambda: diagonal_via_gauss(g),
+        "minor_ratio": lambda: diagonal_via_minors(g),
+        "cayley_det": lambda: diagonal_via_cayley(X, spec),
+    }
+    if X.shape[0] <= EXPANSION_CAP:
+        routes["fredholm"] = lambda: diagonal_via_fredholm(X)
+    routes["coroot_product"] = lambda: diagonal_via_coroots(spec, X)
+    return routes
+
+
+def _first_refusal(X, spec):
+    for route in _standalone_routes(X, spec).values():
+        try:
+            route()
+        except NonGenericError as exc:
+            return exc
+    return None
+
+
+class TestSharedTables:
+    def test_cross_check_reports_equal_standalone_routes_bitwise(self):
+        rng = np.random.default_rng(70)
+        for spec in FAMILY_CASES + LARGE_CASES:
+            for _ in range(3):
+                X = build_tangent(spec, random_coordinates(spec, rng))
+                reports = cross_check(X, spec)
+                alone = {tag: route() for tag, route in _standalone_routes(X, spec).items()}
+                assert list(reports) == list(alone), spec.family
+                for tag, r in reports.items():
+                    a = alone[tag]
+                    assert r.method == a.method == tag
+                    assert r.entries.tobytes() == a.entries.tobytes(), (spec, tag)
+                    assert r.generic == a.generic, (spec, tag)
+                    assert r.product == a.product, (spec, tag)
+                    assert r.lemma3_residual == a.lemma3_residual, (spec, tag)
+                    assert r.min_abs_minor == a.min_abs_minor, (spec, tag)
+
+    def test_cross_check_builds_each_table_once(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        for spec in FAMILY_CASES + LARGE_CASES:
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            N = spec.ambient
+            det_shapes, solves = _count_linalg_calls(monkeypatch)
+            cross_check(X, spec)
+            assert det_shapes.count((N + 1, N, N)) == 1, spec.family
+            for k in range(1, N + 1):
+                assert det_shapes.count((k, k)) == 1, (spec.family, k)
+            assert len(solves) == 1, spec.family
+
+    def test_refusal_matches_first_refusing_route(self):
+        # the CP^2 boundary |z|^2 = 1 fails at gauss; near-boundary AIII(1, 2)
+        # draws and AIII(50, 50) draws may pass gauss and fail later routes
+        spec = aiii(1, 2)
+        boundary = build_tangent(spec, Coordinates(family="AIII", Z=np.array([[1.0, 0.0]])))
+        with pytest.raises(NonGenericError) as err:
+            cross_check(boundary, spec)
+        assert (err.value.route, err.value.index) == ("gauss", 1)
+
+        rng = np.random.default_rng(72)
+        cases = []
+        for _ in range(300):
+            z = np.exp(2j * np.pi * rng.uniform(size=2)) * np.sqrt(rng.dirichlet([1, 1]))
+            z *= 1 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-16, -6)
+            cases.append((build_tangent(spec, Coordinates(family="AIII", Z=z[None, :])), spec))
+        big = aiii(50, 50)
+        cases += [(build_tangent(big, random_coordinates(big, rng)), big) for _ in range(2)]
+        refused = set()
+        for X, spec in cases:
+            want = _first_refusal(X, spec)
+            if want is None:
+                cross_check(X, spec)
+                continue
+            with pytest.raises(NonGenericError) as err:
+                cross_check(X, spec)
+            got = err.value
+            assert (got.route, got.index, got.magnitude) == (
+                want.route, want.index, want.magnitude)
+            refused.add(got.route)
+        assert "gauss" in refused
+
+    def test_spec_mismatch_raises_after_gauss_and_minor_ratio(self, monkeypatch):
+        built = []
+        real_report = bruhat._report
+
+        def recording_report(method, *args, **kwargs):
+            built.append(method)
+            return real_report(method, *args, **kwargs)
+
+        monkeypatch.setattr(bruhat, "_report", recording_report)
+        rng = np.random.default_rng(73)
+        X = build_tangent(aiii(2, 3), random_coordinates(aiii(2, 3), rng))
+        with pytest.raises(ValueError, match="ambient size is 4"):
+            cross_check(X, aiii(2, 2))
+        assert built == ["gauss", "minor_ratio"]
+        # a tangent that gauss refuses still raises from gauss first
+        boundary = build_tangent(aiii(1, 2), Coordinates(family="AIII", Z=np.array([[1.0, 0.0]])))
+        with pytest.raises(NonGenericError) as err:
+            cross_check(boundary, aiii(2, 2))
+        assert err.value.route == "gauss"

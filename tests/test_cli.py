@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from bruhatdiag import cli
 from bruhatdiag.cli import main
 from bruhatdiag.linalg import matrix_from_json
 
@@ -63,6 +64,21 @@ class TestEnumerateCommand:
         assert obj["count"] == 4
         assert obj["all_converged"] is True
         assert all(c["converged"] for c in obj["components"])
+
+    def test_skipped_last_point_reads_not_applicable(self, capsys, monkeypatch):
+        real_limit_check = cli.limit_check
+
+        def skip_last_point(rep):
+            report = real_limit_check(rep)
+            report.deviations[-1] = None
+            return report
+
+        monkeypatch.setattr(cli, "limit_check", skip_last_point)
+        code, out, _ = run_cli(capsys, "enumerate", "--family", "AIII", "--m", "1",
+                               "--n", "1", "--check-limits", "--format", "table")
+        assert code == 2
+        assert out.splitlines() == ["++  final_dev=n/a  NOT-CONVERGED",
+                                    "--  final_dev=n/a  NOT-CONVERGED"]
 
 
 class TestBuildAndFactorize:

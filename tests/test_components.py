@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from bruhatdiag.bruhat import NonGenericError, diagonal_via_cayley
 from bruhatdiag.components import (
     ComponentRep,
+    LimitReport,
     construct_witness,
     enumerate_components,
     limit_check,
@@ -208,6 +210,51 @@ class TestLimitCheck:
                     continue
                 report = limit_check(rep, X=X)
                 assert report.converged, (spec, rep.label())
+
+    def test_skipped_last_point_is_not_converged(self):
+        rep = enumerate_components(aiii(1, 1))[1]
+        report = LimitReport(rep=rep, t_grid=(10.0, 100.0, 1000.0),
+                             deviations=[1e-2, 1e-4, None], final_tol=1e-3)
+        assert not report.converged
+        report.deviations = [None, None, 1e-4]
+        assert report.converged
+
+    def test_deviations_equal_cayley_route_bitwise(self):
+        for spec in (aiii(3, 3), ci(4)):
+            for rep in enumerate_components(spec):
+                X = construct_witness(rep)
+                report = limit_check(rep, X)
+                target = np.array(rep.signs, dtype=float)
+                expect = []
+                for t in report.t_grid:
+                    if rep.is_identity:
+                        expect.append(0.0)
+                        continue
+                    try:
+                        d = diagonal_via_cayley(t * X, spec).entries
+                    except NonGenericError:
+                        expect.append(None)
+                        continue
+                    expect.append(float(np.max(np.abs(d - target) / np.maximum(1.0, np.abs(d)))))
+                assert report.deviations == expect, (spec, rep.label())
+
+    def test_one_stacked_det_per_grid_point(self, monkeypatch):
+        det_shapes, solves = [], []
+        real_det, real_solve = np.linalg.det, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "det",
+                            lambda a: det_shapes.append(np.shape(a)) or real_det(a))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solves.append(np.shape(a)) or real_solve(a, b))
+        rep = enumerate_components(aiii(3, 3))[-1]
+        X = construct_witness(rep)
+        report = limit_check(rep, X)
+        assert det_shapes == [(7, 6, 6)] * len(report.t_grid)
+        assert solves == []
+
+    def test_shape_mismatch_raises(self):
+        rep = enumerate_components(aiii(1, 1))[1]
+        with pytest.raises(ValueError, match="ambient size is 2"):
+            limit_check(rep, X=np.zeros((3, 3)))
 
 
 def _witness_reversed(rep, labels):
