@@ -9,7 +9,6 @@ stratum and drives the scaling limits that exhibit them.
 """
 
 from .bruhat import (
-    BranchAmbiguityError,
     DiagonalReport,
     LDUFactorization,
     NonGenericError,
@@ -27,7 +26,7 @@ from .bruhat import (
     tangent_genericity,
     unbalanced_minor_max,
 )
-from .cayley import ImageReport, cayley, cayley_inverse, verify_image
+from .cayley import cayley, cayley_inverse, verify_image
 from .components import (
     ComponentRep,
     LimitReport,
@@ -57,7 +56,7 @@ from .spaces import (
     Coordinates,
     CorootSystem,
     SpaceSpec,
-    TangentReport,
+    ViolationReport,
     aiii,
     bdi,
     build_tangent,

@@ -59,10 +59,6 @@ class NonGenericError(ValueError):
             f"non-generic input: |minor| = {magnitude:.3e} at step {index} ({route})")
 
 
-class BranchAmbiguityError(ArithmeticError):
-    """A half exponent met a ratio without a positive real value."""
-
-
 def _minor_cutoffs(A, tol_factor: float) -> np.ndarray:
     """Cutoff for the k-th leading minor: tol * (max-norm)**k, k = 1..n."""
     n = np.asarray(A).shape[0]
@@ -334,16 +330,8 @@ def _coroot_report(spec: SpaceSpec, dets: np.ndarray, tol_factor: float) -> Diag
     if system.terminal_index is not None:
         r = ratios[system.terminal_index]
         for j, num in enumerate(system.terminal_numerators):
-            if num == 0:
-                continue
-            if num % 2 == 0:
+            if num:
                 entries[j] *= r ** (num // 2)
-            else:
-                # Odd numerator would need a square root of the ratio.
-                if abs(r.imag) > 1e-12 * abs(r) or r.real <= 0:
-                    raise BranchAmbiguityError(
-                        f"half exponent {num}/2 on non-positive ratio {r!r}")
-                entries[j] *= np.sqrt(r.real) ** num
     return _report("coroot_product", entries, _clears_cutoffs(dets, cutoffs))
 
 
@@ -354,8 +342,9 @@ def diagonal_via_coroots(spec: SpaceSpec, X,
     Entry ``j`` is the product over the family's ratio indices ``k`` of
     ``(det(1 + I_k X)/det(1 + X)) ** e_k[j]``.  The terminal factor's
     exponents arrive as halves; for every family here the numerators are
-    even, so the arithmetic stays in integer powers and no root branch is
-    ever chosen.  Requires ``X`` to be a tangent of ``spec``.
+    even (:func:`~bruhatdiag.spaces.coroots` asserts it), so the arithmetic
+    stays in integer powers and no root branch is ever chosen.  Requires
+    ``X`` to be a tangent of ``spec``.
     """
     X = as_matrix(X)
     _check_ambient(X, spec)

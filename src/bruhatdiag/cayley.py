@@ -8,12 +8,10 @@ which :func:`verify_image` checks numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import antitranspose, as_matrix, det, leading_signature, max_abs
-from .spaces import SpaceSpec, involution_apply
+from .spaces import SpaceSpec, ViolationReport, involution_apply
 
 
 def cayley(X) -> np.ndarray:
@@ -48,23 +46,7 @@ def cayley_inverse(g) -> np.ndarray:
     return np.linalg.solve(eye + g, eye - g)
 
 
-@dataclass
-class ImageReport:
-    """Deviations of a point from the embedded symmetric space."""
-
-    violations: dict[str, float]
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return all(v <= self.tolerance for v in self.violations.values())
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.violations, key=self.violations.get)
-        return name, self.violations[name]
-
-
-def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ImageReport:
+def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:
     """Check ``g`` against the defining equations of the embedded space.
 
     Reported violations: unitarity ``g* g = 1``, compatibility of the
@@ -87,4 +69,4 @@ def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ImageReport:
     elif spec.sp_like:
         I = leading_signature(N, N // 2)
         v["symplectic_structure"] = max_abs(I @ antitranspose(ginv) @ I - g)
-    return ImageReport(violations=v, tolerance=tol)
+    return ViolationReport(violations=v, tolerance=tol)

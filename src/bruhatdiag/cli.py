@@ -34,6 +34,7 @@ from .linalg import matrix_from_json, matrix_to_json
 from .repcompat import verify_conjugacy
 from .spaces import (
     FAMILIES,
+    FAMILY,
     SpaceSpec,
     build_tangent,
     coordinates_from_json,
@@ -41,15 +42,6 @@ from .spaces import (
     random_coordinates,
     spec_from_family,
 )
-
-_FAMILY_PARAMS = {
-    "AIII": ("m", "n"),
-    "DIII": ("n",),
-    "CI": ("n",),
-    "CII": ("p", "q"),
-    "BDI_even": ("p", "q"),
-    "BDI_oddodd": ("p", "q"),
-}
 
 _ACCEPTED_METHODS = ("cayley_det", "gauss", "minor_ratio", "fredholm",
                      "coroot_product", "all")
@@ -128,7 +120,7 @@ def _spec_from_args(args) -> SpaceSpec:
     if not args.family:
         raise CliInputError('missing required flag "--family"')
     params = {}
-    for name in _FAMILY_PARAMS[args.family]:
+    for name in FAMILY[args.family].params:
         value = getattr(args, name)
         if value is None:
             raise CliInputError(
@@ -251,17 +243,12 @@ def _cmd_d(args) -> int:
 
 def _cmd_verify(args) -> int:
     families = [args.family] if args.family else list(FAMILIES)
-    defaults = {
-        "AIII": {"m": 2, "n": 3}, "DIII": {"n": 3}, "CI": {"n": 3},
-        "CII": {"p": 2, "q": 2}, "BDI_even": {"p": 4, "q": 3},
-        "BDI_oddodd": {"p": 3, "q": 3},
-    }
     results = []
     all_ok = True
-    for fam in families:
-        params = {k: getattr(args, k) for k in _FAMILY_PARAMS[fam]
-                  if getattr(args, k) is not None} or defaults[fam]
-        spec = spec_from_family(fam, **params)
+    for family in families:
+        params = {k: getattr(args, k) for k in FAMILY[family].params
+                  if getattr(args, k) is not None} or FAMILY[family].defaults
+        spec = spec_from_family(family, **params)
         rng = np.random.default_rng(args.seed)
         worst_gap = worst_member = worst_lemma = 0.0
         for _ in range(args.draws):
@@ -274,7 +261,7 @@ def _cmd_verify(args) -> int:
         ok = worst_gap <= args.tol and worst_member <= args.tol and worst_lemma <= args.tol
         all_ok &= ok
         results.append({
-            "family": fam, "params": spec.params_dict(), "draws": args.draws,
+            "family": family, "params": spec.params_dict(), "draws": args.draws,
             "max_route_gap": worst_gap, "max_membership_violation": worst_member,
             "max_minor_identity_residual": worst_lemma, "tol": args.tol, "ok": ok,
         })

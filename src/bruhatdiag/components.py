@@ -18,7 +18,7 @@ import numpy as np
 
 from .bruhat import GENERIC_TOL, NonGenericError, _check_ambient, _flipped_ratios
 from .linalg import as_matrix, flipped_determinants
-from .spaces import SpaceSpec
+from .spaces import FAMILY, SpaceSpec, _position_signs
 
 #: Default geometric grid of scaling parameters for limit checks.
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
@@ -57,39 +57,10 @@ class ComponentRep:
         return np.diag(np.array(self.signs, dtype=complex))
 
 
-def _part_labels(spec: SpaceSpec) -> list[Optional[str]]:
-    """Per-position label: 'a' and 'b' for the two block families the
-    involution exchanges, None for the exempt middle positions."""
-    N = spec.ambient
-    fam = spec.family
-    labels: list[Optional[str]] = [None] * N
-    if fam == "AIII":
-        for i in range(spec.m):
-            labels[i] = "a"
-        for i in range(spec.m, N):
-            labels[i] = "b"
-    elif fam in ("DIII", "CI"):
-        for i in range(spec.n):
-            labels[i] = "a"
-        for i in range(spec.n, N):
-            labels[i] = "b"
-    elif fam == "CII":
-        p = spec.p
-        for i in range(N):
-            labels[i] = "a" if (i < p or i >= N - p) else "b"
-    elif fam == "BDI_even":
-        h = spec.p // 2
-        for i in range(N):
-            labels[i] = "a" if (i < h or i >= N - h) else "b"
-    else:
-        n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
-        for i in range(N):
-            if i < n1 or i >= N - n1:
-                labels[i] = "a"
-            elif n1 <= i < n1 + n2 or N - n1 - n2 <= i < N - n1:
-                labels[i] = "b"
-            # the two central positions stay None: quotiented away
-    return labels
+def _part_labels(spec: SpaceSpec) -> list[Optional[int]]:
+    """Per-position label: the involution's sign, which tells apart the two
+    block families it exchanges, and None for the exempt middle positions."""
+    return [sign or None for sign in _position_signs(spec)]
 
 
 def _signs_from_alpha(N: int, alpha: Iterable[int]) -> tuple[int, ...]:
@@ -110,50 +81,35 @@ def _mirrored(N: int, positions: Iterable[int]) -> set[int]:
 def enumerate_components(spec: SpaceSpec) -> list[ComponentRep]:
     """All component representatives, identity first, in sign-string order.
 
-    Generation is constructive family by family:
+    Generation is constructive from the block structure:
 
-    * AIII: equally many -1 in the two diagonal blocks.
-    * DIII: reflection-symmetric with an even count in each block.
-    * CI: every reflection-symmetric vector.
-    * CII / BDI: reflection-symmetric with the count in the central part
-      equal to the count in the outer part; an odd central block keeps its
-      middle entry positive, and the doubly-odd layout pins the two middle
-      entries to +1 as the canonical coset representative.
+    * two mirrored blocks (DIII, CI): every reflection-symmetric vector,
+      with an even count in each block for the orthogonal type.
+    * otherwise equally many -1 in two parts: the two blocks (AIII), or,
+      mirrored, the outer part and the centre's free half (CII, BDI).  The
+      free half stops before an odd middle entry, which stays positive,
+      and the doubly-odd layout pins the two middle entries to +1 as the
+      canonical coset representative.
     """
     N = spec.ambient
-    fam = spec.family
+    fam = FAMILY[spec.family]
+    sizes = fam.sizes(spec)
+    outer = range(1, sizes[0] + 1)
     alphas: list[set[int]] = []
 
-    if fam == "AIII":
-        uppers = list(range(1, spec.m + 1))
-        lowers = list(range(spec.m + 1, N + 1))
-        for j in range(spec.m + 1):
-            for up in itertools.combinations(uppers, j):
-                for lo in itertools.combinations(lowers, j):
-                    alphas.append(set(up) | set(lo))
-    elif fam == "CI":
-        for sub in _subsets(range(1, spec.n + 1)):
-            alphas.append(_mirrored(N, sub))
-    elif fam == "DIII":
-        for sub in _subsets(range(1, spec.n + 1)):
-            if len(sub) % 2 == 0:
+    if len(sizes) == 2 and fam.reflection:
+        for sub in _subsets(outer):
+            if fam.reflection == "sp" or len(sub) % 2 == 0:
                 alphas.append(_mirrored(N, sub))
     else:
-        if fam == "CII":
-            outer_free = list(range(1, spec.p + 1))
-            center_free = list(range(spec.p + 1, spec.p + spec.q + 1))
-        elif fam == "BDI_even":
-            h = spec.p // 2
-            outer_free = list(range(1, h + 1))
-            center_free = list(range(h + 1, h + spec.q // 2 + 1))
-        else:
-            n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
-            outer_free = list(range(1, n1 + 1))
-            center_free = list(range(n1 + 1, n1 + n2 + 1))
-        for j in range(min(len(outer_free), len(center_free)) + 1):
-            for out_part in itertools.combinations(outer_free, j):
-                for cen_part in itertools.combinations(center_free, j):
-                    alphas.append(_mirrored(N, out_part) | _mirrored(N, cen_part))
+        signs = _position_signs(spec)
+        last = N // 2 if fam.reflection else N
+        inner = [i for i in range(sizes[0] + 1, last + 1) if signs[i - 1]]
+        for j in range(min(len(outer), len(inner)) + 1):
+            for out_part in itertools.combinations(outer, j):
+                for in_part in itertools.combinations(inner, j):
+                    alpha = set(out_part) | set(in_part)
+                    alphas.append(_mirrored(N, alpha) if fam.reflection else alpha)
 
     reps = [ComponentRep(spec, _signs_from_alpha(N, a)) for a in alphas]
     reps.sort(key=lambda r: tuple(0 if s == 1 else 1 for s in r.signs))

@@ -20,17 +20,11 @@ from typing import Callable
 import numpy as np
 
 from .bruhat import diagonal_via_cayley
-from .spaces import Coordinates, SpaceSpec, aiii, build_tangent, cii, diii
+from .spaces import Coordinates, SpaceSpec, _disc_sample, aiii, build_tangent, cii, diii
 
 GOLDEN_RADIUS = 0.5
 GOLDEN_DRAWS = 50
 GOLDEN_TOL = 1e-9
-
-
-def _disc(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=shape))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    return r * np.exp(1j * phi)
 
 
 def cpn_closed_form(zs) -> np.ndarray:
@@ -143,7 +137,7 @@ def _run_cpn(rng, draws, radius, n_values=(1, 2, 3, 4)) -> float:
     for n in n_values:
         spec = aiii(1, n)
         for _ in range(draws):
-            zs = _disc(rng, (n,), radius)
+            zs = _disc_sample(rng, (n,), radius)
             X = build_tangent(spec, Coordinates(family="AIII", Z=zs.reshape(1, n)))
             worst = max(worst, _rel(diagonal_via_cayley(X).entries, cpn_closed_form(zs)))
     return worst
@@ -153,7 +147,7 @@ def _run_so6u3(rng, draws, radius) -> float:
     spec = diii(3)
     worst = 0.0
     for _ in range(draws):
-        z11, z12, z21 = _disc(rng, (3,), radius)
+        z11, z12, z21 = _disc_sample(rng, (3,), radius)
         Z = np.array([[z11, z12, 0.0], [z21, 0.0, -z12], [0.0, -z21, -z11]])
         X = build_tangent(spec, Coordinates(family="DIII", Z=Z))
         worst = max(worst, _rel(diagonal_via_cayley(X).entries,
@@ -165,7 +159,7 @@ def _run_hp1(rng, draws, radius) -> float:
     spec = cii(1, 1)
     worst = 0.0
     for _ in range(draws):
-        z1, z2 = _disc(rng, (2,), radius)
+        z1, z2 = _disc_sample(rng, (2,), radius)
         coords = Coordinates(family="CII", Z1=np.array([[z1]]), Z2=np.array([[z2]]))
         X = build_tangent(spec, coords)
         worst = max(worst, _rel(diagonal_via_cayley(X).entries, hp1_closed_form(z1, z2)))
@@ -196,7 +190,7 @@ def _run_rp_even(rng, draws, radius, n_values=(1, 2, 3)) -> float:
     worst = 0.0
     for n in n_values:
         for _ in range(draws):
-            zs = _disc(rng, (n,), radius)
+            zs = _disc_sample(rng, (n,), radius)
             _, X = _rp_even_tangent(zs)
             worst = max(worst, _rel(diagonal_via_cayley(X).entries, rp_even_closed_form(zs)))
     return worst
@@ -210,7 +204,7 @@ def _run_rp_odd(rng, draws, radius, n_values=(1, 2, 3)) -> float:
     worst = 0.0
     for n in n_values:
         for _ in range(draws):
-            zs = _disc(rng, (n,), radius)
+            zs = _disc_sample(rng, (n,), radius)
             s = float(rng.uniform(-radius, radius))
             _, X = _rp_odd_tangent(zs, s)
             worst = max(worst, _rel(diagonal_via_cayley(X).entries, rp_odd_closed_form(zs, s)))

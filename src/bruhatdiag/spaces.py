@@ -18,13 +18,19 @@ CII         p, q                    2(p + q)
 BDI_even    p even, q               p + q
 BDI_oddodd  p odd, q odd            p + q
 ========== ======================= ==================
+
+The :data:`FAMILY` registry at the end of this module is the one place a
+family is described; everything else, here, in ``components`` and in
+``cli``, derives from its :class:`Family` record, so a new layout is one
+record plus its tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,13 +43,29 @@ from .linalg import (
     pair_to_complex,
     rectangular_from_json,
     rectangular_to_json,
-    signature_matrix,
 )
 
-FAMILIES = ("AIII", "DIII", "CI", "CII", "BDI_even", "BDI_oddodd")
 
-_SO_LIKE = ("DIII", "BDI_even", "BDI_oddodd")
-_SP_LIKE = ("CI", "CII")
+@dataclass(frozen=True)
+class Family:
+    """Everything that distinguishes one family layout from the others.
+
+    ``signs`` is the involution's sign on each block of ``sizes`` (0 on the
+    swapped middle pair of BDI_oddodd); ``reflection`` is ``""``, ``"so"``
+    or ``"sp"``; ``payload`` gives the field shapes in draw order;
+    ``payload_sign`` is set where ``Z = payload_sign * antitranspose(Z)``
+    (DIII -1, CI +1); ``defaults`` are the ``bruhatdiag verify`` parameters.
+    """
+
+    params: tuple[str, ...]
+    validate: Callable[[SpaceSpec], None]
+    sizes: Callable[[SpaceSpec], tuple[int, ...]]
+    signs: tuple[int, ...]
+    reflection: str
+    payload: Callable[[SpaceSpec], dict]
+    build: Callable[[SpaceSpec, Coordinates, np.ndarray], None]
+    defaults: dict
+    payload_sign: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -61,56 +83,25 @@ class SpaceSpec:
     q: int = 0
 
     def __post_init__(self):
-        fam = self.family
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {fam!r}; expected one of {FAMILIES}")
-        if fam == "AIII":
-            if self.m < 1 or self.n < 1:
-                raise ValueError("AIII requires m >= 1 and n >= 1")
-            if self.m > self.n:
-                raise ValueError("AIII uses the convention m <= n; swap the parameters")
-        elif fam in ("DIII", "CI"):
-            if self.n < 1:
-                raise ValueError(f"{fam} requires n >= 1")
-        elif fam == "CII":
-            if self.p < 1 or self.q < 1:
-                raise ValueError("CII requires p >= 1 and q >= 1")
-        elif fam == "BDI_even":
-            if self.p < 2 or self.p % 2 != 0:
-                raise ValueError("BDI_even requires even p >= 2")
-            if self.q < 1:
-                raise ValueError("BDI_even requires q >= 1")
-        elif fam == "BDI_oddodd":
-            if self.p < 1 or self.q < 1 or self.p % 2 == 0 or self.q % 2 == 0:
-                raise ValueError("BDI_oddodd requires odd p >= 1 and odd q >= 1")
+        if self.family not in FAMILY:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        FAMILY[self.family].validate(self)
 
     @property
     def ambient(self) -> int:
         """Side length of the ambient matrices."""
-        fam = self.family
-        if fam == "AIII":
-            return self.m + self.n
-        if fam in ("DIII", "CI"):
-            return 2 * self.n
-        if fam == "CII":
-            return 2 * (self.p + self.q)
-        return self.p + self.q
+        return sum(FAMILY[self.family].sizes(self))
 
     @property
     def so_like(self) -> bool:
-        return self.family in _SO_LIKE
+        return FAMILY[self.family].reflection == "so"
 
     @property
     def sp_like(self) -> bool:
-        return self.family in _SP_LIKE
+        return FAMILY[self.family].reflection == "sp"
 
     def params_dict(self) -> dict:
-        fam = self.family
-        if fam == "AIII":
-            return {"m": self.m, "n": self.n}
-        if fam in ("DIII", "CI"):
-            return {"n": self.n}
-        return {"p": self.p, "q": self.q}
+        return {name: getattr(self, name) for name in FAMILY[self.family].params}
 
 
 def aiii(m: int, n: int) -> SpaceSpec:
@@ -139,42 +130,29 @@ def bdi(p: int, q: int) -> SpaceSpec:
 
 
 def spec_from_family(family: str, **params) -> SpaceSpec:
-    if family == "AIII":
-        return aiii(params["m"], params["n"])
-    if family == "DIII":
-        return diii(params["n"])
-    if family == "CI":
-        return ci(params["n"])
-    if family == "CII":
-        return cii(params["p"], params["q"])
-    if family in ("BDI_even", "BDI_oddodd"):
-        return SpaceSpec(family, p=params["p"], q=params["q"])
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FAMILY:
+        raise ValueError(f"unknown family {family!r}")
+    names = FAMILY[family].params
+    for name in names:
+        if name not in params:
+            raise ValueError(f'family {family} requires parameter "{name}"')
+    return SpaceSpec(family, **{name: params[name] for name in names})
 
 
 # --- block layout ----------------------------------------------------------
 
 def block_sizes(spec: SpaceSpec) -> tuple[int, ...]:
     """Row/column block sizes of the chosen matrix layout."""
-    fam = spec.family
-    if fam == "AIII":
-        return (spec.m, spec.n)
-    if fam in ("DIII", "CI"):
-        return (spec.n, spec.n)
-    if fam == "CII":
-        return (spec.p, spec.q, spec.q, spec.p)
-    if fam == "BDI_even":
-        h = spec.p // 2
-        return (h, spec.q, h)
-    n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
-    return (n1, n2, 1, 1, n2, n1)
+    return FAMILY[spec.family].sizes(spec)
 
 
-def _block_starts(sizes: tuple[int, ...]) -> list[int]:
-    starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
-    return starts
+def _position_signs(spec: SpaceSpec) -> list[int]:
+    """The involution's sign at each position (0 on the swapped middle pair)."""
+    fam = FAMILY[spec.family]
+    signs: list[int] = []
+    for size, sign in zip(fam.sizes(spec), fam.signs):
+        signs += [sign] * size
+    return signs
 
 
 def involution_matrix(spec: SpaceSpec) -> np.ndarray:
@@ -183,21 +161,12 @@ def involution_matrix(spec: SpaceSpec) -> np.ndarray:
     Diagonal +/-1 for the inner families; for BDI with both parameters odd
     the fixed matrix swaps the middle two coordinates and is not diagonal.
     """
-    fam = spec.family
-    if fam == "AIII":
-        return leading_signature(spec.ambient, spec.m)
-    if fam in ("DIII", "CI"):
-        return leading_signature(spec.ambient, spec.n)
-    if fam == "CII":
-        return signature_matrix((spec.p, 2 * spec.q, spec.p))
-    if fam == "BDI_even":
-        return signature_matrix((spec.p // 2, spec.q, spec.p // 2))
-    n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
-    diag = [1.0] * n1 + [-1.0] * n2 + [0.0, 0.0] + [-1.0] * n2 + [1.0] * n1
-    I = np.diag(np.array(diag, dtype=complex))
-    mid = n1 + n2
-    I[mid, mid + 1] = 1.0
-    I[mid + 1, mid] = 1.0
+    signs = _position_signs(spec)
+    I = np.diag(np.array(signs, dtype=complex))
+    if 0 in signs:
+        mid = signs.index(0)
+        I[mid, mid + 1] = 1.0
+        I[mid + 1, mid] = 1.0
     return I
 
 
@@ -211,50 +180,16 @@ def involution_apply(spec: SpaceSpec, A) -> np.ndarray:
     return I @ A @ I
 
 
-def negated_position_mask(spec: SpaceSpec) -> np.ndarray:
-    """Boolean mask of entries negated by the involution.
-
-    Only meaningful away from the middle two rows/columns in the
-    BDI_oddodd layout, where the fixed matrix acts diagonally.
-    """
-    N = spec.ambient
-    I = involution_matrix(spec)
-    d = np.real(np.diag(I))
-    mask = np.outer(d, d) < -0.5
-    return mask
-
-
 def support_mask(spec: SpaceSpec) -> np.ndarray:
-    """Mask of entries that may be nonzero for a tangent of this family."""
-    sizes = block_sizes(spec)
-    starts = _block_starts(sizes)
-    N = spec.ambient
-    mask = np.zeros((N, N), dtype=bool)
+    """Mask of entries that may be nonzero for a tangent of this family.
 
-    def allow(bi: int, bj: int):
-        mask[starts[bi]:starts[bi + 1], starts[bj]:starts[bj + 1]] = True
-
-    fam = spec.family
-    if fam in ("AIII", "DIII", "CI"):
-        allow(0, 1), allow(1, 0)
-    elif fam == "CII":
-        for bi, bj in ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)):
-            allow(bi, bj)
-    elif fam == "BDI_even":
-        for bi, bj in ((0, 1), (1, 0), (1, 2), (2, 1)):
-            allow(bi, bj)
-    else:
-        pairs = (
-            (0, 1), (0, 2), (0, 3), (0, 4),
-            (1, 0), (1, 2), (1, 3), (1, 5),
-            (2, 0), (2, 1), (2, 2), (2, 4), (2, 5),
-            (3, 0), (3, 1), (3, 3), (3, 4), (3, 5),
-            (4, 0), (4, 2), (4, 3), (4, 5),
-            (5, 1), (5, 2), (5, 3), (5, 4),
-        )
-        for bi, bj in pairs:
-            allow(bi, bj)
-    return mask
+    These are the entries whose row and column carry opposite involution
+    signs, every entry linking a swapped middle position with an outer
+    one, and the middle diagonal (the torus slot).
+    """
+    signs = np.array(_position_signs(spec))
+    mid = signs == 0
+    return (np.multiply.outer(signs, signs) < 0) | (mid[:, None] != mid) | np.diag(mid)
 
 
 # --- coordinates -----------------------------------------------------------
@@ -281,22 +216,8 @@ class Coordinates:
     s: float = 0.0
 
 
-def _payload_shapes(spec: SpaceSpec) -> dict:
-    fam = spec.family
-    if fam == "AIII":
-        return {"Z": (spec.m, spec.n)}
-    if fam in ("DIII", "CI"):
-        return {"Z": (spec.n, spec.n)}
-    if fam == "CII":
-        return {"Z1": (spec.p, spec.q), "Z2": (spec.p, spec.q)}
-    if fam == "BDI_even":
-        return {"Z": (spec.p // 2, spec.q)}
-    n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
-    return {"Z1": (n1, n2), "Z2": (n1, n2), "w1": (n1,), "w2": (n2,), "s": ()}
-
-
 def zero_coordinates(spec: SpaceSpec) -> Coordinates:
-    shapes = _payload_shapes(spec)
+    shapes = FAMILY[spec.family].payload(spec)
     fields = {}
     for name, shape in shapes.items():
         if name == "s":
@@ -346,48 +267,36 @@ def _min_flipped_det(spec: SpaceSpec, coords: Coordinates) -> float:
 
 def _sample_coordinates(spec: SpaceSpec, rng: np.random.Generator,
                         radius: float) -> Coordinates:
-    fam = spec.family
-    if fam in ("AIII", "BDI_even"):
-        shape = _payload_shapes(spec)["Z"]
-        return Coordinates(family=fam, Z=_disc_sample(rng, shape, radius))
-    if fam in ("DIII", "CI"):
-        n = spec.n
+    """A self-symmetric ``Z`` entry by entry, else every field in shape order
+    (``s`` uniform in ``[-radius, radius]``)."""
+    fam = FAMILY[spec.family]
+    shapes = fam.payload(spec)
+    sign = fam.payload_sign
+    if sign is not None:
+        n = shapes["Z"][0]
         Z = np.zeros((n, n), dtype=complex)
-        sign = -1.0 if fam == "DIII" else 1.0
         for i in range(n):
             for j in range(n):
                 if i + j > n - 1:
                     continue
                 if i + j == n - 1:
                     # antidiagonal of Z: free for CI, forced zero for DIII
-                    if fam == "CI":
+                    if sign > 0:
                         Z[i, j] = _disc_sample(rng, (), radius)
                     continue
                 z = _disc_sample(rng, (), radius)
                 Z[i, j] = z
                 Z[n - 1 - j, n - 1 - i] = sign * z
-        return Coordinates(family=fam, Z=Z)
-    if fam == "CII":
-        shape = _payload_shapes(spec)["Z1"]
-        return Coordinates(
-            family=fam,
-            Z1=_disc_sample(rng, shape, radius),
-            Z2=_disc_sample(rng, shape, radius),
-        )
-    n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
-    return Coordinates(
-        family=fam,
-        Z1=_disc_sample(rng, (n1, n2), radius),
-        Z2=_disc_sample(rng, (n1, n2), radius),
-        w1=_disc_sample(rng, (n1,), radius),
-        w2=_disc_sample(rng, (n2,), radius),
-        s=float(rng.uniform(-radius, radius)),
-    )
+        return Coordinates(family=spec.family, Z=Z)
+    fields = {name: float(rng.uniform(-radius, radius)) if name == "s"
+              else _disc_sample(rng, shape, radius)
+              for name, shape in shapes.items()}
+    return Coordinates(family=spec.family, **fields)
 
 
 def coordinates_to_json(spec: SpaceSpec, coords: Coordinates) -> dict:
     payload = {}
-    shapes = _payload_shapes(spec)
+    shapes = FAMILY[spec.family].payload(spec)
     for name in shapes:
         if name == "s":
             payload["s"] = float(coords.s)
@@ -401,7 +310,7 @@ def coordinates_to_json(spec: SpaceSpec, coords: Coordinates) -> dict:
 
 def coordinates_from_payload(spec: SpaceSpec, payload: dict) -> Coordinates:
     """Build coordinates from the JSON payload dict for ``spec``."""
-    shapes = _payload_shapes(spec)
+    shapes = FAMILY[spec.family].payload(spec)
     fields = {}
     for name, shape in shapes.items():
         if name == "s":
@@ -427,6 +336,8 @@ def coordinates_from_json(obj: dict) -> tuple[SpaceSpec, Coordinates]:
     for key in ("family", "params", "payload"):
         if key not in obj:
             raise ValueError(f'coordinates JSON is missing field "{key}"')
+    if not isinstance(obj["params"], dict):
+        raise ValueError('coordinates JSON field "params" must be an object')
     spec = spec_from_family(obj["family"], **{k: int(v) for k, v in obj["params"].items()})
     return spec, coordinates_from_payload(spec, obj["payload"])
 
@@ -456,54 +367,58 @@ def build_tangent(spec: SpaceSpec, coords: Coordinates) -> np.ndarray:
     if coords.family != spec.family:
         raise CoordinateError(
             f"coordinates are tagged {coords.family!r}, spec is {spec.family!r}")
-    fam = spec.family
     N = spec.ambient
     X = np.zeros((N, N), dtype=complex)
-    tol = 1e-12
+    FAMILY[spec.family].build(spec, coords, X)
+    return X
 
-    if fam in ("AIII", "DIII", "CI"):
-        h = spec.m if fam == "AIII" else spec.n
-        Z = _check_shape("Z", coords.Z, _payload_shapes(spec)["Z"])
-        if fam == "DIII" and max_abs(Z + antitranspose(Z)) > tol:
-            raise CoordinateError("DIII payload must satisfy Z + antitranspose(Z) = 0")
-        if fam == "CI" and max_abs(Z - antitranspose(Z)) > tol:
-            raise CoordinateError("CI payload must satisfy Z - antitranspose(Z) = 0")
-        X[:h, h:] = Z
-        X[h:, :h] = -Z.conj().T
-        return X
 
-    if fam == "CII":
-        p, q = spec.p, spec.q
-        Z1 = _check_shape("Z1", coords.Z1, (p, q))
-        Z2 = _check_shape("Z2", coords.Z2, (p, q))
-        s0, s1, s2, s3 = 0, p, p + q, p + 2 * q
-        X[s0:s1, s1:s2] = Z1
-        X[s0:s1, s2:s3] = Z2
-        X[s1:s2, s0:s1] = -Z1.conj().T
-        X[s1:s2, s3:] = antitranspose(Z2)
-        X[s2:s3, s0:s1] = -Z2.conj().T
-        X[s2:s3, s3:] = -antitranspose(Z1)
-        X[s3:, s1:s2] = -conj_antitranspose(Z2)
-        X[s3:, s2:s3] = conj_antitranspose(Z1)
-        return X
+def _build_two_block(spec: SpaceSpec, coords: Coordinates, X: np.ndarray) -> None:
+    """AIII, DIII, CI: ``Z`` above the diagonal blocks, ``-Z*`` below."""
+    fam = FAMILY[spec.family]
+    sign = fam.payload_sign
+    Z = _check_shape("Z", coords.Z, fam.payload(spec)["Z"])
+    if sign is not None and max_abs(Z - sign * antitranspose(Z)) > 1e-12:
+        raise CoordinateError(f"{spec.family} payload must satisfy "
+                              f"Z {'+' if sign < 0 else '-'} antitranspose(Z) = 0")
+    h = len(Z)
+    X[:h, h:] = Z
+    X[h:, :h] = -Z.conj().T
 
-    if fam == "BDI_even":
-        h, q = spec.p // 2, spec.q
-        Z = _check_shape("Z", coords.Z, (h, q))
-        X[:h, h:h + q] = Z
-        X[h:h + q, :h] = -Z.conj().T
-        X[h:h + q, h + q:] = -antitranspose(Z)
-        X[h + q:, h:h + q] = conj_antitranspose(Z)
-        return X
 
-    # BDI with both parameters odd: outer involution, middle 2x2 torus slot
+def _build_cii(spec: SpaceSpec, coords: Coordinates, X: np.ndarray) -> None:
+    p, q = spec.p, spec.q
+    Z1 = _check_shape("Z1", coords.Z1, (p, q))
+    Z2 = _check_shape("Z2", coords.Z2, (p, q))
+    s0, s1, s2, s3 = 0, p, p + q, p + 2 * q
+    X[s0:s1, s1:s2] = Z1
+    X[s0:s1, s2:s3] = Z2
+    X[s1:s2, s0:s1] = -Z1.conj().T
+    X[s1:s2, s3:] = antitranspose(Z2)
+    X[s2:s3, s0:s1] = -Z2.conj().T
+    X[s2:s3, s3:] = -antitranspose(Z1)
+    X[s3:, s1:s2] = -conj_antitranspose(Z2)
+    X[s3:, s2:s3] = conj_antitranspose(Z1)
+
+
+def _build_bdi_even(spec: SpaceSpec, coords: Coordinates, X: np.ndarray) -> None:
+    h, q = spec.p // 2, spec.q
+    Z = _check_shape("Z", coords.Z, (h, q))
+    X[:h, h:h + q] = Z
+    X[h:h + q, :h] = -Z.conj().T
+    X[h:h + q, h + q:] = -antitranspose(Z)
+    X[h + q:, h:h + q] = conj_antitranspose(Z)
+
+
+def _build_bdi_oddodd(spec: SpaceSpec, coords: Coordinates, X: np.ndarray) -> None:
+    """Outer involution plus the middle 2x2 torus slot."""
     n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
     Z1 = _check_shape("Z1", coords.Z1, (n1, n2))
     Z2 = _check_shape("Z2", coords.Z2, (n1, n2))
     w1 = _check_shape("w1", coords.w1, (n1,)).reshape(n1, 1)
     w2 = _check_shape("w2", coords.w2, (n2,)).reshape(n2, 1)
     s = float(coords.s)
-    b = _block_starts(block_sizes(spec))
+    b = list(itertools.accumulate(block_sizes(spec), initial=0))
     m1, m2 = b[2], b[3]  # the two middle positions
 
     X[b[0]:b[1], b[1]:b[2]] = Z1
@@ -535,14 +450,13 @@ def build_tangent(spec: SpaceSpec, coords: Coordinates) -> np.ndarray:
 
     X[m1, m1] = 1j * s
     X[m2, m2] = -1j * s
-    return X
 
 
 # --- validation ------------------------------------------------------------
 
 @dataclass
-class TangentReport:
-    """Worst-case violation of each membership constraint."""
+class ViolationReport:
+    """Worst-case violation of each membership constraint of a tangent or a point."""
 
     violations: dict[str, float]
     tolerance: float
@@ -556,7 +470,7 @@ class TangentReport:
         return name, self.violations[name]
 
 
-def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> TangentReport:
+def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
     """Report how far ``X`` is from the tangent space of ``spec``.
 
     Checks skew-Hermitianity, anti-invariance under the involution, the
@@ -578,7 +492,7 @@ def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> TangentReport:
         half = N // 2
         I = leading_signature(N, half)
         v["reflection"] = max_abs(X + I @ antitranspose(X) @ I)
-    return TangentReport(violations=v, tolerance=tol)
+    return ViolationReport(violations=v, tolerance=tol)
 
 
 # --- coroot exponent systems -------------------------------------------------
@@ -612,59 +526,32 @@ def _e_diff(N: int, entries: dict[int, int]) -> np.ndarray:
 
 
 def coroots(spec: SpaceSpec) -> CorootSystem:
-    """The family's exponent vectors and terminal rule.
+    """The family's exponent vectors and terminal rule, one rule per reflection type.
 
     Rank-degenerate corners get their obvious systems: the n = 1
     orthogonal case is a single point (empty product, every diagonal
     entry 1), and the smallest doubly-odd layout has a bare torus slot
     whose diagonal is the first determinant ratio itself.
     """
-    fam = spec.family
+    fam = FAMILY[spec.family]
     N = spec.ambient
-
-    if fam == "AIII":
+    if not fam.reflection:
         vecs = tuple(_e_diff(N, {k: 1, k + 1: -1}) for k in range(1, N))
         return CorootSystem(vectors=vecs, product_indices=tuple(range(1, N)))
 
-    if fam in ("DIII", "CI"):
-        n = spec.n
-        if fam == "DIII" and n < 2:
-            return CorootSystem(vectors=(), product_indices=())
-        vecs = [
-            _e_diff(N, {k: 1, k + 1: -1, 2 * n - k: 1, 2 * n - k + 1: -1})
-            for k in range(1, n)
-        ]
-        if fam == "CI":
-            vecs.append(_e_diff(N, {n: 1, n + 1: -1}))
-            return CorootSystem(vectors=tuple(vecs), product_indices=tuple(range(1, n + 1)))
-        h_n = _e_diff(N, {n - 1: 1, n: 1, n + 1: -1, n + 2: -1})
-        vecs.append(h_n)
-        numerators = -vecs[n - 2] + h_n
-        return CorootSystem(
-            vectors=tuple(vecs),
-            product_indices=tuple(range(1, n)),
-            terminal_index=n,
-            terminal_numerators=numerators,
-        )
-
-    if fam == "CII":
-        n = spec.p + spec.q
-        vecs = [
-            _e_diff(N, {k: 1, k + 1: -1, 2 * n - k: 1, 2 * n - k + 1: -1})
-            for k in range(1, n)
-        ]
-        vecs.append(_e_diff(N, {n: 1, n + 1: -1}))
-        return CorootSystem(vectors=tuple(vecs), product_indices=tuple(range(1, n + 1)))
-
-    # both BDI layouts share the reflection-paired vectors below the middle
     r = N // 2
-    if N == 2:
-        return CorootSystem(vectors=(_e_diff(N, {1: 1, 2: -1}),),
-                            product_indices=(1,))
     vecs = [
         _e_diff(N, {k: 1, k + 1: -1, N - k: 1, N - k + 1: -1})
         for k in range(1, r)
     ]
+    if fam.reflection == "sp":
+        vecs.append(_e_diff(N, {r: 1, r + 1: -1}))
+        return CorootSystem(vectors=tuple(vecs), product_indices=tuple(range(1, r + 1)))
+    if N == 2:
+        if 0 in fam.signs:
+            return CorootSystem(vectors=(_e_diff(N, {1: 1, 2: -1}),),
+                                product_indices=(1,))
+        return CorootSystem(vectors=(), product_indices=())
     if N % 2 == 0:
         h_r = _e_diff(N, {r - 1: 1, r: 1, r + 1: -1, r + 2: -1})
         vecs.append(h_r)
@@ -673,9 +560,72 @@ def coroots(spec: SpaceSpec) -> CorootSystem:
         h_r = _e_diff(N, {r: 2, r + 2: -2})
         vecs.append(h_r)
         numerators = h_r.copy()
+    # 2e_r - 2e_{r+1} or 2e_r - 2e_{r+2}: the half exponents are integers
+    assert not np.any(numerators % 2), f"odd terminal numerators {numerators}"
     return CorootSystem(
         vectors=tuple(vecs),
         product_indices=tuple(range(1, r)),
         terminal_index=r,
         terminal_numerators=numerators,
     )
+
+
+# --- the family registry -----------------------------------------------------
+
+def _require(*checks: tuple[bool, str]) -> None:
+    """Raise ``ValueError`` with the message of the first check that fails."""
+    for ok, message in checks:
+        if not ok:
+            raise ValueError(message)
+
+
+def _oddodd_payload(spec: SpaceSpec) -> dict:
+    n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
+    return {"Z1": (n1, n2), "Z2": (n1, n2), "w1": (n1,), "w2": (n2,), "s": ()}
+
+
+#: Every family's record, in the order ``bruhatdiag verify`` runs them.
+FAMILY: dict[str, Family] = {
+    "AIII": Family(
+        params=("m", "n"),
+        validate=lambda s: _require(
+            (s.m >= 1 and s.n >= 1, "AIII requires m >= 1 and n >= 1"),
+            (s.m <= s.n, "AIII uses the convention m <= n; swap the parameters")),
+        sizes=lambda s: (s.m, s.n), signs=(-1, 1), reflection="",
+        payload=lambda s: {"Z": (s.m, s.n)}, build=_build_two_block,
+        defaults={"m": 2, "n": 3}),
+    "DIII": Family(
+        params=("n",), validate=lambda s: _require((s.n >= 1, "DIII requires n >= 1")),
+        sizes=lambda s: (s.n, s.n), signs=(-1, 1), reflection="so",
+        payload=lambda s: {"Z": (s.n, s.n)}, build=_build_two_block,
+        defaults={"n": 3}, payload_sign=-1.0),
+    "CI": Family(
+        params=("n",), validate=lambda s: _require((s.n >= 1, "CI requires n >= 1")),
+        sizes=lambda s: (s.n, s.n), signs=(-1, 1), reflection="sp",
+        payload=lambda s: {"Z": (s.n, s.n)}, build=_build_two_block,
+        defaults={"n": 3}, payload_sign=1.0),
+    "CII": Family(
+        params=("p", "q"),
+        validate=lambda s: _require((s.p >= 1 and s.q >= 1, "CII requires p >= 1 and q >= 1")),
+        sizes=lambda s: (s.p, s.q, s.q, s.p), signs=(-1, 1, 1, -1), reflection="sp",
+        payload=lambda s: {"Z1": (s.p, s.q), "Z2": (s.p, s.q)}, build=_build_cii,
+        defaults={"p": 2, "q": 2}),
+    "BDI_even": Family(
+        params=("p", "q"),
+        validate=lambda s: _require(
+            (s.p >= 2 and s.p % 2 == 0, "BDI_even requires even p >= 2"),
+            (s.q >= 1, "BDI_even requires q >= 1")),
+        sizes=lambda s: (s.p // 2, s.q, s.p // 2), signs=(-1, 1, -1), reflection="so",
+        payload=lambda s: {"Z": (s.p // 2, s.q)}, build=_build_bdi_even,
+        defaults={"p": 4, "q": 3}),
+    "BDI_oddodd": Family(
+        params=("p", "q"),
+        validate=lambda s: _require((s.p >= 1 and s.q >= 1 and s.p % 2 == 1 and s.q % 2 == 1,
+                                     "BDI_oddodd requires odd p >= 1 and odd q >= 1")),
+        sizes=lambda s: ((s.p - 1) // 2, (s.q - 1) // 2, 1, 1, (s.q - 1) // 2, (s.p - 1) // 2),
+        signs=(1, -1, 0, 0, -1, 1), reflection="so",
+        payload=_oddodd_payload, build=_build_bdi_oddodd,
+        defaults={"p": 3, "q": 3}),
+}
+
+FAMILIES = tuple(FAMILY)

@@ -167,6 +167,20 @@ class TestErrorHandling:
         assert code == 1
         assert '"Z"' in err
 
+    def test_coordinates_json_missing_parameter(self, capsys):
+        payload = '{"family": "AIII", "params": {"m": 1}, "payload": {"Z": [[[0.1, 0]]]}}'
+        code, out, err = run_cli(capsys, "d", "--payload", payload)
+        assert code == 1
+        assert out == ""
+        assert err == 'bruhatdiag: error: family AIII requires parameter "n"\n'
+
+    def test_coordinates_json_params_not_an_object(self, capsys):
+        payload = '{"family": "AIII", "params": [1, 2], "payload": {"Z": [[[0.1, 0]]]}}'
+        code, out, err = run_cli(capsys, "d", "--payload", payload)
+        assert code == 1
+        assert out == ""
+        assert err == 'bruhatdiag: error: coordinates JSON field "params" must be an object\n'
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "golden", "--suite", "nope")
         assert code == 1

@@ -1,13 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from bruhatdiag.linalg import antitranspose
+from bruhatdiag.bruhat import diagonal_via_cayley, diagonal_via_coroots
+from bruhatdiag.components import _part_labels
+from bruhatdiag.linalg import antitranspose, leading_signature, signature_matrix
 from bruhatdiag.spaces import (
+    FAMILIES,
+    FAMILY,
     Coordinates,
     CoordinateError,
     SpaceSpec,
     aiii,
     bdi,
+    block_sizes,
     build_tangent,
     ci,
     cii,
@@ -18,6 +25,8 @@ from bruhatdiag.spaces import (
     involution_apply,
     involution_matrix,
     random_coordinates,
+    spec_from_family,
+    support_mask,
     validate_tangent,
     zero_coordinates,
 )
@@ -30,6 +39,23 @@ ALL_SPECS = [
     SpaceSpec("BDI_even", p=4, q=3), SpaceSpec("BDI_even", p=2, q=1),
     SpaceSpec("BDI_oddodd", p=3, q=3), SpaceSpec("BDI_oddodd", p=5, q=1),
 ]
+
+
+def _grid(family: str, max_ambient: int = 14) -> list[SpaceSpec]:
+    """Every valid spec of ``family`` with ambient size at most ``max_ambient``."""
+    names = FAMILY[family].params
+    specs = []
+    for values in itertools.product(range(1, max_ambient + 1), repeat=len(names)):
+        try:
+            spec = spec_from_family(family, **dict(zip(names, values)))
+        except ValueError:
+            continue
+        if spec.ambient <= max_ambient:
+            specs.append(spec)
+    return specs
+
+
+GRID = [spec for family in FAMILY for spec in _grid(family)]
 
 
 class TestSpecValidation:
@@ -224,6 +250,22 @@ class TestCoroots:
                 assert sys.terminal_numerators.sum() == 0
                 assert np.all(sys.terminal_numerators % 2 == 0)
 
+    def test_product_form_holds_over_grid(self):
+        # coroots() asserts even terminal numerators; its product form must
+        # also reproduce the determinant-ratio diagonal on every layout
+        rng = np.random.default_rng(41)
+        terminal = 0
+        for spec in GRID:
+            sys = coroots(spec)
+            if sys.terminal_numerators is not None:
+                terminal += 1
+                assert not np.any(sys.terminal_numerators % 2), spec
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            a = diagonal_via_coroots(spec, X).entries
+            b = diagonal_via_cayley(X, spec).entries
+            assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-9, spec
+        assert (len(GRID), terminal) == (154, 75)
+
     def test_degenerate_corners(self):
         # the n = 1 orthogonal space is a point: empty exponent system
         assert coroots(diii(1)).vectors == ()
@@ -258,3 +300,132 @@ class TestCoordinateJson:
         rng = np.random.default_rng(37)
         coords = random_coordinates(diii(4), rng)
         assert np.abs(coords.Z + antitranspose(coords.Z)).max() == 0.0
+
+
+# Hand-written per-family tables: the registry must derive the same layout.
+
+def _ref_block_sizes(spec):
+    fam = spec.family
+    if fam == "AIII":
+        return (spec.m, spec.n)
+    if fam in ("DIII", "CI"):
+        return (spec.n, spec.n)
+    if fam == "CII":
+        return (spec.p, spec.q, spec.q, spec.p)
+    if fam == "BDI_even":
+        h = spec.p // 2
+        return (h, spec.q, h)
+    n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
+    return (n1, n2, 1, 1, n2, n1)
+
+
+def _ref_involution_matrix(spec):
+    fam = spec.family
+    if fam == "AIII":
+        return leading_signature(spec.ambient, spec.m)
+    if fam in ("DIII", "CI"):
+        return leading_signature(spec.ambient, spec.n)
+    if fam == "CII":
+        return signature_matrix((spec.p, 2 * spec.q, spec.p))
+    if fam == "BDI_even":
+        return signature_matrix((spec.p // 2, spec.q, spec.p // 2))
+    n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
+    diag = [1.0] * n1 + [-1.0] * n2 + [0.0, 0.0] + [-1.0] * n2 + [1.0] * n1
+    I = np.diag(np.array(diag, dtype=complex))
+    mid = n1 + n2
+    I[mid, mid + 1] = 1.0
+    I[mid + 1, mid] = 1.0
+    return I
+
+
+#: Block pairs (row block, column block) a tangent may fill.
+_REF_SUPPORT_PAIRS = {
+    "AIII": ((0, 1), (1, 0)),
+    "DIII": ((0, 1), (1, 0)),
+    "CI": ((0, 1), (1, 0)),
+    "CII": ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)),
+    "BDI_even": ((0, 1), (1, 0), (1, 2), (2, 1)),
+    "BDI_oddodd": (
+        (0, 1), (0, 2), (0, 3), (0, 4),
+        (1, 0), (1, 2), (1, 3), (1, 5),
+        (2, 0), (2, 1), (2, 2), (2, 4), (2, 5),
+        (3, 0), (3, 1), (3, 3), (3, 4), (3, 5),
+        (4, 0), (4, 2), (4, 3), (4, 5),
+        (5, 1), (5, 2), (5, 3), (5, 4),
+    ),
+}
+
+
+def _ref_support_mask(spec):
+    starts = [0, *itertools.accumulate(_ref_block_sizes(spec))]
+    mask = np.zeros((spec.ambient, spec.ambient), dtype=bool)
+    for bi, bj in _REF_SUPPORT_PAIRS[spec.family]:
+        mask[starts[bi]:starts[bi + 1], starts[bj]:starts[bj + 1]] = True
+    return mask
+
+
+def _ref_part_labels(spec):
+    N = spec.ambient
+    fam = spec.family
+    labels = [None] * N
+    if fam == "AIII":
+        for i in range(N):
+            labels[i] = "a" if i < spec.m else "b"
+    elif fam in ("DIII", "CI"):
+        for i in range(N):
+            labels[i] = "a" if i < spec.n else "b"
+    elif fam == "CII":
+        p = spec.p
+        for i in range(N):
+            labels[i] = "a" if (i < p or i >= N - p) else "b"
+    elif fam == "BDI_even":
+        h = spec.p // 2
+        for i in range(N):
+            labels[i] = "a" if (i < h or i >= N - h) else "b"
+    else:
+        n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
+        for i in range(N):
+            if i < n1 or i >= N - n1:
+                labels[i] = "a"
+            elif n1 <= i < n1 + n2 or N - n1 - n2 <= i < N - n1:
+                labels[i] = "b"
+    return labels
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_registry_covers_every_family():
+    assert FAMILY.keys() == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", list(FAMILY))
+class TestFamilyRegistry:
+    def test_block_sizes_and_ambient(self, family):
+        for spec in _grid(family):
+            assert block_sizes(spec) == _ref_block_sizes(spec), spec
+            assert spec.ambient == sum(_ref_block_sizes(spec)), spec
+
+    def test_involution_matrix(self, family):
+        for spec in _grid(family):
+            assert _same_bits(involution_matrix(spec), _ref_involution_matrix(spec)), spec
+
+    def test_support_mask(self, family):
+        for spec in _grid(family):
+            assert _same_bits(support_mask(spec), _ref_support_mask(spec)), spec
+
+    def test_part_labels_partition(self, family):
+        # labels are compared by equality and None only, so the relation is what counts
+        for spec in _grid(family):
+            labels, ref = _part_labels(spec), _ref_part_labels(spec)
+            assert [a is None for a in labels] == [r is None for r in ref], spec
+            assert ([[a == b for b in labels] for a in labels]
+                    == [[a == b for b in ref] for a in ref]), spec
+
+    def test_defaults_give_a_valid_tangent(self, family):
+        spec = spec_from_family(family, **FAMILY[family].defaults)
+        assert spec.params_dict() == FAMILY[family].defaults
+        X = build_tangent(spec, random_coordinates(spec, np.random.default_rng(3)))
+        report = validate_tangent(spec, X, tol=1e-12)
+        assert report.ok, report.violations
