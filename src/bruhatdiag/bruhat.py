@@ -153,6 +153,31 @@ def _report(method: str, entries: np.ndarray, generic, **extra) -> DiagonalRepor
     )
 
 
+def _eliminate(A: np.ndarray, tol_factor: float) -> np.ndarray:
+    """Unpivoted elimination of ``A`` in place; returns the pivots.
+
+    Step k divides column k below the diagonal by the pivot, stores those
+    multipliers there and updates only ``A[k+1:, k+1:]``, so on return
+    the strict lower triangle holds ``L`` and the upper triangle holds
+    ``D U``.  The running product of the pivots is the k-th leading
+    minor; the first that falls to its cutoff raises
+    :class:`NonGenericError` with step k.
+    """
+    n = A.shape[0]
+    cutoffs = _minor_cutoffs(A, tol_factor)
+    minor = 1.0 + 0.0j
+    for k in range(n):
+        pivot = A[k, k]
+        minor *= pivot
+        if abs(minor) <= cutoffs[k]:
+            raise NonGenericError(k + 1, abs(minor), "gauss")
+        if k + 1 < n:
+            mult = A[k + 1:, k] / pivot
+            A[k + 1:, k] = mult
+            A[k + 1:, k + 1:] -= np.outer(mult, A[k, k + 1:])
+    return A.diagonal().copy()
+
+
 def ldu(g, tol_factor: float = GENERIC_TOL) -> LDUFactorization:
     """Triangular factorization by elimination without row exchanges.
 
@@ -161,31 +186,17 @@ def ldu(g, tol_factor: float = GENERIC_TOL) -> LDUFactorization:
     reported through :class:`NonGenericError`.
     """
     A = as_matrix(g).copy()
-    n = A.shape[0]
-    cutoffs = _minor_cutoffs(A, tol_factor)
-    L = np.eye(n, dtype=complex)
-    minor = 1.0 + 0.0j
-    pivots = np.zeros(n, dtype=complex)
-    for k in range(n):
-        pivot = A[k, k]
-        minor *= pivot
-        if abs(minor) <= cutoffs[k]:
-            raise NonGenericError(k + 1, abs(minor), "gauss")
-        pivots[k] = pivot
-        if k + 1 < n:
-            mult = A[k + 1:, k] / pivot
-            L[k + 1:, k] = mult
-            A[k + 1:, k:] -= np.outer(mult, A[k, k:])
-    U = np.triu(A)
-    D = np.diag(pivots)
-    U = (U.T / pivots).T
+    pivots = _eliminate(A, tol_factor)
+    L = np.tril(A, -1)
+    np.fill_diagonal(L, 1.0)
+    U = (np.triu(A).T / pivots).T
     np.fill_diagonal(U, 1.0)  # complex self-division is not exactly 1
-    return LDUFactorization(L=L, D=D, U=U)
+    return LDUFactorization(L=L, D=np.diag(pivots), U=U)
 
 
 def diagonal_via_gauss(g, tol_factor: float = GENERIC_TOL) -> DiagonalReport:
-    fac = ldu(g, tol_factor=tol_factor)
-    entries = fac.diagonal
+    """Diagonal as the elimination pivots; ``L`` and ``U`` are never built."""
+    entries = _eliminate(as_matrix(g).copy(), tol_factor)
     return _report("gauss", entries, [True] * len(entries))
 
 

@@ -8,11 +8,12 @@ route to ``det(1 + A)`` for cross checks.
 
 Both routes come in a stacked form for the leading sign flips
 ``det(1 + I_k A)``, k = 0..n: :func:`flipped_determinants` is one batched LU
-call on the n + 1 flipped matrices, and :func:`flipped_minor_expansion`
-computes every principal minor of ``A`` once (one gather and one batched
-``det`` per subset size) and forms the n + 1 expansions as signed sums,
-since the minor of ``I_k A`` on ``alpha`` is
-``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.
+call on the distinct flipped matrices (a zero row k - 1 of ``A`` makes
+flip k byte-equal to flip k - 1, so its determinant is copied, not
+recomputed), and :func:`flipped_minor_expansion` computes every principal
+minor of ``A`` once (one gather and one batched ``det`` per subset size)
+and forms the n + 1 expansions as signed sums, since the minor of
+``I_k A`` on ``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.
 """
 
 from __future__ import annotations
@@ -235,19 +236,33 @@ def principal_minor_expansion(A, cap: int = EXPANSION_CAP) -> complex:
 
 
 def flipped_determinants(A) -> np.ndarray:
-    """``det(1 + I_k A)`` for k = 0..n from one stacked LU call.
+    """``det(1 + I_k A)`` for k = 0..n from one stacked LU call over the
+    distinct flips.
 
     ``I_0`` is the identity; for n = 0 the single entry is the empty
     determinant 1.  Row i of ``1 + I_k A`` is row i of ``1 - A`` when
     i < k and of ``1 + A`` otherwise, so the stack is one selection
     between those two matrices (the same values as ``1 + I_k @ A``,
     with a single stack-sized allocation).
+
+    Flip k differs from flip k - 1 only in row k - 1.  Where that row of
+    ``A`` is zero (of either sign), ``1 - A`` and ``1 + A`` hold the same
+    bytes there (``+0.0`` off the diagonal, ``1.0`` on it), so the two
+    flipped matrices are byte-equal.  Only k = 0 and the k whose row
+    k - 1 is nonzero are factorized; every other determinant is copied
+    from the last distinct flip before it.  A batched ``det`` factorizes
+    each matrix on its own, so every value equals the one the full stack
+    gives.
     """
     A = as_matrix(A)
     n = A.shape[0]
     eye = np.eye(n)
-    flipped = np.arange(n) < np.arange(n + 1)[:, None]
-    return np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
+    changes = np.empty(n + 1, dtype=bool)
+    changes[0] = True
+    changes[1:] = A.any(axis=1)
+    flipped = np.arange(n) < np.flatnonzero(changes)[:, None]
+    dets = np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
+    return dets[changes.cumsum() - 1]
 
 
 def max_abs(A) -> float:
@@ -267,7 +282,11 @@ def complex_to_pair(z: complex) -> list[float]:
 def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"complex entries must be [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except TypeError as exc:  # float(None), float([...])
+        raise ValueError(f"complex entries must be [re, im] pairs of numbers, "
+                         f"got {pair!r}") from exc
 
 
 def matrix_to_json(A) -> dict:
@@ -291,6 +310,9 @@ def matrix_from_json(obj) -> np.ndarray:
 
 def rectangular_from_json(rows, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Parse a rectangular [[re, im]] grid; used for coordinate payloads."""
+    if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows):
+        raise ValueError(f"payload block must be a list of rows of [re, im] pairs, got {rows!r}")
     A = np.array([[pair_to_complex(z) for z in row] for row in rows], dtype=complex)
     if A.size == 0:
         A = A.reshape(shape if shape is not None else (0, 0))

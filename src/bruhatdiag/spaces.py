@@ -27,6 +27,7 @@ record plus its tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -310,17 +311,22 @@ def coordinates_to_json(spec: SpaceSpec, coords: Coordinates) -> dict:
 
 def coordinates_from_payload(spec: SpaceSpec, payload: dict) -> Coordinates:
     """Build coordinates from the JSON payload dict for ``spec``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"payload must be an object, got {payload!r}")
     shapes = FAMILY[spec.family].payload(spec)
     fields = {}
     for name, shape in shapes.items():
         if name == "s":
             if "s" in payload:
-                fields["s"] = float(payload["s"])
+                fields["s"] = _json_number(payload["s"], float,
+                                           'payload field "s" must be a number')
             continue
         if name not in payload:
             raise ValueError(f'payload is missing field "{name}" for family {spec.family}')
         raw = payload[name]
         if name.startswith("w"):
+            if not isinstance(raw, (list, tuple)):
+                raise ValueError(f'payload field "{name}" must be a list of [re, im] pairs')
             vec = np.array([pair_to_complex(z) for z in raw], dtype=complex)
             if vec.shape != shape:
                 raise ValueError(f'payload field "{name}" has length {vec.shape}, expected {shape}')
@@ -336,10 +342,23 @@ def coordinates_from_json(obj: dict) -> tuple[SpaceSpec, Coordinates]:
     for key in ("family", "params", "payload"):
         if key not in obj:
             raise ValueError(f'coordinates JSON is missing field "{key}"')
+    if not isinstance(obj["family"], str):
+        raise ValueError('coordinates JSON field "family" must be a string')
     if not isinstance(obj["params"], dict):
         raise ValueError('coordinates JSON field "params" must be an object')
-    spec = spec_from_family(obj["family"], **{k: int(v) for k, v in obj["params"].items()})
+    params = {k: _json_number(v, int, f'coordinates JSON parameter "{k}" must be an integer')
+              for k, v in obj["params"].items()}
+    spec = spec_from_family(obj["family"], **params)
     return spec, coordinates_from_payload(spec, obj["payload"])
+
+
+def _json_number(value, kind: type, message: str):
+    """``kind(value)``; null, lists, non-numeric strings and (for ``int``)
+    infinities raise ``ValueError`` with ``message``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{message}, got {value!r}") from exc
 
 
 # --- tangent construction --------------------------------------------------
@@ -505,13 +524,20 @@ class CorootSystem:
     ratio for ``k in product_indices``.  When a terminal factor exists, the
     ratio at ``terminal_index`` enters with exponent ``terminal_numerators/2``
     instead (the numerators are even for every family here, so the combined
-    exponents are integers).
+    exponents are integers).  The arrays are made read-only, because
+    :func:`coroots` hands one system to every caller.
     """
 
     vectors: tuple[np.ndarray, ...]
     product_indices: tuple[int, ...]
     terminal_index: Optional[int] = None
     terminal_numerators: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for v in self.vectors:
+            v.flags.writeable = False
+        if self.terminal_numerators is not None:
+            self.terminal_numerators.flags.writeable = False
 
     def vector(self, k: int) -> np.ndarray:
         return self.vectors[k - 1]
@@ -525,6 +551,7 @@ def _e_diff(N: int, entries: dict[int, int]) -> np.ndarray:
     return h
 
 
+@functools.lru_cache(maxsize=64)
 def coroots(spec: SpaceSpec) -> CorootSystem:
     """The family's exponent vectors and terminal rule, one rule per reflection type.
 
@@ -532,6 +559,8 @@ def coroots(spec: SpaceSpec) -> CorootSystem:
     orthogonal case is a single point (empty product, every diagonal
     entry 1), and the smallest doubly-odd layout has a bare torus slot
     whose diagonal is the first determinant ratio itself.
+
+    Each system is built once per spec and shared by every caller.
     """
     fam = FAMILY[spec.family]
     N = spec.ambient

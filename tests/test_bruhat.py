@@ -22,6 +22,13 @@ from bruhatdiag.bruhat import (
     unbalanced_minor_max,
 )
 from bruhatdiag.cayley import cayley
+from bruhatdiag.components import (
+    DEFAULT_GRID,
+    ComponentRep,
+    construct_witness,
+    enumerate_components,
+    limit_check,
+)
 from bruhatdiag.linalg import (
     EXPANSION_CAP,
     ExpansionLimitError,
@@ -30,6 +37,7 @@ from bruhatdiag.linalg import (
     submatrix,
 )
 from bruhatdiag.spaces import (
+    FAMILY,
     Coordinates,
     SpaceSpec,
     aiii,
@@ -73,6 +81,41 @@ class TestLdu:
             assert np.abs(np.triu(fac.L, 1)).max() == 0.0
             assert np.array_equal(np.diag(fac.L), np.ones(6))
             assert np.array_equal(np.diag(fac.U), np.ones(6))
+
+    def test_elimination_kernel_matches_reference_bitwise(self):
+        def reference_ldu(g):
+            # the factorization as written before the in-place kernel
+            A = np.array(g, dtype=complex)
+            n = A.shape[0]
+            L = np.eye(n, dtype=complex)
+            pivots = np.zeros(n, dtype=complex)
+            for k in range(n):
+                pivots[k] = pivot = A[k, k]
+                if k + 1 < n:
+                    mult = A[k + 1:, k] / pivot
+                    L[k + 1:, k] = mult
+                    A[k + 1:, k:] -= np.outer(mult, A[k, k:])
+            U = (np.triu(A).T / pivots).T
+            np.fill_diagonal(U, 1.0)
+            return L, np.diag(pivots), U
+
+        rng = np.random.default_rng(2)
+        for spec in FAMILY_CASES + [aiii(10, 10), aiii(5, 45)]:
+            for _ in range(5):
+                g = cayley(build_tangent(spec, random_coordinates(spec, rng)))
+                fac = ldu(g)
+                for got, want in zip((fac.L, fac.D, fac.U), reference_ldu(g)):
+                    assert got.tobytes() == want.tobytes(), spec
+                entries = diagonal_via_gauss(g).entries
+                assert entries.tobytes() == np.diag(fac.D).tobytes(), spec
+        assert diagonal_via_gauss(np.zeros((0, 0))).entries.shape == (0,)
+
+    def test_gauss_refuses_at_the_ldu_step(self):
+        g = np.diag([1.0, 2.0, 0.0, 3.0]).astype(complex)
+        for call in (ldu, diagonal_via_gauss):
+            with pytest.raises(NonGenericError) as err:
+                call(g)
+            assert (err.value.index, err.value.route) == (3, "gauss")
 
     def test_diagonal_matches_minor_ratios(self):
         rng = np.random.default_rng(1)
@@ -381,6 +424,123 @@ class TestSharedDeterminantCore:
             shapes = _count_det_calls(monkeypatch)
             cross_check(X, spec)
             assert 1 <= shapes.count((N + 1, N, N)) <= 2, spec.family
+
+
+def _flip_loop(A):
+    """``det(1 + I_k A)`` for k = 0..n, one ``np.linalg.det`` per flip on the
+    same row selection the stack makes."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
+    eye = np.eye(n)
+    rows = np.arange(n)[:, None]
+    return np.array([np.linalg.det(np.where(rows < k, eye - A, eye + A))
+                     for k in range(n + 1)])
+
+
+def _small_layouts(max_ambient=8):
+    """Every valid spec with ambient size at most ``max_ambient``."""
+    specs = []
+    for family, fam in FAMILY.items():
+        for values in itertools.product(range(1, max_ambient + 1), repeat=len(fam.params)):
+            try:
+                spec = SpaceSpec(family, **dict(zip(fam.params, values)))
+            except ValueError:
+                continue
+            if spec.ambient <= max_ambient:
+                specs.append(spec)
+    return specs
+
+
+def _block_rep(n, negatives):
+    """AIII(n, n) representative with ``-1`` at ``negatives`` in each block."""
+    signs = [-1 if i in negatives else 1 for i in range(n)]
+    return ComponentRep(aiii(n, n), tuple(signs) * 2)
+
+
+class TestDistinctFlips:
+    def test_zero_rows_bitwise_equal_to_per_flip_loop(self):
+        rng = np.random.default_rng(80)
+        dense = _random_skew_hermitian(rng, 9) + 0.2 * np.eye(9)
+        for zero in ([0], [8], [1, 3, 4, 7], [0, 1, 2], list(range(1, 9))):
+            for value in (0.0, complex(-0.0, -0.0), complex(0.0, -0.0)):
+                A = dense.copy()
+                A[zero] = value
+                # a zero column with nonzero rows changes every flip
+                for M in (A, A.T.copy()):
+                    assert flipped_determinants(M).tobytes() == _flip_loop(M).tobytes()
+
+    def test_degenerate_sizes(self):
+        zero = np.zeros((6, 6), dtype=complex)
+        assert flipped_determinants(zero).tobytes() == _flip_loop(zero).tobytes()
+        assert np.array_equal(flipped_determinants(zero), np.ones(7))
+        empty = np.zeros((0, 0))
+        assert flipped_determinants(empty).tobytes() == _flip_loop(empty).tobytes()
+        assert flipped_determinants(empty).tolist() == [1.0]
+
+    def test_witnesses_bitwise_equal_to_per_flip_loop(self):
+        reps = 0
+        for spec in _small_layouts():
+            for rep in enumerate_components(spec):
+                X = construct_witness(rep)
+                for t in (1.0, 1000.0):
+                    tX = t * X
+                    assert flipped_determinants(tX).tobytes() == _flip_loop(tX).tobytes(), rep
+                reps += 1
+        assert reps == 411
+
+    def test_only_distinct_flips_are_factorized(self, monkeypatch):
+        rep = _block_rep(60, range(4))
+        shapes = _count_det_calls(monkeypatch)
+        report = limit_check(rep)
+        assert report.converged
+        assert shapes == [(9, 120, 120)] * 3
+        # rows 1 and 4 of -0.0 leave flips 2 and 5 equal to flips 1 and 4
+        A = np.arange(1.0, 37.0).reshape(6, 6) * (1 + 1j)
+        A[[1, 4]] = complex(-0.0, -0.0)
+        shapes.clear()
+        flipped_determinants(A)
+        assert shapes == [(5, 6, 6)]
+        # zero columns under nonzero rows: every flip is a different matrix
+        shapes.clear()
+        flipped_determinants(A.T.copy())
+        assert shapes == [(7, 6, 6)]
+        # a dense draw still stacks every flip
+        rng = np.random.default_rng(81)
+        for spec in FAMILY_CASES:
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            N = spec.ambient
+            shapes.clear()
+            flipped_determinants(X)
+            assert shapes == [(N + 1, N, N)], spec.family
+
+    def test_limit_deviations_bitwise_equal_to_full_stack(self):
+        def full_stack(A):
+            n = A.shape[0]
+            eye = np.eye(n)
+            flipped = np.arange(n) < np.arange(n + 1)[:, None]
+            return np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
+
+        def full_stack_deviations(rep, X):
+            # limit_check as written before distinct flips: every flip factored
+            target = np.array(rep.signs, dtype=float)
+            devs = []
+            for t in DEFAULT_GRID:
+                try:
+                    d = bruhat._flipped_ratios(full_stack(t * X), bruhat.GENERIC_TOL,
+                                               "cayley_det")
+                except NonGenericError:
+                    devs.append(None)
+                    continue
+                devs.append(float(np.max(np.abs(d - target) / np.maximum(1.0, np.abs(d)))))
+            return devs
+
+        rng = np.random.default_rng(82)
+        reps = [_block_rep(20, range(j)) for j in (1, 5, 10, 19, 20)]
+        reps += [_block_rep(20, set(rng.choice(20, j, replace=False).tolist()))
+                 for j in (2, 7, 13)]
+        for rep in reps:
+            X = construct_witness(rep)
+            assert limit_check(rep, X).deviations == full_stack_deviations(rep, X), rep.label()
 
 
 LARGE_CASES = [aiii(10, 10), aiii(5, 45)]

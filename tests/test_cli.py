@@ -181,6 +181,31 @@ class TestErrorHandling:
         assert out == ""
         assert err == 'bruhatdiag: error: coordinates JSON field "params" must be an object\n'
 
+    @pytest.mark.parametrize("payload,message", [
+        ('{"family": "AIII", "params": {"m": 1, "n": null}, "payload": {"Z": [[[0.1, 0]]]}}',
+         'coordinates JSON parameter "n" must be an integer, got None'),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": 5}',
+         "payload must be an object, got 5"),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": {"Z": 5}}',
+         "payload block must be a list of rows of [re, im] pairs, got 5"),
+        ('{"family": ["AIII"], "params": {"m": 1, "n": 1}, "payload": {"Z": [[[0.1, 0]]]}}',
+         'coordinates JSON field "family" must be a string'),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": {"Z": [[[null, 0]]]}}',
+         "complex entries must be [re, im] pairs of numbers, got [None, 0]"),
+        ('{"family": "BDI_oddodd", "params": {"p": 1, "q": 1}, "payload": '
+         '{"Z1": [], "Z2": [], "w1": 5, "w2": [], "s": 0.1}}',
+         'payload field "w1" must be a list of [re, im] pairs'),
+        ('{"family": "BDI_oddodd", "params": {"p": 1, "q": 1}, "payload": '
+         '{"Z1": [], "Z2": [], "w1": [], "w2": [], "s": null}}',
+         'payload field "s" must be a number, got None'),
+    ], ids=["null_parameter", "payload_not_an_object", "block_not_a_grid",
+            "family_not_a_string", "null_entry", "vector_not_a_list", "null_scalar"])
+    def test_malformed_coordinates_json_exits_one(self, capsys, payload, message):
+        code, out, err = run_cli(capsys, "d", "--payload", payload)
+        assert code == 1
+        assert out == ""
+        assert err == f"bruhatdiag: error: {message}\n"
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "golden", "--suite", "nope")
         assert code == 1

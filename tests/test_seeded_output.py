@@ -27,6 +27,12 @@ PINNED = {
     "enumerate_aiii_limits": (("enumerate", "--family", "AIII", "--m", "3", "--n", "3",
                                "--check-limits", "--format", "json"),
                               "e8211a1636041a90f020a5a22cb7a371"),
+    "enumerate_ci_8_limits": (("enumerate", "--family", "CI", "--n", "8",
+                               "--check-limits", "--format", "json"),
+                              "bf3744b99456a638ae94e4fdeb5a8671"),
+    "enumerate_aiii_5_5_limits": (("enumerate", "--family", "AIII", "--m", "5", "--n", "5",
+                                   "--check-limits", "--format", "json"),
+                                  "0a1e48b02915a63eef4e2581e5e97763"),
     "enumerate_bdi_oddodd": (("enumerate", "--family", "BDI_oddodd", "--p", "3", "--q", "5",
                               "--format", "json"),
                              "708819b070cc409a9d4fa5cbd66dcf74"),

@@ -266,6 +266,17 @@ class TestCoroots:
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-9, spec
         assert (len(GRID), terminal) == (154, 75)
 
+    def test_each_system_built_once_and_read_only(self):
+        for spec in ALL_SPECS:
+            sys = coroots(spec)
+            assert coroots(SpaceSpec(spec.family, **spec.params_dict())) is sys
+            arrays = list(sys.vectors)
+            if sys.terminal_numerators is not None:
+                arrays.append(sys.terminal_numerators)
+            for v in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    v[0] = 7
+
     def test_degenerate_corners(self):
         # the n = 1 orthogonal space is a point: empty exponent system
         assert coroots(diii(1)).vectors == ()
