@@ -22,11 +22,9 @@ from .bruhat import (
     ldu,
     max_cross_gap,
     point_genericity,
-    relative_gap,
     tangent_genericity,
-    unbalanced_minor_max,
 )
-from .cayley import cayley, cayley_inverse, verify_image
+from .cayley import cayley, verify_image
 from .components import (
     ComponentRep,
     LimitReport,
@@ -36,15 +34,10 @@ from .components import (
 )
 from .linalg import (
     ExpansionLimitError,
-    IndexSet,
     antitranspose,
     det,
     matrix_from_json,
     matrix_to_json,
-    principal_block,
-    principal_minor_expansion,
-    signature_matrix,
-    submatrix,
 )
 from .repcompat import (
     ConjugacyReport,

@@ -39,7 +39,6 @@ from .linalg import (
     flipped_determinants,
     flipped_minor_expansion,
     max_abs,
-    principal_minor_terms,
 )
 from .spaces import CorootSystem, SpaceSpec, coroots
 
@@ -59,23 +58,23 @@ class NonGenericError(ValueError):
             f"non-generic input: |minor| = {magnitude:.3e} at step {index} ({route})")
 
 
-def _minor_cutoffs(A, tol_factor: float) -> np.ndarray:
-    """Cutoff for the k-th leading minor: tol * (max-norm)**k, k = 1..n."""
+def _minor_cutoffs(A) -> np.ndarray:
+    """Cutoff for the k-th leading minor: GENERIC_TOL * (max-norm)**k, k = 1..n."""
     n = np.asarray(A).shape[0]
     scale = max_abs(A)
     if scale == 0.0:
         return np.zeros(n)
-    return tol_factor * scale ** np.arange(1, n + 1)
+    return GENERIC_TOL * scale ** np.arange(1, n + 1)
 
 
-def _flipped_cutoffs(det_plus: complex, n: int, tol_factor: float) -> np.ndarray:
+def _flipped_cutoffs(det_plus: complex, n: int) -> np.ndarray:
     """Cutoffs for |det(1 + I_k X)|, k = 1..n.
 
     The minor identity det(1 + I_k X) = det(g[k]) det(1 + X) reduces
     genericity of a tangent to genericity of its unitary image, whose
     max-norm is at most 1; so the image cutoff rescales by |det(1 + X)|.
     """
-    return np.full(n, tol_factor * max(abs(det_plus), 1e-300))
+    return np.full(n, GENERIC_TOL * max(abs(det_plus), 1e-300))
 
 
 def _checked_ratios(values: np.ndarray, cutoffs: np.ndarray, route: str) -> np.ndarray:
@@ -90,9 +89,9 @@ def _checked_ratios(values: np.ndarray, cutoffs: np.ndarray, route: str) -> np.n
     return values[1:] / values[:-1]
 
 
-def _flipped_ratios(dets: np.ndarray, tol_factor: float, route: str) -> np.ndarray:
+def _flipped_ratios(dets: np.ndarray, route: str) -> np.ndarray:
     """Checked ratios of the flipped determinants ``det(1 + I_k X)``, k = 0..n."""
-    return _checked_ratios(dets, _flipped_cutoffs(dets[0], len(dets) - 1, tol_factor), route)
+    return _checked_ratios(dets, _flipped_cutoffs(dets[0], len(dets) - 1), route)
 
 
 def _check_ambient(X: np.ndarray, spec: SpaceSpec) -> None:
@@ -107,13 +106,6 @@ class LDUFactorization:
     L: np.ndarray
     D: np.ndarray
     U: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.L @ self.D @ self.U
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.D).copy()
 
 
 @dataclass
@@ -153,7 +145,7 @@ def _report(method: str, entries: np.ndarray, generic, **extra) -> DiagonalRepor
     )
 
 
-def _eliminate(A: np.ndarray, tol_factor: float) -> np.ndarray:
+def _eliminate(A: np.ndarray) -> np.ndarray:
     """Unpivoted elimination of ``A`` in place; returns the pivots.
 
     Step k divides column k below the diagonal by the pivot, stores those
@@ -164,7 +156,7 @@ def _eliminate(A: np.ndarray, tol_factor: float) -> np.ndarray:
     :class:`NonGenericError` with step k.
     """
     n = A.shape[0]
-    cutoffs = _minor_cutoffs(A, tol_factor)
+    cutoffs = _minor_cutoffs(A)
     minor = 1.0 + 0.0j
     for k in range(n):
         pivot = A[k, k]
@@ -178,7 +170,7 @@ def _eliminate(A: np.ndarray, tol_factor: float) -> np.ndarray:
     return A.diagonal().copy()
 
 
-def ldu(g, tol_factor: float = GENERIC_TOL) -> LDUFactorization:
+def ldu(g) -> LDUFactorization:
     """Triangular factorization by elimination without row exchanges.
 
     Pivoting is deliberately absent: a vanishing pivot means the input
@@ -186,7 +178,7 @@ def ldu(g, tol_factor: float = GENERIC_TOL) -> LDUFactorization:
     reported through :class:`NonGenericError`.
     """
     A = as_matrix(g).copy()
-    pivots = _eliminate(A, tol_factor)
+    pivots = _eliminate(A)
     L = np.tril(A, -1)
     np.fill_diagonal(L, 1.0)
     U = (np.triu(A).T / pivots).T
@@ -194,9 +186,9 @@ def ldu(g, tol_factor: float = GENERIC_TOL) -> LDUFactorization:
     return LDUFactorization(L=L, D=np.diag(pivots), U=U)
 
 
-def diagonal_via_gauss(g, tol_factor: float = GENERIC_TOL) -> DiagonalReport:
+def diagonal_via_gauss(g) -> DiagonalReport:
     """Diagonal as the elimination pivots; ``L`` and ``U`` are never built."""
-    entries = _eliminate(as_matrix(g).copy(), tol_factor)
+    entries = _eliminate(as_matrix(g).copy())
     return _report("gauss", entries, [True] * len(entries))
 
 
@@ -216,27 +208,26 @@ def leading_minors(g) -> np.ndarray:
     return out
 
 
-def point_genericity(g, tol_factor: float = GENERIC_TOL) -> list[bool]:
+def point_genericity(g) -> list[bool]:
     """Per-k flags: leading principal minor k of ``g`` clears the cutoff."""
     g = as_matrix(g)
     minors = leading_minors(g)[1:]
-    cutoffs = _minor_cutoffs(g, tol_factor)
+    cutoffs = _minor_cutoffs(g)
     return [bool(abs(m) > c) for m, c in zip(minors, cutoffs)]
 
 
-def _minor_ratio_report(g: np.ndarray, minors: np.ndarray,
-                        tol_factor: float) -> DiagonalReport:
-    entries = _checked_ratios(minors, _minor_cutoffs(g, tol_factor), "minor_ratio")
+def _minor_ratio_report(g: np.ndarray, minors: np.ndarray) -> DiagonalReport:
+    entries = _checked_ratios(minors, _minor_cutoffs(g), "minor_ratio")
     return _report(
         "minor_ratio", entries, [True] * len(entries),
         min_abs_minor=float(np.abs(minors[1:]).min()) if len(minors) > 1 else None,
     )
 
 
-def diagonal_via_minors(g, tol_factor: float = GENERIC_TOL) -> DiagonalReport:
+def diagonal_via_minors(g) -> DiagonalReport:
     """Diagonal as the telescoping ratios of leading principal minors."""
     g = as_matrix(g)
-    return _minor_ratio_report(g, leading_minors(g), tol_factor)
+    return _minor_ratio_report(g, leading_minors(g))
 
 
 def _clears_cutoffs(dets: np.ndarray, cutoffs: np.ndarray) -> list[bool]:
@@ -244,11 +235,11 @@ def _clears_cutoffs(dets: np.ndarray, cutoffs: np.ndarray) -> list[bool]:
     return [bool(abs(d) > c) for d, c in zip(dets[1:], cutoffs)]
 
 
-def tangent_genericity(X, tol_factor: float = GENERIC_TOL) -> list[bool]:
+def tangent_genericity(X) -> list[bool]:
     """Per-k flags: |det(1 + I_k X)| clears the cutoff, k = 1..n."""
     X = as_matrix(X)
     dets = flipped_determinants(X)
-    return _clears_cutoffs(dets, _flipped_cutoffs(dets[0], X.shape[0], tol_factor))
+    return _clears_cutoffs(dets, _flipped_cutoffs(dets[0], X.shape[0]))
 
 
 def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
@@ -267,8 +258,7 @@ def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
     )
 
 
-def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None,
-                        tol_factor: float = GENERIC_TOL) -> DiagonalReport:
+def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None) -> DiagonalReport:
     """Diagonal of the Cayley image directly from ``det(1 + I_k X)`` ratios.
 
     Also evaluates, as a side diagnostic, the worst relative residual of
@@ -282,48 +272,30 @@ def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None,
     if spec is not None:
         _check_ambient(X, spec)
     dets = flipped_determinants(X)
-    entries = _flipped_ratios(dets, tol_factor, "cayley_det")
+    entries = _flipped_ratios(dets, "cayley_det")
     return _cayley_det_report(dets, entries, leading_minors(cayley(X)))
 
 
-def diagonal_via_fredholm(X, cap: int = EXPANSION_CAP,
-                          tol_factor: float = GENERIC_TOL) -> DiagonalReport:
+def diagonal_via_fredholm(X) -> DiagonalReport:
     """Same ratios with every determinant built from principal minors.
 
     The 2**n principal minors of ``X`` are computed once and each
     ``det(1 + I_k X)`` is their sum with the signs of flip k (see
     :func:`~bruhatdiag.linalg.flipped_minor_expansion`).  Only principal
     submatrices of ``X`` are factorized, never ``1 + I_k X``, so this
-    route is capped and serves as the independent combinatorial oracle
-    for :func:`diagonal_via_cayley`.
+    route is capped at :data:`~bruhatdiag.linalg.EXPANSION_CAP` and serves
+    as the independent combinatorial oracle for :func:`diagonal_via_cayley`.
     """
-    dets = flipped_minor_expansion(X, cap)
-    entries = _flipped_ratios(dets, tol_factor, "fredholm")
+    dets = flipped_minor_expansion(X)
+    entries = _flipped_ratios(dets, "fredholm")
     return _report("fredholm", entries, [True] * len(entries))
 
 
-def unbalanced_minor_max(X, m: int) -> float:
-    """Largest |principal minor| of ``X`` picking unequal counts from the
-    leading ``m`` rows and the trailing rows.
-
-    For a matrix whose diagonal blocks at the split ``m`` vanish, every
-    such minor is zero: only square off-diagonal sub-blocks contribute to
-    the expansion of ``det(1 + I_k X)``.
-    """
-    X = as_matrix(X)
-    worst = 0.0
-    for alpha, minor in principal_minor_terms(X):
-        upper = sum(1 for i in alpha if i <= m)
-        if upper != len(alpha) - upper:
-            worst = max(worst, abs(minor))
-    return worst
-
-
-def _coroot_report(spec: SpaceSpec, dets: np.ndarray, tol_factor: float) -> DiagonalReport:
+def _coroot_report(spec: SpaceSpec, dets: np.ndarray) -> DiagonalReport:
     N = spec.ambient
     system: CorootSystem = coroots(spec)
-    cutoffs = _flipped_cutoffs(dets[0], N, tol_factor)
-    if abs(dets[0]) <= tol_factor:
+    cutoffs = _flipped_cutoffs(dets[0], N)
+    if abs(dets[0]) <= GENERIC_TOL:
         raise NonGenericError(0, abs(dets[0]), "coroot_product")
     needed = set(system.product_indices)
     if system.terminal_index is not None:
@@ -346,8 +318,7 @@ def _coroot_report(spec: SpaceSpec, dets: np.ndarray, tol_factor: float) -> Diag
     return _report("coroot_product", entries, _clears_cutoffs(dets, cutoffs))
 
 
-def diagonal_via_coroots(spec: SpaceSpec, X,
-                         tol_factor: float = GENERIC_TOL) -> DiagonalReport:
+def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
     """Diagonal as a product of determinant ratios raised to exponent vectors.
 
     Entry ``j`` is the product over the family's ratio indices ``k`` of
@@ -359,18 +330,10 @@ def diagonal_via_coroots(spec: SpaceSpec, X,
     """
     X = as_matrix(X)
     _check_ambient(X, spec)
-    return _coroot_report(spec, flipped_determinants(X), tol_factor)
+    return _coroot_report(spec, flipped_determinants(X))
 
 
-def relative_gap(a, b) -> float:
-    """Scale-aware gap |a - b| / max(1, |a|, |b|) between two complex values."""
-    a, b = complex(a), complex(b)
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-def cross_check(X, spec: Optional[SpaceSpec] = None,
-                cap: int = EXPANSION_CAP,
-                tol_factor: float = GENERIC_TOL) -> dict[str, DiagonalReport]:
+def cross_check(X, spec: Optional[SpaceSpec] = None) -> dict[str, DiagonalReport]:
     """Run every applicable route on a tangent matrix.
 
     Returns a dict keyed by method tag.  The Fredholm route joins only
@@ -388,29 +351,29 @@ def cross_check(X, spec: Optional[SpaceSpec] = None,
     minors = leading_minors(g)
     dets = flipped_determinants(X)
     out = {
-        "gauss": diagonal_via_gauss(g, tol_factor),
-        "minor_ratio": _minor_ratio_report(g, minors, tol_factor),
+        "gauss": diagonal_via_gauss(g),
+        "minor_ratio": _minor_ratio_report(g, minors),
     }
     if spec is not None:
         _check_ambient(X, spec)
     out["cayley_det"] = _cayley_det_report(
-        dets, _flipped_ratios(dets, tol_factor, "cayley_det"), minors)
-    if X.shape[0] <= cap:
-        out["fredholm"] = diagonal_via_fredholm(X, cap, tol_factor)
+        dets, _flipped_ratios(dets, "cayley_det"), minors)
+    if X.shape[0] <= EXPANSION_CAP:
+        out["fredholm"] = diagonal_via_fredholm(X)
     if spec is not None:
-        out["coroot_product"] = _coroot_report(spec, dets, tol_factor)
+        out["coroot_product"] = _coroot_report(spec, dets)
     return out
 
 
 def max_cross_gap(reports: dict[str, DiagonalReport]) -> float:
-    """Worst entrywise :func:`relative_gap` over all pairs of reports.
+    """Worst entrywise gap ``|a - b| / max(1, |a|, |b|)`` over all pairs of reports.
 
     All ordered pairs are compared at once; the gap is symmetric and a
     report against itself gives 0, so the maximum is the pairwise one.
     Magnitudes use ``np.hypot`` because it rounds as Python's
     ``abs(complex)`` does (``np.abs`` can differ in the last bit), and
     ``np.fmax`` skips NaN gaps as the scalar ``max`` does, so the result
-    equals the :func:`relative_gap` loop exactly.
+    equals a scalar loop over the pairs exactly.
     """
     if not reports:
         return 0.0

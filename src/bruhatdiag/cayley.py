@@ -1,9 +1,10 @@
-"""The Cayley map, its inverse, and image-membership diagnostics.
+"""The Cayley map and image-membership diagnostics.
 
 ``cayley`` carries skew-Hermitian matrices to unitary matrices that avoid
 eigenvalue -1; on a tangent matrix of one of the supported families the
 image additionally lands in the embedded copy of the symmetric space,
-which :func:`verify_image` checks numerically.
+which :func:`verify_image` checks numerically.  The map is its own
+inverse, ``X = (1 - g)(1 + g)^{-1}``, so no separate inverse is provided.
 """
 
 from __future__ import annotations
@@ -29,21 +30,6 @@ def cayley(X) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("1 + X is numerically singular; input is not skew-Hermitian") from exc
     return g
-
-
-def cayley_inverse(g) -> np.ndarray:
-    """Invert the Cayley map: ``g -> (1 - g)(1 + g)^{-1}``.
-
-    Requires -1 outside the spectrum of ``g``; a vanishing ``det(1 + g)``
-    raises ``ValueError``.
-    """
-    g = as_matrix(g)
-    n = g.shape[0]
-    eye = np.eye(n, dtype=complex)
-    scale = max(1.0, max_abs(eye + g))
-    if abs(det(eye + g)) <= 1e-12 * scale**n:
-        raise ValueError("-1 in spectrum: det(1 + g) vanishes, Cayley inverse undefined")
-    return np.linalg.solve(eye + g, eye - g)
 
 
 def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:

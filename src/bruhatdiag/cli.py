@@ -47,10 +47,6 @@ _ACCEPTED_METHODS = ("cayley_det", "gauss", "minor_ratio", "fredholm",
                      "coroot_product", "all")
 
 
-class CliInputError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser that exits with status 1 on usage errors."""
 
@@ -118,18 +114,14 @@ def _build_parser() -> _Parser:
 
 def _spec_from_args(args) -> SpaceSpec:
     if not args.family:
-        raise CliInputError('missing required flag "--family"')
+        raise ValueError('missing required flag "--family"')
     params = {}
     for name in FAMILY[args.family].params:
         value = getattr(args, name)
         if value is None:
-            raise CliInputError(
-                f'family {args.family} requires flag "--{name}"')
+            raise ValueError(f'family {args.family} requires flag "--{name}"')
         params[name] = value
-    try:
-        return spec_from_family(args.family, **params)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    return spec_from_family(args.family, **params)
 
 
 def _load_json_arg(text: str, what: str):
@@ -139,23 +131,20 @@ def _load_json_arg(text: str, what: str):
             with open(text[1:], "r", encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as exc:
-            raise CliInputError(f"cannot read {what} file {text[1:]!r}: {exc}") from exc
+            raise ValueError(f"cannot read {what} file {text[1:]!r}: {exc}") from exc
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise CliInputError(f'malformed JSON in "{what}": {exc}') from exc
+        raise ValueError(f'malformed JSON in "{what}": {exc}') from exc
 
 
 def _tangent_from_args(args) -> tuple[SpaceSpec, np.ndarray]:
     obj = _load_json_arg(args.payload, "--payload")
-    try:
-        if isinstance(obj, dict) and "payload" in obj:
-            spec, coords = coordinates_from_json(obj)
-        else:
-            spec = _spec_from_args(args)
-            coords = coordinates_from_payload(spec, obj)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    if isinstance(obj, dict) and "payload" in obj:
+        spec, coords = coordinates_from_json(obj)
+    else:
+        spec = _spec_from_args(args)
+        coords = coordinates_from_payload(spec, obj)
     return spec, build_tangent(spec, coords)
 
 
@@ -194,7 +183,7 @@ def _cmd_cayley(args) -> int:
     elif args.matrix:
         X = matrix_from_json(_load_json_arg(args.matrix, "--matrix"))
     else:
-        raise CliInputError('need either "--payload" or "--matrix"')
+        raise ValueError('need either "--payload" or "--matrix"')
     g = cayley(X)
     _emit(matrix_to_json(g), args.format, _matrix_table(g))
     return 0
@@ -308,7 +297,7 @@ def _cmd_golden(args) -> int:
     names = golden_mod.suite_names() if args.suite == "all" else (args.suite,)
     for name in names:
         if name not in golden_mod.suite_names():
-            raise CliInputError(
+            raise ValueError(
                 f'unknown suite {name!r} for "--suite"; choose from '
                 f"{golden_mod.suite_names()} or 'all'")
     results = [golden_mod.run_suite(name, draws=args.draws, seed=args.seed)
@@ -324,7 +313,7 @@ def _cmd_golden(args) -> int:
 
 def _cmd_verify_rep(args) -> int:
     if args.n < 1:
-        raise CliInputError('flag "--n" must be at least 1')
+        raise ValueError('flag "--n" must be at least 1')
     rng = np.random.default_rng(args.seed)
     report = verify_conjugacy(args.n, samples=args.samples, rng=rng)
     obj = {
@@ -365,9 +354,6 @@ def main(argv=None) -> int:
             "magnitude": exc.magnitude, "route": exc.route,
         }, "ok": False}, sort_keys=True, indent=2))
         return 2
-    except CliInputError as exc:
-        print(f"bruhatdiag: error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"bruhatdiag: error: {exc}", file=sys.stderr)
         return 1

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .bruhat import GENERIC_TOL, NonGenericError, _check_ambient, _flipped_ratios
+from .bruhat import NonGenericError, _check_ambient, _flipped_ratios
 from .linalg import as_matrix, flipped_determinants
 from .spaces import FAMILY, SpaceSpec, _position_signs
 
-#: Default geometric grid of scaling parameters for limit checks.
+#: Geometric grid of scaling parameters for limit checks.
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
 
 #: A limit check converges when the deviation at the last grid point is
@@ -52,9 +52,6 @@ class ComponentRep:
 
     def label(self) -> str:
         return "".join("+" if s == 1 else "-" for s in self.signs)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.array(self.signs, dtype=complex))
 
 
 def _part_labels(spec: SpaceSpec) -> list[Optional[int]]:
@@ -193,33 +190,23 @@ class LimitReport:
     two members of a reciprocal pair of entries score identically; a
     ``None`` deviation marks a grid point where the scaled tangent was
     non-generic and was skipped.  A skipped last point means the check did
-    not converge, whatever the earlier points read.
+    not converge, whatever the earlier points read.  ``t_grid`` records the
+    ``t`` of each deviation.
     """
 
     rep: ComponentRep
     t_grid: tuple[float, ...]
     deviations: list[Optional[float]]
-    final_tol: float
-
-    @property
-    def computed(self) -> list[float]:
-        return [d for d in self.deviations if d is not None]
-
-    @property
-    def monotone(self) -> bool:
-        seq = self.computed
-        return all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(seq, seq[1:]))
 
     @property
     def converged(self) -> bool:
         last = self.deviations[-1] if self.deviations else None
-        return last is not None and last <= self.final_tol
+        return last is not None and last <= LIMIT_TOL
 
 
-def limit_check(rep: ComponentRep, X=None,
-                t_grid: Sequence[float] = DEFAULT_GRID,
-                final_tol: float = LIMIT_TOL) -> LimitReport:
-    """Evaluate the diagonal along ``t X`` and compare against the signs.
+def limit_check(rep: ComponentRep, X=None) -> LimitReport:
+    """Evaluate the diagonal along ``t X``, t in :data:`DEFAULT_GRID`, and
+    compare against the signs.
 
     Each grid point needs only the ``cayley_det`` entries: one flipped
     stack ``det(1 + I_k tX)``, its cutoffs and its checked ratios.  The
@@ -233,18 +220,17 @@ def limit_check(rep: ComponentRep, X=None,
     X = np.asarray(X, dtype=complex)
     target = np.array(rep.signs, dtype=float)
     deviations: list[Optional[float]] = []
-    for t in t_grid:
+    for t in DEFAULT_GRID:
         if rep.is_identity:
             deviations.append(0.0)
             continue
         tX = as_matrix(t * X)
         _check_ambient(tX, spec)
         try:
-            d = _flipped_ratios(flipped_determinants(tX), GENERIC_TOL, "cayley_det")
+            d = _flipped_ratios(flipped_determinants(tX), "cayley_det")
         except NonGenericError:
             deviations.append(None)
             continue
         dev = float(np.max(np.abs(d - target) / np.maximum(1.0, np.abs(d))))
         deviations.append(dev)
-    return LimitReport(rep=rep, t_grid=tuple(float(t) for t in t_grid),
-                       deviations=deviations, final_tol=final_tol)
+    return LimitReport(rep=rep, t_grid=DEFAULT_GRID, deviations=deviations)

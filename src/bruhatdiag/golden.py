@@ -132,22 +132,22 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
 
 
-def _run_cpn(rng, draws, radius, n_values=(1, 2, 3, 4)) -> float:
+def _run_cpn(rng, draws, n_values=(1, 2, 3, 4)) -> float:
     worst = 0.0
     for n in n_values:
         spec = aiii(1, n)
         for _ in range(draws):
-            zs = _disc_sample(rng, (n,), radius)
+            zs = _disc_sample(rng, (n,), GOLDEN_RADIUS)
             X = build_tangent(spec, Coordinates(family="AIII", Z=zs.reshape(1, n)))
             worst = max(worst, _rel(diagonal_via_cayley(X).entries, cpn_closed_form(zs)))
     return worst
 
 
-def _run_so6u3(rng, draws, radius) -> float:
+def _run_so6u3(rng, draws) -> float:
     spec = diii(3)
     worst = 0.0
     for _ in range(draws):
-        z11, z12, z21 = _disc_sample(rng, (3,), radius)
+        z11, z12, z21 = _disc_sample(rng, (3,), GOLDEN_RADIUS)
         Z = np.array([[z11, z12, 0.0], [z21, 0.0, -z12], [0.0, -z21, -z11]])
         X = build_tangent(spec, Coordinates(family="DIII", Z=Z))
         worst = max(worst, _rel(diagonal_via_cayley(X).entries,
@@ -155,11 +155,11 @@ def _run_so6u3(rng, draws, radius) -> float:
     return worst
 
 
-def _run_hp1(rng, draws, radius) -> float:
+def _run_hp1(rng, draws) -> float:
     spec = cii(1, 1)
     worst = 0.0
     for _ in range(draws):
-        z1, z2 = _disc_sample(rng, (2,), radius)
+        z1, z2 = _disc_sample(rng, (2,), GOLDEN_RADIUS)
         coords = Coordinates(family="CII", Z1=np.array([[z1]]), Z2=np.array([[z2]]))
         X = build_tangent(spec, coords)
         worst = max(worst, _rel(diagonal_via_cayley(X).entries, hp1_closed_form(z1, z2)))
@@ -186,33 +186,33 @@ def _rp_odd_tangent(zs, s: float) -> tuple[SpaceSpec, np.ndarray]:
     return spec, build_tangent(spec, coords)
 
 
-def _run_rp_even(rng, draws, radius, n_values=(1, 2, 3)) -> float:
+def _run_rp_even(rng, draws, n_values=(1, 2, 3)) -> float:
     worst = 0.0
     for n in n_values:
         for _ in range(draws):
-            zs = _disc_sample(rng, (n,), radius)
+            zs = _disc_sample(rng, (n,), GOLDEN_RADIUS)
             _, X = _rp_even_tangent(zs)
             worst = max(worst, _rel(diagonal_via_cayley(X).entries, rp_even_closed_form(zs)))
     return worst
 
 
-def _run_rp6(rng, draws, radius) -> float:
-    return _run_rp_even(rng, draws, radius, n_values=(3,))
+def _run_rp6(rng, draws) -> float:
+    return _run_rp_even(rng, draws, n_values=(3,))
 
 
-def _run_rp_odd(rng, draws, radius, n_values=(1, 2, 3)) -> float:
+def _run_rp_odd(rng, draws, n_values=(1, 2, 3)) -> float:
     worst = 0.0
     for n in n_values:
         for _ in range(draws):
-            zs = _disc_sample(rng, (n,), radius)
-            s = float(rng.uniform(-radius, radius))
+            zs = _disc_sample(rng, (n,), GOLDEN_RADIUS)
+            s = float(rng.uniform(-GOLDEN_RADIUS, GOLDEN_RADIUS))
             _, X = _rp_odd_tangent(zs, s)
             worst = max(worst, _rel(diagonal_via_cayley(X).entries, rp_odd_closed_form(zs, s)))
     return worst
 
 
-def _run_rp5(rng, draws, radius) -> float:
-    return _run_rp_odd(rng, draws, radius, n_values=(2,))
+def _run_rp5(rng, draws) -> float:
+    return _run_rp_odd(rng, draws, n_values=(2,))
 
 
 _SUITES: dict[str, Callable] = {
@@ -236,20 +236,13 @@ def suite_names() -> tuple[str, ...]:
 
 
 def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0,
-              radius: float = GOLDEN_RADIUS,
               tol: float | None = None) -> GoldenResult:
     """Compare one suite's closed form against the determinant route."""
     if name not in _SUITES:
         raise ValueError(f"unknown golden suite {name!r}; choose from {suite_names()}")
     rng = np.random.default_rng(seed)
-    worst = _SUITES[name](rng, draws, radius)
+    worst = _SUITES[name](rng, draws)
     return GoldenResult(
         suite=name, draws=draws, max_deviation=worst,
         tolerance=_SUITE_TOL[name] if tol is None else tol,
     )
-
-
-def run_all(draws: int = GOLDEN_DRAWS, seed: int = 0,
-            radius: float = GOLDEN_RADIUS) -> list[GoldenResult]:
-    return [run_suite(name, draws=draws, seed=seed, radius=radius)
-            for name in suite_names()]

@@ -1,31 +1,34 @@
 """Dense complex matrix primitives shared by every other module.
 
-Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``.
-All public index arguments are 1-based; 0-based storage never leaks out.
-Determinants go through LAPACK's partially pivoted LU (``numpy.linalg.det``),
-and the principal-minor expansion provides the independent combinatorial
-route to ``det(1 + A)`` for cross checks.
+Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
+submatrices are numpy slices, and the only sign matrix built here is the
+leading flip ``I_k`` of :func:`leading_signature`.  Determinants go through
+LAPACK's partially pivoted LU (``numpy.linalg.det``), and the
+principal-minor expansion is the independent combinatorial route to
+``det(1 + A)`` for cross checks.
 
-Both routes come in a stacked form for the leading sign flips
-``det(1 + I_k A)``, k = 0..n: :func:`flipped_determinants` is one batched LU
-call on the distinct flipped matrices (a zero row k - 1 of ``A`` makes
-flip k byte-equal to flip k - 1, so its determinant is copied, not
-recomputed), and :func:`flipped_minor_expansion` computes every principal
-minor of ``A`` once (one gather and one batched ``det`` per subset size)
-and forms the n + 1 expansions as signed sums, since the minor of
-``I_k A`` on ``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.
+Both routes are stacked over the leading sign flips ``det(1 + I_k A)``,
+k = 0..n: :func:`flipped_determinants` is one batched LU call on the
+distinct flipped matrices (a zero row k - 1 of ``A`` makes flip k
+byte-equal to flip k - 1, so its determinant is copied, not recomputed),
+and :func:`flipped_minor_expansion` computes every principal minor of
+``A`` once (one gather and one batched ``det`` per subset size) and forms
+the n + 1 expansions as signed sums, since the minor of ``I_k A`` on
+``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.  Its k = 0
+row is ``det(1 + A)`` as the sum of all principal minors.
+
+The JSON matrix form is parsed here as well; :func:`_json_number` is the
+one parser of JSON integers, for matrices and coordinate parameters alike.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
-#: Largest side length accepted by :func:`principal_minor_expansion`.
+#: Largest side length accepted by :func:`flipped_minor_expansion`.
 #: The expansion has 2**n terms, so this is an oracle-scale cap, not a
 #: performance tuning knob.
 EXPANSION_CAP = 10
@@ -40,63 +43,9 @@ def as_matrix(a) -> np.ndarray:
     A = np.asarray(a, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A.view(float))):
+    if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """Strictly increasing 1-based row/column indices into an n x n matrix.
-
-    The empty index set is allowed; it selects the 0 x 0 block whose
-    determinant is 1 by convention.
-    """
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if self.n < 0:
-            raise ValueError("ambient size must be non-negative")
-        prev = 0
-        for i in self.indices:
-            if i <= prev:
-                raise ValueError(f"indices must be strictly increasing, got {self.indices}")
-            prev = i
-        if self.indices and (self.indices[0] < 1 or self.indices[-1] > self.n):
-            raise IndexError(f"indices {self.indices} out of range for ambient size {self.n}")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def zero_based(self) -> np.ndarray:
-        return np.array(self.indices, dtype=int) - 1
-
-
-def _as_index_array(idx, n: int) -> np.ndarray:
-    if isinstance(idx, IndexSet):
-        if idx.n != n:
-            raise IndexError(f"index set built for size {idx.n}, matrix has size {n}")
-        return idx.zero_based()
-    return IndexSet(tuple(idx), n).zero_based()
-
-
-def submatrix(A, rows, cols) -> np.ndarray:
-    """Extract ``A[rows, cols]`` with 1-based strictly increasing index sets."""
-    A = np.asarray(A, dtype=complex)
-    r = _as_index_array(rows, A.shape[0])
-    c = _as_index_array(cols, A.shape[1])
-    return A[np.ix_(r, c)]
-
-
-def principal_block(A, k: int) -> np.ndarray:
-    """The top-left ``k x k`` block, i.e. rows and columns 1..k."""
-    A = np.asarray(A, dtype=complex)
-    if k < 0 or k > min(A.shape):
-        raise IndexError(f"principal block size {k} out of range for shape {A.shape}")
-    return A[:k, :k]
 
 
 def reversal_matrix(n: int) -> np.ndarray:
@@ -124,29 +73,11 @@ def conj_antitranspose(A) -> np.ndarray:
     return antitranspose(np.conj(np.asarray(A, dtype=complex)).T)
 
 
-def signature_matrix(runs: Sequence[int]) -> np.ndarray:
-    """Diagonal +/-1 matrix with alternating sign runs starting at -1.
-
-    ``runs = (a, b, c, ...)`` produces ``a`` leading ``-1`` entries, then
-    ``b`` entries ``+1``, then ``c`` entries ``-1``, and so on.  A leading
-    run of length 0 yields the identity.
-    """
-    diag = []
-    sign = -1.0
-    for r in runs:
-        r = int(r)
-        if r < 0:
-            raise ValueError(f"run lengths must be non-negative, got {runs}")
-        diag.extend([sign] * r)
-        sign = -sign
-    return np.diag(np.array(diag, dtype=complex))
-
-
 def leading_signature(n: int, k: int) -> np.ndarray:
     """The ``n x n`` diagonal matrix flipping the sign of the first k rows."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return signature_matrix((k, n - k))
+    return np.diag(np.where(np.arange(n) < k, -1.0, 1.0).astype(complex))
 
 
 def det(A) -> complex:
@@ -164,9 +95,8 @@ def _subset_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the ``(S, size)`` 0-based subsets of ``range(n)`` in
     lexicographic order and the ``(n + 1, S)`` matrix whose entry
     ``(k, t)`` is ``(-1)**|subset_t & range(k)|``.  The cache holds every
-    table up to :data:`EXPANSION_CAP` (the uncapped
-    :func:`principal_minor_terms` evicts entries rather than growing it);
-    both arrays are read-only because every caller shares them.
+    table up to :data:`EXPANSION_CAP`; both arrays are read-only because
+    every caller shares them.
     """
     subsets = np.array(list(itertools.combinations(range(n), size)),
                        dtype=np.intp).reshape(-1, size)
@@ -179,30 +109,7 @@ def _subset_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return subsets, signs
 
 
-def _minors_by_size(A: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per subset size 1..n: ``(subsets, signs, minors)`` from :func:`_subset_table`
-    and one batched ``det`` of the gathered principal submatrices."""
-    n = A.shape[0]
-    for size in range(1, n + 1):
-        subsets, signs = _subset_table(n, size)
-        minors = np.linalg.det(A[subsets[:, :, None], subsets[:, None, :]])
-        yield subsets, signs, minors
-
-
-def principal_minor_terms(A) -> Iterator[tuple[tuple[int, ...], complex]]:
-    """Yield ``(alpha, det A[alpha, alpha])`` over all index sets.
-
-    Index sets are 1-based and enumerated in order of size, lexicographically
-    within each size, starting with the empty set (whose minor is 1).
-    """
-    A = as_matrix(A)
-    yield (), 1.0 + 0.0j
-    for subsets, _, minors in _minors_by_size(A):
-        for alpha, minor in zip(subsets.tolist(), minors.tolist()):
-            yield tuple(i + 1 for i in alpha), minor
-
-
-def flipped_minor_expansion(A, cap: int = EXPANSION_CAP) -> np.ndarray:
+def flipped_minor_expansion(A) -> np.ndarray:
     """``det(1 + I_k A)`` for k = 0..n, each as a sum of principal minors.
 
     Every principal minor of ``A`` is computed once; the expansion for
@@ -210,29 +117,20 @@ def flipped_minor_expansion(A, cap: int = EXPANSION_CAP) -> np.ndarray:
     Sizes are accumulated in ascending order starting from the empty
     set's 1, and no LU of ``1 + I_k A`` is ever formed, so this stays an
     independent oracle for :func:`flipped_determinants`.  There are 2**n
-    minors, so the side length is capped.
+    minors, so the side length is capped at :data:`EXPANSION_CAP`.
     """
     A = as_matrix(A)
     n = A.shape[0]
-    if n > cap:
+    if n > EXPANSION_CAP:
         raise ExpansionLimitError(
-            f"matrix size {n} exceeds the expansion cap {cap}; use det(1 + A) directly"
-        )
+            f"matrix size {n} exceeds the expansion cap {EXPANSION_CAP}; "
+            f"use det(1 + A) directly")
     totals = np.ones(n + 1, dtype=complex)
-    for _, signs, minors in _minors_by_size(A):
+    for size in range(1, n + 1):
+        subsets, signs = _subset_table(n, size)
+        minors = np.linalg.det(A[subsets[:, :, None], subsets[:, None, :]])
         totals += (signs * minors).sum(axis=1)
     return totals
-
-
-def principal_minor_expansion(A, cap: int = EXPANSION_CAP) -> complex:
-    """``det(1 + A)`` as the sum of all principal minors of ``A``.
-
-    This is the unflipped (k = 0) row of :func:`flipped_minor_expansion`.
-    The sum has 2**n terms (the empty set contributes 1), so the side
-    length is capped; above the cap the caller should evaluate
-    ``det(1 + A)`` directly.
-    """
-    return complex(flipped_minor_expansion(A, cap)[0])
 
 
 def flipped_determinants(A) -> np.ndarray:
@@ -289,6 +187,20 @@ def pair_to_complex(pair) -> complex:
                          f"got {pair!r}") from exc
 
 
+def _json_number(value, kind: type, message: str):
+    """``kind(value)``; null, lists, non-numeric strings and (for ``int``)
+    infinities raise ``ValueError`` with ``message``.  An ``int`` must be a
+    JSON integer or an integral float, so ``1.9``, ``true`` and ``"2"``
+    are refused rather than truncated or coerced."""
+    if kind is int and not (type(value) is int
+                            or type(value) is float and value.is_integer()):
+        raise ValueError(f"{message}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{message}, got {value!r}") from exc
+
+
 def matrix_to_json(A) -> dict:
     A = as_matrix(A)
     return {
@@ -300,9 +212,10 @@ def matrix_to_json(A) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError('matrix JSON must carry fields "n" and "entries"')
-    n = int(obj["n"])
+    n = _json_number(obj["n"], int, 'matrix JSON field "n" must be an integer')
     rows = obj["entries"]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if (not isinstance(rows, list) or len(rows) != n
+            or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise ValueError(f'field "entries" must be an {n} x {n} grid')
     A = np.array([[pair_to_complex(z) for z in row] for row in rows], dtype=complex)
     return as_matrix(A)

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import (
+    _json_number,
     antitranspose,
     conj_antitranspose,
     flipped_determinants,
@@ -352,15 +353,6 @@ def coordinates_from_json(obj: dict) -> tuple[SpaceSpec, Coordinates]:
     return spec, coordinates_from_payload(spec, obj["payload"])
 
 
-def _json_number(value, kind: type, message: str):
-    """``kind(value)``; null, lists, non-numeric strings and (for ``int``)
-    infinities raise ``ValueError`` with ``message``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{message}, got {value!r}") from exc
-
-
 # --- tangent construction --------------------------------------------------
 
 class CoordinateError(ValueError):
@@ -371,7 +363,7 @@ def _check_shape(name: str, arr, shape) -> np.ndarray:
     A = np.asarray(arr, dtype=complex)
     if A.shape != tuple(shape):
         raise CoordinateError(f"{name} has shape {A.shape}, expected {tuple(shape)}")
-    if A.size and not np.all(np.isfinite(A.view(float))):
+    if A.size and not np.all(np.isfinite(A)):
         raise CoordinateError(f"{name} has non-finite entries")
     return A
 

@@ -22,11 +22,7 @@ from bruhatdiag.bruhat import (
 from bruhatdiag.cayley import cayley, verify_image
 from bruhatdiag.components import construct_witness, enumerate_components, limit_check
 from bruhatdiag.golden import run_suite
-from bruhatdiag.repcompat import (
-    preserves_triangular_split,
-    theta_antidiagonal,
-    verify_conjugacy,
-)
+from bruhatdiag.repcompat import theta_antidiagonal, verify_conjugacy
 from bruhatdiag.spaces import (
     Coordinates,
     SpaceSpec,
@@ -37,6 +33,8 @@ from bruhatdiag.spaces import (
     diii,
     random_coordinates,
 )
+
+from test_repcompat import preserves_triangular_split
 
 FAMILY_CASES = [
     aiii(2, 3), diii(3), ci(3), cii(2, 2),
@@ -192,7 +190,7 @@ def test_criterion_6_component_enumeration():
             if rep.is_identity:
                 continue
             checked += 1
-            report = limit_check(rep, final_tol=1e-3)
+            report = limit_check(rep)
             converged &= report.converged
     ok &= converged
     detail = (f"counts, brute-force agreement over {len(small)} specs, and "

@@ -17,9 +17,7 @@ from bruhatdiag.bruhat import (
     ldu,
     max_cross_gap,
     point_genericity,
-    relative_gap,
     tangent_genericity,
-    unbalanced_minor_max,
 )
 from bruhatdiag.cayley import cayley
 from bruhatdiag.components import (
@@ -34,7 +32,6 @@ from bruhatdiag.linalg import (
     ExpansionLimitError,
     det,
     leading_signature,
-    submatrix,
 )
 from bruhatdiag.spaces import (
     FAMILY,
@@ -52,6 +49,12 @@ FAMILY_CASES = [
     aiii(2, 3), diii(3), ci(3), cii(2, 2),
     SpaceSpec("BDI_even", p=4, q=3), SpaceSpec("BDI_oddodd", p=3, q=3),
 ]
+
+
+def relative_gap(a, b) -> float:
+    """Scalar reference for the gaps of ``max_cross_gap``: |a - b| / max(1, |a|, |b|)."""
+    a, b = complex(a), complex(b)
+    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def _sphere_tangent(z):
@@ -76,7 +79,7 @@ class TestLdu:
         for _ in range(10):
             g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             fac = ldu(g)
-            assert np.abs(fac.reconstruct() - g).max() <= 1e-9 * max(1, np.abs(g).max())
+            assert np.abs(fac.L @ fac.D @ fac.U - g).max() <= 1e-9 * max(1, np.abs(g).max())
             assert np.abs(np.tril(fac.U, -1)).max() == 0.0
             assert np.abs(np.triu(fac.L, 1)).max() == 0.0
             assert np.array_equal(np.diag(fac.L), np.ones(6))
@@ -122,7 +125,7 @@ class TestLdu:
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         fac = ldu(g)
         report = diagonal_via_minors(g)
-        assert np.abs(fac.diagonal - report.entries).max() <= 1e-9 * np.abs(report.entries).max()
+        assert np.abs(np.diag(fac.D) - report.entries).max() <= 1e-9 * np.abs(report.entries).max()
 
 
 class TestDiagonalRoutes:
@@ -248,11 +251,12 @@ class TestSignRule:
                 for alpha in itertools.combinations(range(1, N + 1), size):
                     upper = [i for i in alpha if i <= m]
                     lower = [i - m for i in alpha if i > m]
-                    term = det(submatrix(Ik @ X, alpha, alpha))
+                    idx = np.array(alpha) - 1
+                    term = det((Ik @ X)[np.ix_(idx, idx)])
                     if len(upper) != len(lower):
                         assert abs(term) <= 1e-12
                         continue
-                    W = submatrix(Z, upper, lower)
+                    W = Z[np.ix_(np.array(upper) - 1, np.array(lower) - 1)]
                     base = det(W @ W.conj().T)
                     sign = -1.0 if sum(1 for i in alpha if i <= k) % 2 else 1.0
                     assert abs(term - sign * base) <= 1e-10
@@ -260,10 +264,20 @@ class TestSignRule:
             assert abs(total - flipped_determinants(X)[k]) <= 1e-9
 
     def test_unbalanced_minors_vanish(self):
+        # the diagonal blocks at the split m vanish, so a principal minor
+        # taking unequal counts from the leading m rows and the rest is zero
         rng = np.random.default_rng(31)
         spec = aiii(2, 2)
+        m, N = 2, 4
         X = build_tangent(spec, random_coordinates(spec, rng))
-        assert unbalanced_minor_max(X, 2) == 0.0
+        unbalanced = 0
+        for size in range(1, N + 1):
+            for alpha in itertools.combinations(range(N), size):
+                upper = sum(1 for i in alpha if i < m)
+                if upper != size - upper:
+                    unbalanced += 1
+                    assert det(X[np.ix_(alpha, alpha)]) == 0.0, alpha
+        assert unbalanced == 2 ** N - 6
 
 
 class TestCorootRoute:
@@ -526,8 +540,7 @@ class TestDistinctFlips:
             devs = []
             for t in DEFAULT_GRID:
                 try:
-                    d = bruhat._flipped_ratios(full_stack(t * X), bruhat.GENERIC_TOL,
-                                               "cayley_det")
+                    d = bruhat._flipped_ratios(full_stack(t * X), "cayley_det")
                 except NonGenericError:
                     devs.append(None)
                     continue

@@ -198,10 +198,31 @@ class TestErrorHandling:
         ('{"family": "BDI_oddodd", "params": {"p": 1, "q": 1}, "payload": '
          '{"Z1": [], "Z2": [], "w1": [], "w2": [], "s": null}}',
          'payload field "s" must be a number, got None'),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1.9}, "payload": {"Z": [[[0.5, 0]]]}}',
+         'coordinates JSON parameter "n" must be an integer, got 1.9'),
+        ('{"family": "AIII", "params": {"m": true, "n": 1}, "payload": {"Z": [[[0.5, 0]]]}}',
+         'coordinates JSON parameter "m" must be an integer, got True'),
+        ('{"family": "AIII", "params": {"m": 1, "n": "2"}, "payload": {"Z": [[[0.5, 0], [0, 0]]]}}',
+         'coordinates JSON parameter "n" must be an integer, got \'2\''),
     ], ids=["null_parameter", "payload_not_an_object", "block_not_a_grid",
-            "family_not_a_string", "null_entry", "vector_not_a_list", "null_scalar"])
+            "family_not_a_string", "null_entry", "vector_not_a_list", "null_scalar",
+            "fractional_parameter", "boolean_parameter", "string_parameter"])
     def test_malformed_coordinates_json_exits_one(self, capsys, payload, message):
         code, out, err = run_cli(capsys, "d", "--payload", payload)
+        assert code == 1
+        assert out == ""
+        assert err == f"bruhatdiag: error: {message}\n"
+
+    @pytest.mark.parametrize("verb,matrix,message", [
+        ("cayley", '{"n": null, "entries": []}',
+         'matrix JSON field "n" must be an integer, got None'),
+        ("cayley", '{"n": 1, "entries": 5}', 'field "entries" must be an 1 x 1 grid'),
+        ("factorize", '{"n": 1, "entries": [5]}', 'field "entries" must be an 1 x 1 grid'),
+        ("cayley", '{"n": 1.9, "entries": [[[1, 0]]]}',
+         'matrix JSON field "n" must be an integer, got 1.9'),
+    ], ids=["null_size", "entries_not_a_list", "row_not_a_list", "fractional_size"])
+    def test_malformed_matrix_json_exits_one(self, capsys, verb, matrix, message):
+        code, out, err = run_cli(capsys, verb, "--matrix", matrix)
         assert code == 1
         assert out == ""
         assert err == f"bruhatdiag: error: {message}\n"

@@ -11,7 +11,7 @@ from bruhatdiag.components import (
     enumerate_components,
     limit_check,
 )
-from bruhatdiag.linalg import det, submatrix
+from bruhatdiag.linalg import det
 from bruhatdiag.spaces import SpaceSpec, aiii, ci, cii, diii, validate_tangent
 
 SMALL_SPECS = [
@@ -27,6 +27,12 @@ SMALL_SPECS = [
     SpaceSpec("BDI_oddodd", p=3, q=5), SpaceSpec("BDI_oddodd", p=5, q=3),
     SpaceSpec("BDI_oddodd", p=5, q=1), SpaceSpec("BDI_oddodd", p=1, q=7),
 ]
+
+
+def _decreasing(deviations) -> bool:
+    """The computed deviations never grow along the grid, to rounding."""
+    seq = [d for d in deviations if d is not None]
+    return all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(seq, seq[1:]))
 
 
 # Independent statement of the admissibility rules, used to brute-force
@@ -116,7 +122,6 @@ class TestEnumeration:
     def test_alpha_matches_signs(self):
         rep = ComponentRep(aiii(1, 2), (-1, 1, -1))
         assert rep.alpha == (1, 3)
-        assert rep.matrix()[0, 0] == -1
 
 
 class TestWitness:
@@ -132,7 +137,7 @@ class TestWitness:
     def test_projective_plane_witness(self):
         rep = ComponentRep(aiii(1, 2), (-1, -1, 1))
         X = construct_witness(rep)
-        assert abs(det(submatrix(X, (1, 2), (1, 2))) - 1.0) <= 1e-15
+        assert abs(det(X[:2, :2]) - 1.0) <= 1e-15
         assert np.abs(X[:, 2]).max() == 0.0 and np.abs(X[2, :]).max() == 0.0
         assert validate_tangent(rep.spec, X, tol=1e-12).ok
 
@@ -143,10 +148,9 @@ class TestWitness:
                 assert validate_tangent(spec, X, tol=1e-12).ok, (spec, rep.label())
                 if rep.is_identity:
                     continue
-                a = rep.alpha
-                assert abs(det(submatrix(X, a, a))) >= 1.0 - 1e-12
+                ia = np.array(rep.alpha) - 1
+                assert abs(det(X[np.ix_(ia, ia)])) >= 1.0 - 1e-12
                 outside = np.ones(X.shape, dtype=bool)
-                ia = np.array(a) - 1
                 outside[np.ix_(ia, ia)] = False
                 if outside.any():
                     assert np.abs(X[outside]).max() == 0.0
@@ -168,7 +172,7 @@ class TestLimitCheck:
         expect = [2.0 / 101.0, 2.0 / 10001.0, 2.0 / 1000001.0]
         for got, want in zip(report.deviations, expect):
             assert got == pytest.approx(want, abs=1e-12)
-        assert report.monotone and report.converged
+        assert _decreasing(report.deviations) and report.converged
 
     def test_identity_rep_exact(self):
         rep = enumerate_components(diii(2))[0]
@@ -179,15 +183,14 @@ class TestLimitCheck:
         rep = ComponentRep(aiii(1, 2), (-1, 1, -1))
         report = limit_check(rep)
         assert report.converged
-        d = report.computed
-        assert d[-1] <= 1e-3
+        assert report.deviations[-1] <= 1e-3
 
     def test_every_component_converges(self):
         for spec in SMALL_SPECS:
             for rep in enumerate_components(spec):
                 report = limit_check(rep)
                 assert report.converged, (spec, rep.label(), report.deviations)
-                assert report.monotone
+                assert _decreasing(report.deviations)
 
     def test_alternative_pairings_reach_the_same_signs(self):
         # the greedy pairing is one choice among several; a reversed greedy
@@ -214,7 +217,7 @@ class TestLimitCheck:
     def test_skipped_last_point_is_not_converged(self):
         rep = enumerate_components(aiii(1, 1))[1]
         report = LimitReport(rep=rep, t_grid=(10.0, 100.0, 1000.0),
-                             deviations=[1e-2, 1e-4, None], final_tol=1e-3)
+                             deviations=[1e-2, 1e-4, None])
         assert not report.converged
         report.deviations = [None, None, 1e-4]
         assert report.converged

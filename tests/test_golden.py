@@ -6,7 +6,6 @@ from bruhatdiag.golden import (
     hp1_closed_form,
     rp_even_closed_form,
     rp_odd_closed_form,
-    run_all,
     run_suite,
     suite_names,
     so6u3_closed_form,
@@ -58,6 +57,6 @@ class TestSuites:
             run_suite("nope")
 
     def test_run_all_deterministic(self):
-        a = [r.max_deviation for r in run_all(draws=10, seed=4)]
-        b = [r.max_deviation for r in run_all(draws=10, seed=4)]
+        a = [run_suite(name, draws=10, seed=4).max_deviation for name in suite_names()]
+        b = [run_suite(name, draws=10, seed=4).max_deviation for name in suite_names()]
         assert a == b

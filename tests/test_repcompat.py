@@ -4,7 +4,6 @@ import pytest
 from bruhatdiag.linalg import leading_signature, reversal_matrix
 from bruhatdiag.repcompat import (
     conjugator,
-    preserves_triangular_split,
     symplectic_conjugator,
     theta_antidiagonal,
     theta_standard,
@@ -12,6 +11,16 @@ from bruhatdiag.repcompat import (
     theta_symplectic_standard,
     verify_conjugacy,
 )
+
+
+def preserves_triangular_split(theta, n: int) -> bool:
+    """Whether ``theta`` maps each of strict-lower / diagonal / strict-upper
+    into itself, checked exactly on indicator supports."""
+    lower = np.tri(n, k=-1, dtype=bool)
+    for mask in (lower, np.eye(n, dtype=bool), lower.T):
+        if np.any((theta(mask.astype(complex)) != 0) & ~mask):
+            return False
+    return True
 
 
 class TestConjugator:

@@ -19,6 +19,16 @@ import pytest
 
 from bruhatdiag import cli
 
+CII_PAYLOAD = ('{"family": "CII", "params": {"p": 2, "q": 1}, "payload": '
+               '{"Z1": [[[0.3, -0.1]], [[-0.2, 0.25]]], "Z2": [[[0.15, 0.4]], [[0.05, -0.35]]]}}')
+BDI_ODDODD_PAYLOAD = ('{"family": "BDI_oddodd", "params": {"p": 3, "q": 5}, "payload": '
+                      '{"Z1": [[[0.2, 0.1], [-0.3, 0.05]]], "Z2": [[[0.1, -0.25], [0.4, 0.2]]], '
+                      '"w1": [[0.15, -0.2]], "w2": [[-0.1, 0.3], [0.25, 0.05]], "s": 0.35}}')
+AIII_PAYLOAD = ('{"family": "AIII", "params": {"m": 2, "n": 3}, "payload": {"Z": '
+                '[[[0.3, 0.1], [-0.2, 0.4], [0.1, -0.3]], [[0.25, -0.15], [0.05, 0.2], [-0.35, 0.1]]]}}')
+MATRIX = ('{"n": 3, "entries": [[[2, 0.5], [1, -1], [0.5, 0]], [[-1, 0.25], [3, 0], [1, 1]], '
+          '[[0.5, -0.5], [2, 0.75], [4, -1]]]}')
+
 PINNED = {
     "verify": (("verify", "--format", "json"),
                "afff9bc465e3c822b3584d7be8fdb74f"),
@@ -39,6 +49,14 @@ PINNED = {
     "verify_aiii_5_45": (("verify", "--family", "AIII", "--m", "5", "--n", "45",
                           "--draws", "20", "--format", "json"),
                          "78a987af6a90f70b3c58ce80d3465393"),
+    "d_all_cii": (("d", "--method", "all", "--payload", CII_PAYLOAD),
+                  "c8bbffd92f14165ceff288aa85980a00"),
+    "d_all_bdi_oddodd": (("d", "--method", "all", "--payload", BDI_ODDODD_PAYLOAD),
+                         "3d7f274702d5fd76932b3b4cba5152ff"),
+    "d_coroot_product": (("d", "--method", "coroot_product", "--payload", AIII_PAYLOAD),
+                         "9e071c6c240c2385dced2249b0580fc5"),
+    "factorize": (("factorize", "--matrix", MATRIX), "22c30ef5dd0bf38d8674feaaef914e13"),
+    "verify_rep_6": (("verify-rep", "--n", "6"), "883a4685ab81f6b3f34f878f42059f0d"),
 }
 
 

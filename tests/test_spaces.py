@@ -5,7 +5,7 @@ import pytest
 
 from bruhatdiag.bruhat import diagonal_via_cayley, diagonal_via_coroots
 from bruhatdiag.components import _part_labels
-from bruhatdiag.linalg import antitranspose, leading_signature, signature_matrix
+from bruhatdiag.linalg import antitranspose, leading_signature
 from bruhatdiag.spaces import (
     FAMILIES,
     FAMILY,
@@ -144,6 +144,23 @@ class TestBuildTangent:
     def test_family_mismatch(self):
         with pytest.raises(CoordinateError, match="tagged"):
             build_tangent(aiii(1, 1), Coordinates(family="CI", Z=np.zeros((1, 1))))
+
+    def test_transposed_view_equals_contiguous_copy_bitwise(self):
+        spec = aiii(3, 3)
+        Z = random_coordinates(spec, np.random.default_rng(13)).Z.T
+        assert not Z.flags.c_contiguous
+        got = build_tangent(spec, Coordinates(family="AIII", Z=Z))
+        want = build_tangent(spec, Coordinates(family="AIII", Z=np.ascontiguousarray(Z)))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.5), complex(0.5, np.nan),
+                                     complex(np.inf, 0.5), complex(0.5, -np.inf)],
+                             ids=["nan_real", "nan_imag", "inf_real", "inf_imag"])
+    def test_non_finite_part_of_transposed_view_rejected(self, bad):
+        Z = np.zeros((3, 2), dtype=complex)
+        Z[2, 0] = bad
+        with pytest.raises(CoordinateError, match="non-finite"):
+            build_tangent(aiii(2, 3), Coordinates(family="AIII", Z=Z.T))
 
 
 class TestValidateTangent:
@@ -302,6 +319,11 @@ class TestCoordinateJson:
             coordinates_from_json({"family": "AIII", "params": {"m": 1, "n": 1},
                                    "payload": {}})
 
+    def test_integral_float_parameter_accepted(self):
+        obj = {"family": "AIII", "params": {"m": 1.0, "n": 2}, "payload": {"Z": [[[0.5, 0], [0, 0]]]}}
+        spec, _ = coordinates_from_json(obj)
+        assert spec == aiii(1, 2) and type(spec.m) is int
+
     def test_random_entries_within_radius(self):
         rng = np.random.default_rng(31)
         coords = random_coordinates(aiii(2, 3), rng, radius=0.7)
@@ -337,9 +359,11 @@ def _ref_involution_matrix(spec):
     if fam in ("DIII", "CI"):
         return leading_signature(spec.ambient, spec.n)
     if fam == "CII":
-        return signature_matrix((spec.p, 2 * spec.q, spec.p))
+        diag = [-1.0] * spec.p + [1.0] * (2 * spec.q) + [-1.0] * spec.p
+        return np.diag(np.array(diag, dtype=complex))
     if fam == "BDI_even":
-        return signature_matrix((spec.p // 2, spec.q, spec.p // 2))
+        h = spec.p // 2
+        return np.diag(np.array([-1.0] * h + [1.0] * spec.q + [-1.0] * h, dtype=complex))
     n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
     diag = [1.0] * n1 + [-1.0] * n2 + [0.0, 0.0] + [-1.0] * n2 + [1.0] * n1
     I = np.diag(np.array(diag, dtype=complex))
