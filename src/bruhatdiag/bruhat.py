@@ -113,9 +113,9 @@ class DiagonalReport:
     """Diagonal entries with their method tag and genericity flags.
 
     ``product`` is the product of the entries, which equals the
-    determinant of the underlying group element.  Extra diagnostics
-    (`lemma3_residual`, `min_abs_minor`) are attached by some routes and
-    are not part of the JSON form.
+    determinant of the underlying group element.  The ``cayley_det`` route
+    also attaches its minor-identity residual (`lemma3_residual`), which
+    is not part of the JSON form.
     """
 
     method: str
@@ -123,7 +123,6 @@ class DiagonalReport:
     generic: list[bool]
     product: complex
     lemma3_residual: Optional[float] = None
-    min_abs_minor: Optional[float] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,10 +217,7 @@ def point_genericity(g) -> list[bool]:
 
 def _minor_ratio_report(g: np.ndarray, minors: np.ndarray) -> DiagonalReport:
     entries = _checked_ratios(minors, _minor_cutoffs(g), "minor_ratio")
-    return _report(
-        "minor_ratio", entries, [True] * len(entries),
-        min_abs_minor=float(np.abs(minors[1:]).min()) if len(minors) > 1 else None,
-    )
+    return _report("minor_ratio", entries, [True] * len(entries))
 
 
 def diagonal_via_minors(g) -> DiagonalReport:
@@ -251,11 +247,7 @@ def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
         residual = float((np.abs(minors[1:] * dets[0] - dets[1:]) / scale).max())
     else:
         residual = 0.0
-    return _report(
-        "cayley_det", entries, [True] * len(entries),
-        lemma3_residual=residual,
-        min_abs_minor=float(np.abs(dets[1:]).min()) if len(dets) > 1 else None,
-    )
+    return _report("cayley_det", entries, [True] * len(entries), lemma3_residual=residual)
 
 
 def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None) -> DiagonalReport:

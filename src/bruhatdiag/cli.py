@@ -60,8 +60,12 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "table"), default="json")
+
+    def add_tol(p):
         p.add_argument("--tol", type=float, default=1e-9,
                        help="check tolerance (default 1e-9)")
+
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=0)
 
     def add_space(p):
@@ -85,12 +89,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help="matrix as JSON or @file")
 
     p = sub.add_parser("d", help="diagonal factor of the Cayley image")
-    add_common(p), add_space(p)
+    add_common(p), add_space(p), add_tol(p)
     p.add_argument("--payload", required=True, help="inline JSON or @file")
     p.add_argument("--method", choices=_ACCEPTED_METHODS, default="cayley_det")
 
     p = sub.add_parser("verify", help="cross-check all routes on random draws")
-    add_common(p), add_space(p)
+    add_common(p), add_space(p), add_tol(p), add_seed(p)
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--radius", type=float, default=0.7)
 
@@ -99,13 +103,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--check-limits", action="store_true")
 
     p = sub.add_parser("golden", help="closed-form fixture suites")
-    add_common(p)
+    add_common(p), add_seed(p)
     p.add_argument("--suite", default="all",
                    help=f"one of {golden_mod.suite_names()} or 'all'")
     p.add_argument("--draws", type=int, default=golden_mod.GOLDEN_DRAWS)
 
     p = sub.add_parser("verify-rep", help="representation conjugacy checks")
-    add_common(p)
+    add_common(p), add_seed(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
 

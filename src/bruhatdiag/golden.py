@@ -132,97 +132,55 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
 
 
-def _run_cpn(rng, draws, n_values=(1, 2, 3, 4)) -> float:
-    worst = 0.0
-    for n in n_values:
-        spec = aiii(1, n)
-        for _ in range(draws):
-            zs = _disc_sample(rng, (n,), GOLDEN_RADIUS)
-            X = build_tangent(spec, Coordinates(family="AIII", Z=zs.reshape(1, n)))
-            worst = max(worst, _rel(diagonal_via_cayley(X).entries, cpn_closed_form(zs)))
-    return worst
+# Each case turns one draw ``zs`` (and, for rp_odd, a torus parameter drawn
+# after it) into the tangent and the closed form it must reproduce.
+
+def _cpn_case(rng, zs):
+    X = build_tangent(aiii(1, zs.size), Coordinates(family="AIII", Z=zs.reshape(1, -1)))
+    return X, cpn_closed_form(zs)
 
 
-def _run_so6u3(rng, draws) -> float:
-    spec = diii(3)
-    worst = 0.0
-    for _ in range(draws):
-        z11, z12, z21 = _disc_sample(rng, (3,), GOLDEN_RADIUS)
-        Z = np.array([[z11, z12, 0.0], [z21, 0.0, -z12], [0.0, -z21, -z11]])
-        X = build_tangent(spec, Coordinates(family="DIII", Z=Z))
-        worst = max(worst, _rel(diagonal_via_cayley(X).entries,
-                                so6u3_closed_form(z11, z12, z21)))
-    return worst
+def _so6u3_case(rng, zs):
+    z11, z12, z21 = zs
+    Z = np.array([[z11, z12, 0.0], [z21, 0.0, -z12], [0.0, -z21, -z11]])
+    X = build_tangent(diii(3), Coordinates(family="DIII", Z=Z))
+    return X, so6u3_closed_form(z11, z12, z21)
 
 
-def _run_hp1(rng, draws) -> float:
-    spec = cii(1, 1)
-    worst = 0.0
-    for _ in range(draws):
-        z1, z2 = _disc_sample(rng, (2,), GOLDEN_RADIUS)
-        coords = Coordinates(family="CII", Z1=np.array([[z1]]), Z2=np.array([[z2]]))
-        X = build_tangent(spec, coords)
-        worst = max(worst, _rel(diagonal_via_cayley(X).entries, hp1_closed_form(z1, z2)))
-    return worst
+def _hp1_case(rng, zs):
+    z1, z2 = zs
+    coords = Coordinates(family="CII", Z1=np.array([[z1]]), Z2=np.array([[z2]]))
+    return build_tangent(cii(1, 1), coords), hp1_closed_form(z1, z2)
 
 
-def _rp_even_tangent(zs) -> tuple[SpaceSpec, np.ndarray]:
-    zs = np.asarray(zs, dtype=complex)
+def _rp_even_case(rng, zs):
     n = zs.size
-    spec = SpaceSpec("BDI_even", p=2 * n, q=1)
     Z = zs[::-1].reshape(n, 1)  # layout stores the coordinates bottom-up
-    return spec, build_tangent(spec, Coordinates(family="BDI_even", Z=Z))
+    X = build_tangent(SpaceSpec("BDI_even", p=2 * n, q=1), Coordinates(family="BDI_even", Z=Z))
+    return X, rp_even_closed_form(zs)
 
 
-def _rp_odd_tangent(zs, s: float) -> tuple[SpaceSpec, np.ndarray]:
-    zs = np.asarray(zs, dtype=complex)
+def _rp_odd_case(rng, zs):
+    s = float(rng.uniform(-GOLDEN_RADIUS, GOLDEN_RADIUS))
     n = zs.size
-    spec = SpaceSpec("BDI_oddodd", p=2 * n + 1, q=1)
     coords = Coordinates(
         family="BDI_oddodd",
         Z1=np.zeros((n, 0)), Z2=np.zeros((n, 0)),
-        w1=zs[::-1].copy(), w2=np.zeros(0), s=float(s),
+        w1=zs[::-1].copy(), w2=np.zeros(0), s=s,
     )
-    return spec, build_tangent(spec, coords)
+    X = build_tangent(SpaceSpec("BDI_oddodd", p=2 * n + 1, q=1), coords)
+    return X, rp_odd_closed_form(zs, s)
 
 
-def _run_rp_even(rng, draws, n_values=(1, 2, 3)) -> float:
-    worst = 0.0
-    for n in n_values:
-        for _ in range(draws):
-            zs = _disc_sample(rng, (n,), GOLDEN_RADIUS)
-            _, X = _rp_even_tangent(zs)
-            worst = max(worst, _rel(diagonal_via_cayley(X).entries, rp_even_closed_form(zs)))
-    return worst
-
-
-def _run_rp6(rng, draws) -> float:
-    return _run_rp_even(rng, draws, n_values=(3,))
-
-
-def _run_rp_odd(rng, draws, n_values=(1, 2, 3)) -> float:
-    worst = 0.0
-    for n in n_values:
-        for _ in range(draws):
-            zs = _disc_sample(rng, (n,), GOLDEN_RADIUS)
-            s = float(rng.uniform(-GOLDEN_RADIUS, GOLDEN_RADIUS))
-            _, X = _rp_odd_tangent(zs, s)
-            worst = max(worst, _rel(diagonal_via_cayley(X).entries, rp_odd_closed_form(zs, s)))
-    return worst
-
-
-def _run_rp5(rng, draws) -> float:
-    return _run_rp_odd(rng, draws, n_values=(2,))
-
-
-_SUITES: dict[str, Callable] = {
-    "cpn": _run_cpn,
-    "so6u3": _run_so6u3,
-    "hp1": _run_hp1,
-    "rp_even": _run_rp_even,
-    "rp_odd": _run_rp_odd,
-    "rp6": _run_rp6,
-    "rp5": _run_rp5,
+#: Suite -> (number of coordinates drawn, in turn; the case they feed).
+_SUITES: dict[str, tuple[tuple[int, ...], Callable]] = {
+    "cpn": ((1, 2, 3, 4), _cpn_case),
+    "so6u3": ((3,), _so6u3_case),
+    "hp1": ((2,), _hp1_case),
+    "rp_even": ((1, 2, 3), _rp_even_case),
+    "rp_odd": ((1, 2, 3), _rp_odd_case),
+    "rp6": ((3,), _rp_even_case),
+    "rp5": ((2,), _rp_odd_case),
 }
 
 #: Per-suite tolerance; the projective-space ratio formula is benign enough
@@ -241,7 +199,12 @@ def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0,
     if name not in _SUITES:
         raise ValueError(f"unknown golden suite {name!r}; choose from {suite_names()}")
     rng = np.random.default_rng(seed)
-    worst = _SUITES[name](rng, draws)
+    sizes, case = _SUITES[name]
+    worst = 0.0
+    for n in sizes:
+        for _ in range(draws):
+            X, closed = case(rng, _disc_sample(rng, (n,), GOLDEN_RADIUS))
+            worst = max(worst, _rel(diagonal_via_cayley(X).entries, closed))
     return GoldenResult(
         suite=name, draws=draws, max_deviation=worst,
         tolerance=_SUITE_TOL[name] if tol is None else tol,

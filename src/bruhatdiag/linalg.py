@@ -18,7 +18,8 @@ the n + 1 expansions as signed sums, since the minor of ``I_k A`` on
 row is ``det(1 + A)`` as the sum of all principal minors.
 
 The JSON matrix form is parsed here as well; :func:`_json_number` is the
-one parser of JSON integers, for matrices and coordinate parameters alike.
+one parser of JSON numbers, for matrix entries, sizes, coordinate
+parameters and payload fields alike.
 """
 
 from __future__ import annotations
@@ -62,15 +63,6 @@ def antitranspose(A) -> np.ndarray:
     """
     A = np.asarray(A, dtype=complex)
     return A.T[::-1, ::-1].copy()
-
-
-def conj_antitranspose(A) -> np.ndarray:
-    """Antitranspose of the conjugate transpose.
-
-    For ``m x n`` input the result is again ``m x n``; entry ``(i, j)`` is
-    the conjugate of ``A[m + 1 - i, n + 1 - j]`` (1-based).
-    """
-    return antitranspose(np.conj(np.asarray(A, dtype=complex)).T)
 
 
 def leading_signature(n: int, k: int) -> np.ndarray:
@@ -181,23 +173,24 @@ def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"complex entries must be [re, im] pairs, got {pair!r}")
     try:
-        return complex(float(pair[0]), float(pair[1]))
-    except TypeError as exc:  # float(None), float([...])
+        return complex(*(_json_number(x, float, "") for x in pair))
+    except ValueError as exc:
         raise ValueError(f"complex entries must be [re, im] pairs of numbers, "
                          f"got {pair!r}") from exc
 
 
 def _json_number(value, kind: type, message: str):
-    """``kind(value)``; null, lists, non-numeric strings and (for ``int``)
-    infinities raise ``ValueError`` with ``message``.  An ``int`` must be a
-    JSON integer or an integral float, so ``1.9``, ``true`` and ``"2"``
-    are refused rather than truncated or coerced."""
-    if kind is int and not (type(value) is int
-                            or type(value) is float and value.is_integer()):
+    """``kind(value)`` for a JSON number ``value``; anything else raises
+    ``ValueError`` with ``message``.  Only numbers count: null, lists,
+    strings and booleans are refused, not coerced (``"0.3"`` and ``true``
+    are not numbers), and an ``int`` must be a JSON integer or an integral
+    float, so ``1.9`` is refused rather than truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{message}, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # float() of an integer beyond the double range
         raise ValueError(f"{message}, got {value!r}") from exc
 
 

@@ -22,7 +22,11 @@ BDI_oddodd  p odd, q odd            p + q
 The :data:`FAMILY` registry at the end of this module is the one place a
 family is described; everything else, here, in ``components`` and in
 ``cli``, derives from its :class:`Family` record, so a new layout is one
-record plus its tests.
+record plus its tests.  A record is data: block ``sizes``, the
+involution's ``signs`` per block, the ``reflection`` type, and the
+``slots`` naming the block each payload field fills.  One builder,
+:func:`build_tangent`, places the payload and derives every other entry
+from the tangent-space equations (see :func:`_tangent_plan`).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import numpy as np
 from .linalg import (
     _json_number,
     antitranspose,
-    conj_antitranspose,
     flipped_determinants,
     leading_signature,
     max_abs,
@@ -54,7 +57,9 @@ class Family:
 
     ``signs`` is the involution's sign on each block of ``sizes`` (0 on the
     swapped middle pair of BDI_oddodd); ``reflection`` is ``""``, ``"so"``
-    or ``"sp"``; ``payload`` gives the field shapes in draw order;
+    or ``"sp"``; ``slots`` maps each payload field, in draw order, to the
+    (row block, column block) it fills (a ``w`` field is that block's
+    column, ``s`` the torus pair starting at that diagonal block);
     ``payload_sign`` is set where ``Z = payload_sign * antitranspose(Z)``
     (DIII -1, CI +1); ``defaults`` are the ``bruhatdiag verify`` parameters.
     """
@@ -64,8 +69,7 @@ class Family:
     sizes: Callable[[SpaceSpec], tuple[int, ...]]
     signs: tuple[int, ...]
     reflection: str
-    payload: Callable[[SpaceSpec], dict]
-    build: Callable[[SpaceSpec, Coordinates, np.ndarray], None]
+    slots: dict[str, tuple[int, int]]
     defaults: dict
     payload_sign: Optional[float] = None
 
@@ -143,11 +147,6 @@ def spec_from_family(family: str, **params) -> SpaceSpec:
 
 # --- block layout ----------------------------------------------------------
 
-def block_sizes(spec: SpaceSpec) -> tuple[int, ...]:
-    """Row/column block sizes of the chosen matrix layout."""
-    return FAMILY[spec.family].sizes(spec)
-
-
 def _position_signs(spec: SpaceSpec) -> list[int]:
     """The involution's sign at each position (0 on the swapped middle pair)."""
     fam = FAMILY[spec.family]
@@ -218,8 +217,16 @@ class Coordinates:
     s: float = 0.0
 
 
+def _payload_shapes(spec: SpaceSpec) -> dict[str, tuple[int, ...]]:
+    """Each payload field's shape, in draw order, from the block it fills."""
+    fam = FAMILY[spec.family]
+    sizes = fam.sizes(spec)
+    return {name: () if name == "s" else (sizes[r],) if name.startswith("w")
+            else (sizes[r], sizes[c]) for name, (r, c) in fam.slots.items()}
+
+
 def zero_coordinates(spec: SpaceSpec) -> Coordinates:
-    shapes = FAMILY[spec.family].payload(spec)
+    shapes = _payload_shapes(spec)
     fields = {}
     for name, shape in shapes.items():
         if name == "s":
@@ -271,9 +278,8 @@ def _sample_coordinates(spec: SpaceSpec, rng: np.random.Generator,
                         radius: float) -> Coordinates:
     """A self-symmetric ``Z`` entry by entry, else every field in shape order
     (``s`` uniform in ``[-radius, radius]``)."""
-    fam = FAMILY[spec.family]
-    shapes = fam.payload(spec)
-    sign = fam.payload_sign
+    shapes = _payload_shapes(spec)
+    sign = FAMILY[spec.family].payload_sign
     if sign is not None:
         n = shapes["Z"][0]
         Z = np.zeros((n, n), dtype=complex)
@@ -298,8 +304,7 @@ def _sample_coordinates(spec: SpaceSpec, rng: np.random.Generator,
 
 def coordinates_to_json(spec: SpaceSpec, coords: Coordinates) -> dict:
     payload = {}
-    shapes = FAMILY[spec.family].payload(spec)
-    for name in shapes:
+    for name in _payload_shapes(spec):
         if name == "s":
             payload["s"] = float(coords.s)
         elif name.startswith("w"):
@@ -314,7 +319,7 @@ def coordinates_from_payload(spec: SpaceSpec, payload: dict) -> Coordinates:
     """Build coordinates from the JSON payload dict for ``spec``."""
     if not isinstance(payload, dict):
         raise ValueError(f"payload must be an object, got {payload!r}")
-    shapes = FAMILY[spec.family].payload(spec)
+    shapes = _payload_shapes(spec)
     fields = {}
     for name, shape in shapes.items():
         if name == "s":
@@ -371,96 +376,105 @@ def _check_shape(name: str, arr, shape) -> np.ndarray:
 def build_tangent(spec: SpaceSpec, coords: Coordinates) -> np.ndarray:
     """Assemble the tangent matrix for ``spec`` from its free coordinates.
 
-    The result is skew-Hermitian, anti-invariant under the involution, and
-    satisfies the family reflection condition exactly, because every
-    dependent block is filled from the single stored copy.
+    Each payload field is placed in its slot and every other entry is
+    copied from a payload entry by the spec's :func:`_tangent_plan`, so the
+    result is skew-Hermitian, anti-invariant under the involution, and
+    satisfies the family reflection condition exactly.
     """
     if coords.family != spec.family:
         raise CoordinateError(
             f"coordinates are tagged {coords.family!r}, spec is {spec.family!r}")
-    N = spec.ambient
-    X = np.zeros((N, N), dtype=complex)
-    FAMILY[spec.family].build(spec, coords, X)
+    fam = FAMILY[spec.family]
+    sign = fam.payload_sign
+    sizes = fam.sizes(spec)
+    b = list(itertools.accumulate(sizes, initial=0))
+    X = np.zeros((b[-1], b[-1]), dtype=complex)
+    for name, shape in _payload_shapes(spec).items():
+        r, c = fam.slots[name]
+        if name == "s":
+            s = float(coords.s)
+            if not math.isfinite(s):
+                raise CoordinateError("s has non-finite entries")
+            # set directly: -(1j * s) would carry a real part of -0.0
+            X[b[r], b[r]] = 1j * s
+            X[b[r] + 1, b[r] + 1] = -1j * s
+            continue
+        A = _check_shape(name, getattr(coords, name), shape)
+        if sign is not None and max_abs(A - sign * antitranspose(A)) > 1e-12:
+            raise CoordinateError(f"{spec.family} payload must satisfy "
+                                  f"Z {'+' if sign < 0 else '-'} antitranspose(Z) = 0")
+        X[b[r]:b[r + 1], b[c]:b[c + 1]] = A.reshape(sizes[r], sizes[c])
+    dst, src, flip = _tangent_plan(spec)
+    # a real factor -1 flips the sign bit of one part exactly; a complex
+    # factor can give a zero part the wrong sign: (-1+0j) * (0.3+0j) is
+    # -0.3+0j, not -0.3-0j
+    parts = X.reshape(-1).view(np.float64)
+    parts[dst] = parts[src] * flip
     return X
 
 
-def _build_two_block(spec: SpaceSpec, coords: Coordinates, X: np.ndarray) -> None:
-    """AIII, DIII, CI: ``Z`` above the diagonal blocks, ``-Z*`` below."""
+@functools.lru_cache(maxsize=64)
+def _tangent_plan(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where every entry a payload does not fill comes from.
+
+    Returns read-only arrays ``(dst, src, flip)`` over the float parts of
+    the flattened tangent (real part at ``2k``, imaginary part at
+    ``2k + 1``): part ``dst`` is part ``src`` of a payload entry times
+    ``flip`` = +-1.  The equations are applied in turn to every entry
+    known so far, starting from the payload positions; each writes only
+    entries still unknown, so a payload entry is never overwritten:
+
+    * ``X = -I X I`` moves an entry across the swapped middle pair (a
+      diagonal involution moves nothing; it only fixes the support);
+    * the reflection ``X = -E J X^T J E``, with ``E = 1`` for ``so`` and the
+      leading signature ``I_{N/2}`` for ``sp``;
+    * ``X = -X*``.
+
+    Each equation negates the real part, the imaginary part or both, so a
+    dependent part is an exact sign flip of its source, signed zeros
+    included.  The torus pair of ``s`` is left to the builder.
+    """
     fam = FAMILY[spec.family]
-    sign = fam.payload_sign
-    Z = _check_shape("Z", coords.Z, fam.payload(spec)["Z"])
-    if sign is not None and max_abs(Z - sign * antitranspose(Z)) > 1e-12:
-        raise CoordinateError(f"{spec.family} payload must satisfy "
-                              f"Z {'+' if sign < 0 else '-'} antitranspose(Z) = 0")
-    h = len(Z)
-    X[:h, h:] = Z
-    X[h:, :h] = -Z.conj().T
+    b = list(itertools.accumulate(fam.sizes(spec), initial=0))
+    N = b[-1]
+    entry = np.arange(N * N).reshape(N, N)
+    source = np.full((N, N), -1)
+    for name, (r, c) in fam.slots.items():
+        if name != "s":
+            source[b[r]:b[r + 1], b[c]:b[c + 1]] = entry[b[r]:b[r + 1], b[c]:b[c + 1]]
+    source, entry = source.reshape(-1), entry.reshape(-1)
+    flips = np.zeros((N * N, 2), dtype=bool)  # negate (real, imaginary) part
 
+    signs = np.array(_position_signs(spec))
+    swap = np.arange(N)
+    middle = np.flatnonzero(signs == 0)
+    swap[middle] = middle[::-1]
+    # (i, j) -> (perm[i], perm[j]), transposed or not, negated where
+    # weight[i] * weight[j] > 0, and conjugated or not
+    equations = [(swap, False, np.where(signs == 0, 1, signs), False)]
+    if fam.reflection:
+        twist = np.where(np.arange(N) < N // 2, -1, 1) if fam.reflection == "sp" else np.ones(N)
+        equations.append((np.arange(N)[::-1], True, twist, False))
+    equations.append((np.arange(N), True, np.ones(N), True))
+    for perm, transposed, weight, conjugate in equations:
+        known = np.flatnonzero(source >= 0)
+        i, j = np.divmod(known, N)
+        negate = weight[i] * weight[j] > 0
+        if transposed:
+            i, j = j, i
+        dst = perm[i] * N + perm[j]
+        new = source[dst] < 0
+        source[dst[new]] = source[known[new]]
+        flips[dst[new]] = flips[known[new]] ^ np.stack(
+            [negate[new], negate[new] ^ conjugate], axis=1)
 
-def _build_cii(spec: SpaceSpec, coords: Coordinates, X: np.ndarray) -> None:
-    p, q = spec.p, spec.q
-    Z1 = _check_shape("Z1", coords.Z1, (p, q))
-    Z2 = _check_shape("Z2", coords.Z2, (p, q))
-    s0, s1, s2, s3 = 0, p, p + q, p + 2 * q
-    X[s0:s1, s1:s2] = Z1
-    X[s0:s1, s2:s3] = Z2
-    X[s1:s2, s0:s1] = -Z1.conj().T
-    X[s1:s2, s3:] = antitranspose(Z2)
-    X[s2:s3, s0:s1] = -Z2.conj().T
-    X[s2:s3, s3:] = -antitranspose(Z1)
-    X[s3:, s1:s2] = -conj_antitranspose(Z2)
-    X[s3:, s2:s3] = conj_antitranspose(Z1)
-
-
-def _build_bdi_even(spec: SpaceSpec, coords: Coordinates, X: np.ndarray) -> None:
-    h, q = spec.p // 2, spec.q
-    Z = _check_shape("Z", coords.Z, (h, q))
-    X[:h, h:h + q] = Z
-    X[h:h + q, :h] = -Z.conj().T
-    X[h:h + q, h + q:] = -antitranspose(Z)
-    X[h + q:, h:h + q] = conj_antitranspose(Z)
-
-
-def _build_bdi_oddodd(spec: SpaceSpec, coords: Coordinates, X: np.ndarray) -> None:
-    """Outer involution plus the middle 2x2 torus slot."""
-    n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
-    Z1 = _check_shape("Z1", coords.Z1, (n1, n2))
-    Z2 = _check_shape("Z2", coords.Z2, (n1, n2))
-    w1 = _check_shape("w1", coords.w1, (n1,)).reshape(n1, 1)
-    w2 = _check_shape("w2", coords.w2, (n2,)).reshape(n2, 1)
-    s = float(coords.s)
-    b = list(itertools.accumulate(block_sizes(spec), initial=0))
-    m1, m2 = b[2], b[3]  # the two middle positions
-
-    X[b[0]:b[1], b[1]:b[2]] = Z1
-    X[b[1]:b[2], b[0]:b[1]] = -Z1.conj().T
-    X[b[0]:b[1], b[4]:b[5]] = Z2
-    X[b[4]:b[5], b[0]:b[1]] = -Z2.conj().T
-    X[b[1]:b[2], b[5]:b[6]] = -antitranspose(Z2)
-    X[b[5]:b[6], b[1]:b[2]] = conj_antitranspose(Z2)
-    X[b[4]:b[5], b[5]:b[6]] = -antitranspose(Z1)
-    X[b[5]:b[6], b[4]:b[5]] = conj_antitranspose(Z1)
-
-    X[b[0]:b[1], m1:m1 + 1] = w1
-    X[b[0]:b[1], m2:m2 + 1] = -w1
-    X[m1, b[0]:b[1]] = -w1.conj().ravel()
-    X[m2, b[0]:b[1]] = w1.conj().ravel()
-    X[m1, b[5]:b[6]] = antitranspose(w1).ravel()
-    X[m2, b[5]:b[6]] = -antitranspose(w1).ravel()
-    X[b[5]:b[6], m1:m1 + 1] = -antitranspose(w1.conj().T).reshape(n1, 1)
-    X[b[5]:b[6], m2:m2 + 1] = antitranspose(w1.conj().T).reshape(n1, 1)
-
-    X[b[1]:b[2], m1:m1 + 1] = w2
-    X[b[1]:b[2], m2:m2 + 1] = w2
-    X[m1, b[1]:b[2]] = -w2.conj().ravel()
-    X[m2, b[1]:b[2]] = -w2.conj().ravel()
-    X[m1, b[4]:b[5]] = -antitranspose(w2).ravel()
-    X[m2, b[4]:b[5]] = -antitranspose(w2).ravel()
-    X[b[4]:b[5], m1:m1 + 1] = antitranspose(w2.conj().T).reshape(n2, 1)
-    X[b[4]:b[5], m2:m2 + 1] = antitranspose(w2.conj().T).reshape(n2, 1)
-
-    X[m1, m1] = 1j * s
-    X[m2, m2] = -1j * s
+    derived = np.flatnonzero((source >= 0) & (source != entry))
+    dst = (2 * derived[:, None] + [0, 1]).ravel()
+    src = (2 * source[derived][:, None] + [0, 1]).ravel()
+    flip = np.where(flips[derived].ravel(), -1.0, 1.0)
+    for a in (dst, src, flip):
+        a.flags.writeable = False
+    return dst, src, flip
 
 
 # --- validation ------------------------------------------------------------
@@ -600,11 +614,6 @@ def _require(*checks: tuple[bool, str]) -> None:
             raise ValueError(message)
 
 
-def _oddodd_payload(spec: SpaceSpec) -> dict:
-    n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
-    return {"Z1": (n1, n2), "Z2": (n1, n2), "w1": (n1,), "w2": (n2,), "s": ()}
-
-
 #: Every family's record, in the order ``bruhatdiag verify`` runs them.
 FAMILY: dict[str, Family] = {
     "AIII": Family(
@@ -613,39 +622,34 @@ FAMILY: dict[str, Family] = {
             (s.m >= 1 and s.n >= 1, "AIII requires m >= 1 and n >= 1"),
             (s.m <= s.n, "AIII uses the convention m <= n; swap the parameters")),
         sizes=lambda s: (s.m, s.n), signs=(-1, 1), reflection="",
-        payload=lambda s: {"Z": (s.m, s.n)}, build=_build_two_block,
-        defaults={"m": 2, "n": 3}),
+        slots={"Z": (0, 1)}, defaults={"m": 2, "n": 3}),
     "DIII": Family(
         params=("n",), validate=lambda s: _require((s.n >= 1, "DIII requires n >= 1")),
         sizes=lambda s: (s.n, s.n), signs=(-1, 1), reflection="so",
-        payload=lambda s: {"Z": (s.n, s.n)}, build=_build_two_block,
-        defaults={"n": 3}, payload_sign=-1.0),
+        slots={"Z": (0, 1)}, defaults={"n": 3}, payload_sign=-1.0),
     "CI": Family(
         params=("n",), validate=lambda s: _require((s.n >= 1, "CI requires n >= 1")),
         sizes=lambda s: (s.n, s.n), signs=(-1, 1), reflection="sp",
-        payload=lambda s: {"Z": (s.n, s.n)}, build=_build_two_block,
-        defaults={"n": 3}, payload_sign=1.0),
+        slots={"Z": (0, 1)}, defaults={"n": 3}, payload_sign=1.0),
     "CII": Family(
         params=("p", "q"),
         validate=lambda s: _require((s.p >= 1 and s.q >= 1, "CII requires p >= 1 and q >= 1")),
         sizes=lambda s: (s.p, s.q, s.q, s.p), signs=(-1, 1, 1, -1), reflection="sp",
-        payload=lambda s: {"Z1": (s.p, s.q), "Z2": (s.p, s.q)}, build=_build_cii,
-        defaults={"p": 2, "q": 2}),
+        slots={"Z1": (0, 1), "Z2": (0, 2)}, defaults={"p": 2, "q": 2}),
     "BDI_even": Family(
         params=("p", "q"),
         validate=lambda s: _require(
             (s.p >= 2 and s.p % 2 == 0, "BDI_even requires even p >= 2"),
             (s.q >= 1, "BDI_even requires q >= 1")),
         sizes=lambda s: (s.p // 2, s.q, s.p // 2), signs=(-1, 1, -1), reflection="so",
-        payload=lambda s: {"Z": (s.p // 2, s.q)}, build=_build_bdi_even,
-        defaults={"p": 4, "q": 3}),
+        slots={"Z": (0, 1)}, defaults={"p": 4, "q": 3}),
     "BDI_oddodd": Family(
         params=("p", "q"),
         validate=lambda s: _require((s.p >= 1 and s.q >= 1 and s.p % 2 == 1 and s.q % 2 == 1,
                                      "BDI_oddodd requires odd p >= 1 and odd q >= 1")),
         sizes=lambda s: ((s.p - 1) // 2, (s.q - 1) // 2, 1, 1, (s.q - 1) // 2, (s.p - 1) // 2),
         signs=(1, -1, 0, 0, -1, 1), reflection="so",
-        payload=_oddodd_payload, build=_build_bdi_oddodd,
+        slots={"Z1": (0, 1), "Z2": (0, 4), "w1": (0, 2), "w2": (1, 2), "s": (2, 2)},
         defaults={"p": 3, "q": 3}),
 }
 

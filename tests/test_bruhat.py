@@ -612,7 +612,6 @@ class TestSharedTables:
                     assert r.generic == a.generic, (spec, tag)
                     assert r.product == a.product, (spec, tag)
                     assert r.lemma3_residual == a.lemma3_residual, (spec, tag)
-                    assert r.min_abs_minor == a.min_abs_minor, (spec, tag)
 
     def test_cross_check_builds_each_table_once(self, monkeypatch):
         rng = np.random.default_rng(71)

@@ -204,9 +204,18 @@ class TestErrorHandling:
          'coordinates JSON parameter "m" must be an integer, got True'),
         ('{"family": "AIII", "params": {"m": 1, "n": "2"}, "payload": {"Z": [[[0.5, 0], [0, 0]]]}}',
          'coordinates JSON parameter "n" must be an integer, got \'2\''),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": {"Z": [[["0.5", true]]]}}',
+         "complex entries must be [re, im] pairs of numbers, got ['0.5', True]"),
+        ('{"family": "BDI_oddodd", "params": {"p": 1, "q": 1}, "payload": '
+         '{"Z1": [], "Z2": [], "w1": [], "w2": [], "s": "0.3"}}',
+         'payload field "s" must be a number, got \'0.3\''),
+        ('{"family": "BDI_oddodd", "params": {"p": 1, "q": 1}, "payload": '
+         '{"Z1": [], "Z2": [], "w1": [], "w2": [], "s": NaN}}',
+         "s has non-finite entries"),
     ], ids=["null_parameter", "payload_not_an_object", "block_not_a_grid",
             "family_not_a_string", "null_entry", "vector_not_a_list", "null_scalar",
-            "fractional_parameter", "boolean_parameter", "string_parameter"])
+            "fractional_parameter", "boolean_parameter", "string_parameter",
+            "string_and_boolean_entry", "string_scalar", "non_finite_scalar"])
     def test_malformed_coordinates_json_exits_one(self, capsys, payload, message):
         code, out, err = run_cli(capsys, "d", "--payload", payload)
         assert code == 1
@@ -220,12 +229,28 @@ class TestErrorHandling:
         ("factorize", '{"n": 1, "entries": [5]}', 'field "entries" must be an 1 x 1 grid'),
         ("cayley", '{"n": 1.9, "entries": [[[1, 0]]]}',
          'matrix JSON field "n" must be an integer, got 1.9'),
-    ], ids=["null_size", "entries_not_a_list", "row_not_a_list", "fractional_size"])
+        ("cayley", '{"n": 1, "entries": [[["0", "0.5"]]]}',
+         "complex entries must be [re, im] pairs of numbers, got ['0', '0.5']"),
+    ], ids=["null_size", "entries_not_a_list", "row_not_a_list", "fractional_size",
+            "string_entry"])
     def test_malformed_matrix_json_exits_one(self, capsys, verb, matrix, message):
         code, out, err = run_cli(capsys, verb, "--matrix", matrix)
         assert code == 1
         assert out == ""
         assert err == f"bruhatdiag: error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("golden", "--suite", "cpn", "--tol", "1e-30"),
+        ("verify-rep", "--n", "3", "--tol", "1e-30"),
+        ("build", "--family", "AIII", "--m", "1", "--n", "1",
+         "--payload", '{"Z": [[[0.5, 0]]]}', "--seed", "5"),
+        ("enumerate", "--family", "AIII", "--m", "1", "--n", "1", "--tol", "3"),
+    ], ids=["golden_tol", "verify_rep_tol", "build_seed", "enumerate_tol"])
+    def test_flag_no_verb_reads_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "golden", "--suite", "nope")

@@ -7,7 +7,6 @@ from bruhatdiag.linalg import (
     ExpansionLimitError,
     antitranspose,
     as_matrix,
-    conj_antitranspose,
     det,
     flipped_determinants,
     flipped_minor_expansion,
@@ -105,13 +104,6 @@ class TestAntitranspose:
         assert B.shape == (3, 2)
         # (1,1) of the result is (2,3) of the input, per the reflection
         assert B[0, 0] == A[1, 2]
-
-    def test_conj_antitranspose_flips_and_conjugates(self):
-        A = np.array([[1 + 2j, 3 - 1j], [0.5j, -2 + 0j]])
-        B = conj_antitranspose(A)
-        assert B.shape == A.shape
-        assert B[0, 0] == np.conj(A[1, 1])
-        assert B[0, 1] == np.conj(A[1, 0])
 
 
 class TestSignatureMatrix:

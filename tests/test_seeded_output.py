@@ -24,6 +24,12 @@ CII_PAYLOAD = ('{"family": "CII", "params": {"p": 2, "q": 1}, "payload": '
 BDI_ODDODD_PAYLOAD = ('{"family": "BDI_oddodd", "params": {"p": 3, "q": 5}, "payload": '
                       '{"Z1": [[[0.2, 0.1], [-0.3, 0.05]]], "Z2": [[[0.1, -0.25], [0.4, 0.2]]], '
                       '"w1": [[0.15, -0.2]], "w2": [[-0.1, 0.3], [0.25, 0.05]], "s": 0.35}}')
+#: Zero entries of both signs and a negative torus parameter: ``build``
+#: prints every signed zero of the tangent.
+BDI_ODDODD_ZEROS_PAYLOAD = (
+    '{"family": "BDI_oddodd", "params": {"p": 3, "q": 5}, "payload": '
+    '{"Z1": [[[0.2, 0.0], [-0.0, 0.05]]], "Z2": [[[0.0, -0.25], [0.4, -0.0]]], '
+    '"w1": [[-0.0, 0.0]], "w2": [[-0.1, 0.0], [0.0, -0.3]], "s": -0.35}}')
 AIII_PAYLOAD = ('{"family": "AIII", "params": {"m": 2, "n": 3}, "payload": {"Z": '
                 '[[[0.3, 0.1], [-0.2, 0.4], [0.1, -0.3]], [[0.25, -0.15], [0.05, 0.2], [-0.35, 0.1]]]}}')
 MATRIX = ('{"n": 3, "entries": [[[2, 0.5], [1, -1], [0.5, 0]], [[-1, 0.25], [3, 0], [1, 1]], '
@@ -55,6 +61,9 @@ PINNED = {
                          "3d7f274702d5fd76932b3b4cba5152ff"),
     "d_coroot_product": (("d", "--method", "coroot_product", "--payload", AIII_PAYLOAD),
                          "9e071c6c240c2385dced2249b0580fc5"),
+    "build_bdi_oddodd_zeros": (("build", "--payload", BDI_ODDODD_ZEROS_PAYLOAD),
+                               "a7854d1ff7162ee39d8e1a9b488430b1"),
+    "build_cii": (("build", "--payload", CII_PAYLOAD), "18feb9be83c291d432ec38bafc797062"),
     "factorize": (("factorize", "--matrix", MATRIX), "22c30ef5dd0bf38d8674feaaef914e13"),
     "verify_rep_6": (("verify-rep", "--n", "6"), "883a4685ab81f6b3f34f878f42059f0d"),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from bruhatdiag.bruhat import diagonal_via_cayley, diagonal_via_coroots
 from bruhatdiag.components import _part_labels
 from bruhatdiag.linalg import antitranspose, leading_signature
 from bruhatdiag.spaces import (
+    _tangent_plan,
     FAMILIES,
     FAMILY,
     Coordinates,
@@ -14,7 +16,6 @@ from bruhatdiag.spaces import (
     SpaceSpec,
     aiii,
     bdi,
-    block_sizes,
     build_tangent,
     ci,
     cii,
@@ -136,6 +137,22 @@ class TestBuildTangent:
         Z = np.array([[0.1, 0.2], [0.3, 0.4]], dtype=complex)
         with pytest.raises(CoordinateError):
             build_tangent(ci(2), Coordinates(family="CI", Z=Z))
+
+    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
+    def test_non_finite_torus_parameter_rejected(self, s):
+        spec = SpaceSpec("BDI_oddodd", p=3, q=1)
+        coords = dataclasses.replace(zero_coordinates(spec), s=s)
+        with pytest.raises(CoordinateError, match="s has non-finite entries"):
+            build_tangent(spec, coords)
+
+    def test_each_plan_built_once_and_read_only(self):
+        for spec in ALL_SPECS:
+            plan = _tangent_plan(spec)
+            assert _tangent_plan(SpaceSpec(spec.family, **spec.params_dict())) is plan
+            for a in plan:
+                assert a.size
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(CoordinateError, match="shape"):
@@ -352,6 +369,97 @@ def _ref_block_sizes(spec):
     return (n1, n2, 1, 1, n2, n1)
 
 
+def _ref_conj_antitranspose(A):
+    return antitranspose(np.conj(A).T)
+
+
+def _ref_build_tangent(spec, coords):
+    """The per-family builders with hand-signed blocks that the plan replaced."""
+    N = spec.ambient
+    X = np.zeros((N, N), dtype=complex)
+    fam = spec.family
+    if fam in ("AIII", "DIII", "CI"):
+        Z = np.asarray(coords.Z, dtype=complex)
+        h = len(Z)
+        X[:h, h:] = Z
+        X[h:, :h] = -Z.conj().T
+    elif fam == "CII":
+        p, q = spec.p, spec.q
+        Z1 = np.asarray(coords.Z1, dtype=complex)
+        Z2 = np.asarray(coords.Z2, dtype=complex)
+        s0, s1, s2, s3 = 0, p, p + q, p + 2 * q
+        X[s0:s1, s1:s2] = Z1
+        X[s0:s1, s2:s3] = Z2
+        X[s1:s2, s0:s1] = -Z1.conj().T
+        X[s1:s2, s3:] = antitranspose(Z2)
+        X[s2:s3, s0:s1] = -Z2.conj().T
+        X[s2:s3, s3:] = -antitranspose(Z1)
+        X[s3:, s1:s2] = -_ref_conj_antitranspose(Z2)
+        X[s3:, s2:s3] = _ref_conj_antitranspose(Z1)
+    elif fam == "BDI_even":
+        h, q = spec.p // 2, spec.q
+        Z = np.asarray(coords.Z, dtype=complex)
+        X[:h, h:h + q] = Z
+        X[h:h + q, :h] = -Z.conj().T
+        X[h:h + q, h + q:] = -antitranspose(Z)
+        X[h + q:, h:h + q] = _ref_conj_antitranspose(Z)
+    else:
+        n1, n2 = (spec.p - 1) // 2, (spec.q - 1) // 2
+        Z1 = np.asarray(coords.Z1, dtype=complex)
+        Z2 = np.asarray(coords.Z2, dtype=complex)
+        w1 = np.asarray(coords.w1, dtype=complex).reshape(n1, 1)
+        w2 = np.asarray(coords.w2, dtype=complex).reshape(n2, 1)
+        s = float(coords.s)
+        b = list(itertools.accumulate(_ref_block_sizes(spec), initial=0))
+        m1, m2 = b[2], b[3]
+        X[b[0]:b[1], b[1]:b[2]] = Z1
+        X[b[1]:b[2], b[0]:b[1]] = -Z1.conj().T
+        X[b[0]:b[1], b[4]:b[5]] = Z2
+        X[b[4]:b[5], b[0]:b[1]] = -Z2.conj().T
+        X[b[1]:b[2], b[5]:b[6]] = -antitranspose(Z2)
+        X[b[5]:b[6], b[1]:b[2]] = _ref_conj_antitranspose(Z2)
+        X[b[4]:b[5], b[5]:b[6]] = -antitranspose(Z1)
+        X[b[5]:b[6], b[4]:b[5]] = _ref_conj_antitranspose(Z1)
+        X[b[0]:b[1], m1:m1 + 1] = w1
+        X[b[0]:b[1], m2:m2 + 1] = -w1
+        X[m1, b[0]:b[1]] = -w1.conj().ravel()
+        X[m2, b[0]:b[1]] = w1.conj().ravel()
+        X[m1, b[5]:b[6]] = antitranspose(w1).ravel()
+        X[m2, b[5]:b[6]] = -antitranspose(w1).ravel()
+        X[b[5]:b[6], m1:m1 + 1] = -antitranspose(w1.conj().T).reshape(n1, 1)
+        X[b[5]:b[6], m2:m2 + 1] = antitranspose(w1.conj().T).reshape(n1, 1)
+        X[b[1]:b[2], m1:m1 + 1] = w2
+        X[b[1]:b[2], m2:m2 + 1] = w2
+        X[m1, b[1]:b[2]] = -w2.conj().ravel()
+        X[m2, b[1]:b[2]] = -w2.conj().ravel()
+        X[m1, b[4]:b[5]] = -antitranspose(w2).ravel()
+        X[m2, b[4]:b[5]] = -antitranspose(w2).ravel()
+        X[b[4]:b[5], m1:m1 + 1] = antitranspose(w2.conj().T).reshape(n2, 1)
+        X[b[4]:b[5], m2:m2 + 1] = antitranspose(w2.conj().T).reshape(n2, 1)
+        X[m1, m1] = 1j * s
+        X[m2, m2] = -1j * s
+    return X
+
+
+def _payload_variants(spec, rng):
+    """A seeded draw, then its fields rounded to one decimal (many +-0.0) and
+    negated; the torus parameter also at 0.0, -0.0 and -0.3."""
+    coords = random_coordinates(spec, rng)
+    fields = [f.name for f in dataclasses.fields(coords)
+              if f.name not in ("family", "s") and getattr(coords, f.name) is not None]
+    for rounded, negated in itertools.product((False, True), repeat=2):
+        changes = {}
+        for name in fields:
+            value = getattr(coords, name)
+            value = np.round(value, 1) if rounded else value
+            changes[name] = -value if negated else value
+        variant = dataclasses.replace(coords, **changes)
+        yield variant
+        if spec.family == "BDI_oddodd":
+            for s in (0.0, -0.0, -0.3):
+                yield dataclasses.replace(variant, s=s)
+
+
 def _ref_involution_matrix(spec):
     fam = spec.family
     if fam == "AIII":
@@ -439,8 +547,15 @@ def test_registry_covers_every_family():
 class TestFamilyRegistry:
     def test_block_sizes_and_ambient(self, family):
         for spec in _grid(family):
-            assert block_sizes(spec) == _ref_block_sizes(spec), spec
+            assert FAMILY[family].sizes(spec) == _ref_block_sizes(spec), spec
             assert spec.ambient == sum(_ref_block_sizes(spec)), spec
+
+    def test_build_matches_hand_signed_builders_bitwise(self, family):
+        rng = np.random.default_rng(sum(map(ord, family)))
+        for spec in _grid(family):
+            for coords in _payload_variants(spec, rng):
+                assert (build_tangent(spec, coords).tobytes()
+                        == _ref_build_tangent(spec, coords).tobytes()), (spec, coords)
 
     def test_involution_matrix(self, family):
         for spec in _grid(family):
