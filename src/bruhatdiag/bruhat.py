@@ -22,6 +22,15 @@ flipped stack once per tangent and hands them to every report that reads
 them, including the minor-identity residual of ``cayley_det``; only
 bitwise-identical recomputation is shared, never one route's result with
 another route.
+
+Given a spec, the flipped stack is taken on the part of ``X`` that is not
+known to vanish: a tangent is zero on the block T of the involution's
+larger same-sign class (:func:`~bruhatdiag.spaces.zero_block`) and on its
+zero rows, so each ``det(1 + I_k X)`` is the ``p x p`` determinant of a
+Schur complement on the unit block ``(1 + I_k X)_TT`` (see
+:func:`~bruhatdiag.linalg.flipped_determinants`).  ``cayley_det`` and
+``coroot_product`` still read ``X`` alone, never ``g``; without a spec,
+or on a matrix that is not zero on T, the full N x N stack runs.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .linalg import (
     flipped_minor_expansion,
     max_abs,
 )
-from .spaces import CorootSystem, SpaceSpec, coroots
+from .spaces import CorootSystem, SpaceSpec, coroots, zero_block
 
 #: Coefficient of the scale-aware genericity cutoff: a leading minor of a
 #: matrix with max-norm M counts as vanishing when |minor| <= GENERIC_TOL * M**k.
@@ -94,9 +103,14 @@ def _flipped_ratios(dets: np.ndarray, route: str) -> np.ndarray:
     return _checked_ratios(dets, _flipped_cutoffs(dets[0], len(dets) - 1), route)
 
 
-def _check_ambient(X: np.ndarray, spec: SpaceSpec) -> None:
+def _flipped_stack(X: np.ndarray, spec: Optional[SpaceSpec]) -> np.ndarray:
+    """``det(1 + I_k X)``, k = 0..N; with a spec, ``X`` must have its ambient
+    size and the stack is split on the spec's zero block."""
+    if spec is None:
+        return flipped_determinants(X)
     if X.shape[0] != spec.ambient:
         raise ValueError(f"matrix has shape {X.shape}, ambient size is {spec.ambient}")
+    return flipped_determinants(X, zero_block(spec))
 
 
 @dataclass
@@ -261,9 +275,7 @@ def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None) -> DiagonalReport:
     minors and flipped stack it shares with the other routes.
     """
     X = as_matrix(X)
-    if spec is not None:
-        _check_ambient(X, spec)
-    dets = flipped_determinants(X)
+    dets = _flipped_stack(X, spec)
     entries = _flipped_ratios(dets, "cayley_det")
     return _cayley_det_report(dets, entries, leading_minors(cayley(X)))
 
@@ -320,9 +332,7 @@ def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
     stays in integer powers and no root branch is ever chosen.  Requires
     ``X`` to be a tangent of ``spec``.
     """
-    X = as_matrix(X)
-    _check_ambient(X, spec)
-    return _coroot_report(spec, flipped_determinants(X))
+    return _coroot_report(spec, _flipped_stack(as_matrix(X), spec))
 
 
 def cross_check(X, spec: Optional[SpaceSpec] = None) -> dict[str, DiagonalReport]:
@@ -341,13 +351,11 @@ def cross_check(X, spec: Optional[SpaceSpec] = None) -> dict[str, DiagonalReport
     X = as_matrix(X)
     g = cayley(X)
     minors = leading_minors(g)
-    dets = flipped_determinants(X)
     out = {
         "gauss": diagonal_via_gauss(g),
         "minor_ratio": _minor_ratio_report(g, minors),
     }
-    if spec is not None:
-        _check_ambient(X, spec)
+    dets = _flipped_stack(X, spec)
     out["cayley_det"] = _cayley_det_report(
         dets, _flipped_ratios(dets, "cayley_det"), minors)
     if X.shape[0] <= EXPANSION_CAP:

@@ -16,8 +16,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bruhat import NonGenericError, _check_ambient, _flipped_ratios
-from .linalg import as_matrix, flipped_determinants
+from .bruhat import NonGenericError, _flipped_ratios, _flipped_stack
+from .linalg import as_matrix
 from .spaces import FAMILY, SpaceSpec, _position_signs
 
 #: Geometric grid of scaling parameters for limit checks.
@@ -225,9 +225,8 @@ def limit_check(rep: ComponentRep, X=None) -> LimitReport:
             deviations.append(0.0)
             continue
         tX = as_matrix(t * X)
-        _check_ambient(tX, spec)
         try:
-            d = _flipped_ratios(flipped_determinants(tX), "cayley_det")
+            d = _flipped_ratios(_flipped_stack(tX, spec), "cayley_det")
         except NonGenericError:
             deviations.append(None)
             continue

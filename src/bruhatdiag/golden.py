@@ -193,9 +193,9 @@ def suite_names() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
-def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0,
-              tol: float | None = None) -> GoldenResult:
-    """Compare one suite's closed form against the determinant route."""
+def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0) -> GoldenResult:
+    """Compare one suite's closed form against the determinant route, at the
+    suite's own tolerance."""
     if name not in _SUITES:
         raise ValueError(f"unknown golden suite {name!r}; choose from {suite_names()}")
     rng = np.random.default_rng(seed)
@@ -205,7 +205,5 @@ def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0,
         for _ in range(draws):
             X, closed = case(rng, _disc_sample(rng, (n,), GOLDEN_RADIUS))
             worst = max(worst, _rel(diagonal_via_cayley(X).entries, closed))
-    return GoldenResult(
-        suite=name, draws=draws, max_deviation=worst,
-        tolerance=_SUITE_TOL[name] if tol is None else tol,
-    )
+    return GoldenResult(suite=name, draws=draws, max_deviation=worst,
+                        tolerance=_SUITE_TOL[name])

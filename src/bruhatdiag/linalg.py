@@ -10,8 +10,14 @@ principal-minor expansion is the independent combinatorial route to
 Both routes are stacked over the leading sign flips ``det(1 + I_k A)``,
 k = 0..n: :func:`flipped_determinants` is one batched LU call on the
 distinct flipped matrices (a zero row k - 1 of ``A`` makes flip k
-byte-equal to flip k - 1, so its determinant is copied, not recomputed),
-and :func:`flipped_minor_expansion` computes every principal minor of
+byte-equal to flip k - 1, so its determinant is copied, not recomputed).
+Given a block T on which ``A`` vanishes, as every tangent does on its
+involution's larger same-sign class, it factors only what is left: a zero
+row of ``A`` is a unit row of every flip and drops out, and a Schur
+complement on the unit block ``(1 + I_k A)_TT = 1`` turns each
+determinant into the ``p x p`` one of ``1_P + S_P (A_PP - A_PT S_T A_TP)``
+on the kept rows P outside T.  :func:`flipped_minor_expansion` computes
+every principal minor of
 ``A`` once (one gather and one batched ``det`` per subset size) and forms
 the n + 1 expansions as signed sums, since the minor of ``I_k A`` on
 ``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.  Its k = 0
@@ -125,7 +131,7 @@ def flipped_minor_expansion(A) -> np.ndarray:
     return totals
 
 
-def flipped_determinants(A) -> np.ndarray:
+def flipped_determinants(A, zero_block=None) -> np.ndarray:
     """``det(1 + I_k A)`` for k = 0..n from one stacked LU call over the
     distinct flips.
 
@@ -143,16 +149,75 @@ def flipped_determinants(A) -> np.ndarray:
     from the last distinct flip before it.  A batched ``det`` factorizes
     each matrix on its own, so every value equals the one the full stack
     gives.
+
+    ``zero_block`` is an optional boolean mask of positions T on which
+    ``A`` is expected to vanish (``A[T, T] = 0``; see
+    :func:`~bruhatdiag.spaces.zero_block`).  When ``A`` is zero there, two
+    exact identities shrink every determinant to the kept rows of the
+    complement P:
+
+    * a zero row i of ``A`` makes row i of ``1 + I_k A`` the unit row, so
+      row and column i drop out, and flip k becomes flip
+      ``#{kept rows < k}`` of the kept matrix;
+    * with ``A_TT = 0`` the block ``(1 + I_k A)_TT`` is the identity, and
+      the Schur complement on it gives
+      ``det(1 + I_k A) = det(1_P + S_P (A_PP - A_PT S_T A_TP))``, where
+      ``S_P`` and ``S_T`` are the signs of ``I_k`` on P and on T.  No
+      inverse is taken.
+
+    Otherwise, and when no block is passed, the full stack above runs.
     """
     A = as_matrix(A)
     n = A.shape[0]
-    eye = np.eye(n)
     changes = np.empty(n + 1, dtype=bool)
     changes[0] = True
     changes[1:] = A.any(axis=1)
+    if zero_block is not None:
+        order, p, eye, sign_p, sign_t, remap = _split_plan(
+            changes[1:].tobytes(), zero_block.tobytes())
+        B = A[order[:, None], order]
+        if not B[p:, p:].any():
+            inner = B[:p, :p] - (B[:p, p:] * sign_t[:, None, :]) @ B[p:, :p]
+            dets = np.linalg.det(eye + sign_p[:, :, None] * inner)
+            return dets if remap is None else dets[remap]
+    eye = np.eye(n)
     flipped = np.arange(n) < np.flatnonzero(changes)[:, None]
     dets = np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
     return dets[changes.cumsum() - 1]
+
+
+# A dense draw of a layout needs one plan; a witness needs one per
+# representative, and AIII(5, 5) and CI(8) together have 508 of them.
+@functools.lru_cache(maxsize=1024)
+def _split_plan(kept: bytes, block: bytes):
+    """Index order, sizes and sign tables of the split stack for one pattern
+    of nonzero rows (``kept``) and vanishing block (``block``), both the
+    bytes of boolean masks.
+
+    Returns ``(order, p, eye(p), sign_p, sign_t, remap)``: ``order`` lists
+    the kept positions outside the block (the first ``p``), then the kept
+    ones inside it; row k' of ``sign_p`` and ``sign_t`` holds the signs of
+    the kept flip k' on those two parts; ``remap`` maps flip k of the full
+    matrix to its kept flip, or is None when every row is kept.  Every
+    array is read-only, because one plan serves every matrix with the
+    pattern.
+    """
+    kept = np.frombuffer(kept, dtype=bool)
+    block = np.frombuffer(block, dtype=bool)
+    if kept.shape != block.shape:
+        raise ValueError(f"zero_block has {block.size} entries, matrix size is {kept.size}")
+    rank = np.cumsum(kept) - 1
+    outside, inside = np.flatnonzero(kept & ~block), np.flatnonzero(kept & block)
+    order = np.concatenate([outside, inside])
+    signs = np.where(rank[order] < np.arange(len(order) + 1)[:, None], -1.0, 1.0)
+    p = len(outside)
+    remap = None if kept.all() else np.concatenate([[True], kept]).cumsum() - 1
+    plan = (order, p, np.eye(p), np.ascontiguousarray(signs[:, :p]),
+            np.ascontiguousarray(signs[:, p:]), remap)
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
 
 
 def max_abs(A) -> float:

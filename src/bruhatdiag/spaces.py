@@ -193,6 +193,23 @@ def support_mask(spec: SpaceSpec) -> np.ndarray:
     return (np.multiply.outer(signs, signs) < 0) | (mid[:, None] != mid) | np.diag(mid)
 
 
+@functools.lru_cache(maxsize=64)
+def zero_block(spec: SpaceSpec) -> np.ndarray:
+    """Mask of the positions T of the involution's larger same-sign class
+    (the sign +1 class on a tie; the swapped middle pair is never in T).
+
+    Rows and columns in T carry one involution sign, so every tangent
+    vanishes on ``T x T`` (see :func:`support_mask`), and
+    :func:`~bruhatdiag.linalg.flipped_determinants` factors only the rest.
+    Built once per spec; the mask is read-only because every caller
+    shares it.
+    """
+    signs = np.array(_position_signs(spec))
+    block = signs == max((1, -1), key=lambda sign: np.count_nonzero(signs == sign))
+    block.flags.writeable = False
+    return block
+
+
 # --- coordinates -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -270,7 +287,7 @@ def random_coordinates(spec: SpaceSpec, rng: np.random.Generator,
 
 def _min_flipped_det(spec: SpaceSpec, coords: Coordinates) -> float:
     """Smallest ``|det(1 + I_k X)|`` over k = 1..N (``inf`` when N = 0)."""
-    dets = flipped_determinants(build_tangent(spec, coords))[1:]
+    dets = flipped_determinants(build_tangent(spec, coords), zero_block(spec))[1:]
     return float(np.hypot(dets.real, dets.imag).min(initial=np.inf))
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,6 +44,7 @@ from bruhatdiag.spaces import (
     cii,
     diii,
     random_coordinates,
+    zero_block,
 )
 
 FAMILY_CASES = [
@@ -431,13 +433,16 @@ class TestSharedDeterminantCore:
             assert [s[1:] for s in shapes] == [(k, k) for k in range(1, n + 1)]
 
     def test_cross_check_stacks_flipped_determinants_at_most_twice(self, monkeypatch):
+        # a dense draw keeps every row, so each determinant is p x p, p = N - |T|
         rng = np.random.default_rng(64)
-        for spec in FAMILY_CASES:
+        for spec, p in zip(FAMILY_CASES, (2, 3, 3, 4, 3, 4)):
             X = build_tangent(spec, random_coordinates(spec, rng))
             N = spec.ambient
+            assert N - np.count_nonzero(zero_block(spec)) == p
             shapes = _count_det_calls(monkeypatch)
             cross_check(X, spec)
-            assert 1 <= shapes.count((N + 1, N, N)) <= 2, spec.family
+            assert 1 <= shapes.count((N + 1, p, p)) <= 2, spec.family
+            assert (N + 1, N, N) not in shapes, spec.family
 
 
 def _flip_loop(A):
@@ -503,11 +508,12 @@ class TestDistinctFlips:
         assert reps == 411
 
     def test_only_distinct_flips_are_factorized(self, monkeypatch):
+        # 8 nonzero rows, 4 of them outside the zero block: 9 flips of 4 x 4
         rep = _block_rep(60, range(4))
         shapes = _count_det_calls(monkeypatch)
         report = limit_check(rep)
         assert report.converged
-        assert shapes == [(9, 120, 120)] * 3
+        assert shapes == [(9, 4, 4)] * 3
         # rows 1 and 4 of -0.0 leave flips 2 and 5 equal to flips 1 and 4
         A = np.arange(1.0, 37.0).reshape(6, 6) * (1 + 1j)
         A[[1, 4]] = complex(-0.0, -0.0)
@@ -518,32 +524,76 @@ class TestDistinctFlips:
         shapes.clear()
         flipped_determinants(A.T.copy())
         assert shapes == [(7, 6, 6)]
-        # a dense draw still stacks every flip
+        # a dense draw still stacks every flip, of p x p with its zero block
         rng = np.random.default_rng(81)
         for spec in FAMILY_CASES:
             X = build_tangent(spec, random_coordinates(spec, rng))
             N = spec.ambient
+            p = N - np.count_nonzero(zero_block(spec))
             shapes.clear()
             flipped_determinants(X)
-            assert shapes == [(N + 1, N, N)], spec.family
+            flipped_determinants(X, zero_block(spec))
+            assert shapes == [(N + 1, N, N), (N + 1, p, p)], spec.family
 
-    def test_limit_deviations_bitwise_equal_to_full_stack(self):
-        def full_stack(A):
-            n = A.shape[0]
-            eye = np.eye(n)
-            flipped = np.arange(n) < np.arange(n + 1)[:, None]
-            return np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
+    def test_non_tangent_with_block_equals_full_stack_bitwise(self):
+        rng = np.random.default_rng(83)
+        for spec in FAMILY_CASES + [aiii(5, 45)]:
+            block = zero_block(spec)
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            i = np.flatnonzero(block)[-1]
+            for value in (1e-300, 0.25j):
+                A = X.copy()
+                A[i, i] = value
+                assert (flipped_determinants(A, block).tobytes()
+                        == flipped_determinants(A).tobytes()), spec.family
+            # a dense non-tangent, and a block mask of the wrong size
+            A = _random_skew_hermitian(rng, spec.ambient)
+            assert flipped_determinants(A, block).tobytes() == flipped_determinants(A).tobytes()
+            with pytest.raises(ValueError, match="zero_block has"):
+                flipped_determinants(X[1:, 1:], block)
 
-        def full_stack_deviations(rep, X):
-            # limit_check as written before distinct flips: every flip factored
+    def test_split_stack_equals_full_stack_with_zero_rows(self):
+        rng = np.random.default_rng(84)
+        for spec in FAMILY_CASES + [aiii(5, 45)]:
+            block = zero_block(spec)
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            for drop in ([0], [spec.ambient - 1], list(range(0, spec.ambient, 2))):
+                A = X.copy()
+                A[drop] = 0.0
+                A[:, drop] = 0.0
+                split, full = flipped_determinants(A, block), flipped_determinants(A)
+                assert np.allclose(split, full, rtol=1e-13, atol=0), (spec.family, drop)
+                # a zero row leaves its flip's determinant equal to the previous one
+                assert all(split[k + 1] == split[k] for k in drop), (spec.family, drop)
+        # the zero matrix keeps no row: every determinant is the empty 1
+        assert flipped_determinants(np.zeros((6, 6)), zero_block(aiii(3, 3))).tolist() == [1.0] * 7
+
+    def test_zero_block_is_the_larger_sign_class_and_cached(self):
+        for spec, T in ((aiii(2, 3), [2, 3, 4]), (aiii(2, 2), [2, 3]),
+                        (cii(2, 1), [0, 1, 4, 5]), (SpaceSpec("BDI_even", p=4, q=3), [0, 1, 5, 6]),
+                        (SpaceSpec("BDI_oddodd", p=3, q=3), [0, 5]),
+                        (SpaceSpec("BDI_oddodd", p=3, q=5), [1, 2, 5, 6])):
+            block = zero_block(spec)
+            assert np.flatnonzero(block).tolist() == T, spec
+            assert block is zero_block(spec)
+            assert not block.flags.writeable
+            X = build_tangent(spec, random_coordinates(spec, np.random.default_rng(85)))
+            assert not X[np.ix_(block, block)].any()
+
+    def test_limit_deviations_match_extended_precision(self):
+        # a witness pairs rows (i, j) with X[i, j] = 1 = -X[j, i], so flip k
+        # has det = prod over pairs of 1 + s_i s_j t**2; evaluated in 30 digits
+        def reference_deviations(rep, X):
             target = np.array(rep.signs, dtype=float)
+            pairs = list(zip(*np.nonzero(np.triu(X != 0))))
             devs = []
             for t in DEFAULT_GRID:
-                try:
-                    d = bruhat._flipped_ratios(full_stack(t * X), "cayley_det")
-                except NonGenericError:
-                    devs.append(None)
-                    continue
+                dets = []
+                for k in range(X.shape[0] + 1):
+                    s = [-1 if i < k else 1 for i in range(X.shape[0])]
+                    dets.append(mpmath.fprod(1 + s[i] * s[j] * mpmath.mpf(t) ** 2
+                                             for i, j in pairs))
+                d = np.array([float(dets[k] / dets[k - 1]) for k in range(1, len(dets))])
                 devs.append(float(np.max(np.abs(d - target) / np.maximum(1.0, np.abs(d)))))
             return devs
 
@@ -553,7 +603,11 @@ class TestDistinctFlips:
                  for j in (2, 7, 13)]
         for rep in reps:
             X = construct_witness(rep)
-            assert limit_check(rep, X).deviations == full_stack_deviations(rep, X), rep.label()
+            assert np.all(X == -X.T) and np.all(np.count_nonzero(X, axis=1) <= 1)
+            assert np.all(np.abs(X[X != 0]) == 1)
+            got = limit_check(rep, X).deviations
+            want = reference_deviations(rep, X)
+            assert np.allclose(got, want, rtol=0, atol=1e-12), rep.label()
 
 
 LARGE_CASES = [aiii(10, 10), aiii(5, 45)]
@@ -618,9 +672,10 @@ class TestSharedTables:
         for spec in FAMILY_CASES + LARGE_CASES:
             X = build_tangent(spec, random_coordinates(spec, rng))
             N = spec.ambient
+            p = N - np.count_nonzero(zero_block(spec))
             det_shapes, solves = _count_linalg_calls(monkeypatch)
             cross_check(X, spec)
-            assert det_shapes.count((N + 1, N, N)) == 1, spec.family
+            assert det_shapes.count((N + 1, p, p)) == 1, spec.family
             for k in range(1, N + 1):
                 assert det_shapes.count((k, k)) == 1, (spec.family, k)
             assert len(solves) == 1, spec.family

@@ -134,6 +134,17 @@ class TestVerifyCommands:
         assert len(obj["results"]) == 6
         assert all(r["draws"] == 100 for r in obj["results"])
 
+    @pytest.mark.parametrize("m,n,seed,draws", [(5, 45, 1255, 3), (10, 10, 1259, 8)])
+    def test_verify_large_draws_within_gap_tolerance(self, capsys, m, n, seed, draws):
+        # the last draw of each missed the 1e-9 route gap (1.088e-9, 1.502e-9)
+        # while cayley_det factored full N x N flips
+        code, out, _ = run_cli(capsys, "verify", "--family", "AIII", "--m", str(m),
+                               "--n", str(n), "--seed", str(seed), "--draws", str(draws))
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert result["ok"] is True
+        assert result["max_route_gap"] <= 1e-9
+
     def test_verify_rep(self, capsys):
         code, out, _ = run_cli(capsys, "verify-rep", "--n", "3", "--samples", "25")
         assert code == 0

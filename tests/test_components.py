@@ -248,10 +248,11 @@ class TestLimitCheck:
                             lambda a: det_shapes.append(np.shape(a)) or real_det(a))
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: solves.append(np.shape(a)) or real_solve(a, b))
+        # every row of the all-negative witness is nonzero; 3 lie outside the zero block
         rep = enumerate_components(aiii(3, 3))[-1]
         X = construct_witness(rep)
         report = limit_check(rep, X)
-        assert det_shapes == [(7, 6, 6)] * len(report.t_grid)
+        assert det_shapes == [(7, 3, 3)] * len(report.t_grid)
         assert solves == []
 
     def test_shape_mismatch_raises(self):

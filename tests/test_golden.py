@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bruhatdiag.golden import (
+    GOLDEN_TOL,
     cpn_closed_form,
     hp1_closed_form,
     rp_even_closed_form,
@@ -51,6 +52,12 @@ class TestSuites:
     def test_each_suite_passes(self, name):
         result = run_suite(name, draws=50, seed=0)
         assert result.ok, (name, result.max_deviation)
+
+    def test_each_suite_is_judged_at_its_own_tolerance(self):
+        assert run_suite("cpn", draws=5).tolerance == 1e-10
+        assert run_suite("hp1", draws=5).tolerance == GOLDEN_TOL
+        with pytest.raises(TypeError):
+            run_suite("cpn", draws=5, tol=1e-9)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown golden suite"):

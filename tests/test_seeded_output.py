@@ -37,30 +37,30 @@ MATRIX = ('{"n": 3, "entries": [[[2, 0.5], [1, -1], [0.5, 0]], [[-1, 0.25], [3, 
 
 PINNED = {
     "verify": (("verify", "--format", "json"),
-               "afff9bc465e3c822b3584d7be8fdb74f"),
+               "90af29faaa9ac6489d014b09de862dbe"),
     "golden": (("golden", "--suite", "all", "--format", "json"),
                "c15d4c99ed16f0583ca84f6131931c9b"),
     "enumerate_aiii_limits": (("enumerate", "--family", "AIII", "--m", "3", "--n", "3",
                                "--check-limits", "--format", "json"),
-                              "e8211a1636041a90f020a5a22cb7a371"),
+                              "61b22015edbc772b65f201922f72a9c4"),
     "enumerate_ci_8_limits": (("enumerate", "--family", "CI", "--n", "8",
                                "--check-limits", "--format", "json"),
-                              "bf3744b99456a638ae94e4fdeb5a8671"),
+                              "0f22eae697ef5e2f669bd6d1446261f3"),
     "enumerate_aiii_5_5_limits": (("enumerate", "--family", "AIII", "--m", "5", "--n", "5",
                                    "--check-limits", "--format", "json"),
-                                  "0a1e48b02915a63eef4e2581e5e97763"),
+                                  "f412649474737528617ed21a2c428b8f"),
     "enumerate_bdi_oddodd": (("enumerate", "--family", "BDI_oddodd", "--p", "3", "--q", "5",
                               "--format", "json"),
                              "708819b070cc409a9d4fa5cbd66dcf74"),
     "verify_aiii_5_45": (("verify", "--family", "AIII", "--m", "5", "--n", "45",
                           "--draws", "20", "--format", "json"),
-                         "78a987af6a90f70b3c58ce80d3465393"),
+                         "dfd5bdc925ebcc6c88324a7c1c507c83"),
     "d_all_cii": (("d", "--method", "all", "--payload", CII_PAYLOAD),
-                  "c8bbffd92f14165ceff288aa85980a00"),
+                  "3698bc5037532306f4aeaae1f7ea8d2a"),
     "d_all_bdi_oddodd": (("d", "--method", "all", "--payload", BDI_ODDODD_PAYLOAD),
-                         "3d7f274702d5fd76932b3b4cba5152ff"),
+                         "dd2b41cab4f8b77e9249e90cd519eaa5"),
     "d_coroot_product": (("d", "--method", "coroot_product", "--payload", AIII_PAYLOAD),
-                         "9e071c6c240c2385dced2249b0580fc5"),
+                         "33aeee56d933417ce3a49f4c96679f6d"),
     "build_bdi_oddodd_zeros": (("build", "--payload", BDI_ODDODD_ZEROS_PAYLOAD),
                                "a7854d1ff7162ee39d8e1a9b488430b1"),
     "build_cii": (("build", "--payload", CII_PAYLOAD), "18feb9be83c291d432ec38bafc797062"),
