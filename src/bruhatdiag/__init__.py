@@ -10,8 +10,10 @@ stratum and drives the scaling limits that exhibit them.
 
 from .bruhat import (
     DiagonalReport,
+    Draw,
     LDUFactorization,
     NonGenericError,
+    check_draw,
     cross_check,
     diagonal_via_cayley,
     diagonal_via_coroots,

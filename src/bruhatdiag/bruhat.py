@@ -23,6 +23,12 @@ them, including the minor-identity residual of ``cayley_det``; only
 bitwise-identical recomputation is shared, never one route's result with
 another route.
 
+:func:`check_draw` is the one checked random draw, as ``bruhatdiag
+verify`` and the acceptance sweep make it: the rejection loop of
+:func:`~bruhatdiag.spaces.random_coordinates` hands over the tangent and
+flipped stack it accepted the draw on, and one ``g = cayley(X)`` serves
+the routes and the membership check, so a draw builds each once.
+
 Given a spec, the flipped stack is taken on the part of ``X`` that is not
 known to vanish: a tangent is zero on the block T of the involution's
 larger same-sign class (:func:`~bruhatdiag.spaces.zero_block`) and on its
@@ -40,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import cayley
+from .cayley import cayley, verify_image
 from .linalg import (
     EXPANSION_CAP,
     as_matrix,
@@ -49,7 +55,7 @@ from .linalg import (
     flipped_minor_expansion,
     max_abs,
 )
-from .spaces import CorootSystem, SpaceSpec, coroots, zero_block
+from .spaces import CorootSystem, SpaceSpec, _draw_tangent, coroots, zero_block
 
 #: Coefficient of the scale-aware genericity cutoff: a leading minor of a
 #: matrix with max-norm M counts as vanishing when |minor| <= GENERIC_TOL * M**k.
@@ -349,13 +355,21 @@ def cross_check(X, spec: Optional[SpaceSpec] = None) -> dict[str, DiagonalReport
     and each error equals the one the standalone route gives.
     """
     X = as_matrix(X)
-    g = cayley(X)
+    return _cross_check(X, spec, cayley(X))
+
+
+def _cross_check(X: np.ndarray, spec: Optional[SpaceSpec], g: np.ndarray,
+                 dets: Optional[np.ndarray] = None) -> dict[str, DiagonalReport]:
+    """:func:`cross_check` on ``X`` with its image ``g`` and, if already
+    built, its flipped stack ``dets``; a missing stack is built after
+    ``gauss`` and ``minor_ratio``, so errors come in the same order."""
     minors = leading_minors(g)
     out = {
         "gauss": diagonal_via_gauss(g),
         "minor_ratio": _minor_ratio_report(g, minors),
     }
-    dets = _flipped_stack(X, spec)
+    if dets is None:
+        dets = _flipped_stack(X, spec)
     out["cayley_det"] = _cayley_det_report(
         dets, _flipped_ratios(dets, "cayley_det"), minors)
     if X.shape[0] <= EXPANSION_CAP:
@@ -384,3 +398,30 @@ def max_cross_gap(reports: dict[str, DiagonalReport]) -> float:
     scale = np.fmax(np.fmax(1.0, mag[:, None]), mag[None])
     gaps = np.hypot(diff.real, diff.imag) / scale
     return float(np.fmax.reduce(gaps, axis=None, initial=0.0))
+
+
+@dataclass(frozen=True)
+class Draw:
+    """One checked random draw: every route's report, the worst gap
+    between them (:func:`max_cross_gap`) and the worst membership
+    violation of the image (:func:`~bruhatdiag.cayley.verify_image`)."""
+
+    reports: dict[str, DiagonalReport]
+    gap: float
+    membership: float
+
+
+def check_draw(spec: SpaceSpec, rng: np.random.Generator, radius: float = 0.7) -> Draw:
+    """Draw a tangent of ``spec`` as :func:`~bruhatdiag.spaces.random_coordinates`
+    does, on the same stream, and check it.
+
+    The tangent and flipped stack the draw was accepted on, and one image
+    ``g = cayley(X)``, serve every route and the membership check; the
+    result equals :func:`cross_check`, :func:`max_cross_gap` and
+    ``verify_image(spec, cayley(X))`` on the drawn ``X``.
+    """
+    _, X, dets = _draw_tangent(spec, rng, radius)
+    g = cayley(X)
+    reports = _cross_check(X, spec, g, dets)
+    membership = max(verify_image(spec, g).violations.values())
+    return Draw(reports, max_cross_gap(reports), membership)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from . import golden as golden_mod
 from .bruhat import (
     NonGenericError,
+    check_draw,
     cross_check,
     diagonal_via_cayley,
     diagonal_via_coroots,
@@ -28,7 +30,7 @@ from .bruhat import (
     ldu,
     max_cross_gap,
 )
-from .cayley import cayley, verify_image
+from .cayley import cayley
 from .components import enumerate_components, limit_check
 from .linalg import matrix_from_json, matrix_to_json
 from .repcompat import verify_conjugacy
@@ -39,7 +41,6 @@ from .spaces import (
     build_tangent,
     coordinates_from_json,
     coordinates_from_payload,
-    random_coordinates,
     spec_from_family,
 )
 
@@ -54,6 +55,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _checked(kind: type, holds, what: str):
+    """An argparse ``type`` that parses ``kind`` and refuses values for which
+    ``holds`` is false, so the usage error names the flag."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+_RADIUS = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bruhatdiag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,7 +82,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     def add_tol(p):
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=_TOL, default=1e-9,
                        help="check tolerance (default 1e-9)")
 
     def add_seed(p):
@@ -95,8 +115,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="cross-check all routes on random draws")
     add_common(p), add_space(p), add_tol(p), add_seed(p)
-    p.add_argument("--draws", type=int, default=100)
-    p.add_argument("--radius", type=float, default=0.7)
+    p.add_argument("--draws", type=_COUNT, default=100)
+    p.add_argument("--radius", type=_RADIUS, default=0.7)
 
     p = sub.add_parser("enumerate", help="component representatives")
     add_common(p), add_space(p)
@@ -106,12 +126,12 @@ def _build_parser() -> _Parser:
     add_common(p), add_seed(p)
     p.add_argument("--suite", default="all",
                    help=f"one of {golden_mod.suite_names()} or 'all'")
-    p.add_argument("--draws", type=int, default=golden_mod.GOLDEN_DRAWS)
+    p.add_argument("--draws", type=_COUNT, default=golden_mod.GOLDEN_DRAWS)
 
     p = sub.add_parser("verify-rep", help="representation conjugacy checks")
     add_common(p), add_seed(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_COUNT, default=100)
 
     return parser
 
@@ -245,12 +265,10 @@ def _cmd_verify(args) -> int:
         rng = np.random.default_rng(args.seed)
         worst_gap = worst_member = worst_lemma = 0.0
         for _ in range(args.draws):
-            X = build_tangent(spec, random_coordinates(spec, rng, args.radius))
-            reports = cross_check(X, spec)
-            worst_gap = max(worst_gap, max_cross_gap(reports))
-            worst_lemma = max(worst_lemma, reports["cayley_det"].lemma3_residual)
-            img = verify_image(spec, cayley(X), tol=args.tol)
-            worst_member = max(worst_member, max(img.violations.values()))
+            draw = check_draw(spec, rng, args.radius)
+            worst_gap = max(worst_gap, draw.gap)
+            worst_lemma = max(worst_lemma, draw.reports["cayley_det"].lemma3_residual)
+            worst_member = max(worst_member, draw.membership)
         ok = worst_gap <= args.tol and worst_member <= args.tol and worst_lemma <= args.tol
         all_ok &= ok
         results.append({

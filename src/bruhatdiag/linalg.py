@@ -9,17 +9,15 @@ principal-minor expansion is the independent combinatorial route to
 
 Both routes are stacked over the leading sign flips ``det(1 + I_k A)``,
 k = 0..n: :func:`flipped_determinants` is one batched LU call on the
-distinct flipped matrices (a zero row k - 1 of ``A`` makes flip k
-byte-equal to flip k - 1, so its determinant is copied, not recomputed).
-Given a block T on which ``A`` vanishes, as every tangent does on its
-involution's larger same-sign class, it factors only what is left: a zero
-row of ``A`` is a unit row of every flip and drops out, and a Schur
-complement on the unit block ``(1 + I_k A)_TT = 1`` turns each
-determinant into the ``p x p`` one of ``1_P + S_P (A_PP - A_PT S_T A_TP)``
-on the kept rows P outside T.  :func:`flipped_minor_expansion` computes
-every principal minor of
-``A`` once (one gather and one batched ``det`` per subset size) and forms
-the n + 1 expansions as signed sums, since the minor of ``I_k A`` on
+flipped matrices.  Given a block T on which ``A`` vanishes, as every
+tangent does on its involution's larger same-sign class, it factors only
+what is left: a zero row of ``A`` is a unit row of every flip and drops
+out, and a Schur complement on the unit block ``(1 + I_k A)_TT = 1``
+turns each determinant into the ``p x p`` one of
+``1_P + S_P (A_PP - A_PT S_T A_TP)`` on the kept rows P outside T.
+:func:`flipped_minor_expansion` computes every principal minor of ``A``
+once (one gather and one batched ``det`` per subset size) and forms the
+n + 1 expansions as signed sums, since the minor of ``I_k A`` on
 ``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.  Its k = 0
 row is ``det(1 + A)`` as the sum of all principal minors.
 
@@ -132,23 +130,15 @@ def flipped_minor_expansion(A) -> np.ndarray:
 
 
 def flipped_determinants(A, zero_block=None) -> np.ndarray:
-    """``det(1 + I_k A)`` for k = 0..n from one stacked LU call over the
-    distinct flips.
+    """``det(1 + I_k A)`` for k = 0..n from one stacked LU call.
 
     ``I_0`` is the identity; for n = 0 the single entry is the empty
     determinant 1.  Row i of ``1 + I_k A`` is row i of ``1 - A`` when
     i < k and of ``1 + A`` otherwise, so the stack is one selection
     between those two matrices (the same values as ``1 + I_k @ A``,
-    with a single stack-sized allocation).
-
-    Flip k differs from flip k - 1 only in row k - 1.  Where that row of
-    ``A`` is zero (of either sign), ``1 - A`` and ``1 + A`` hold the same
-    bytes there (``+0.0`` off the diagonal, ``1.0`` on it), so the two
-    flipped matrices are byte-equal.  Only k = 0 and the k whose row
-    k - 1 is nonzero are factorized; every other determinant is copied
-    from the last distinct flip before it.  A batched ``det`` factorizes
-    each matrix on its own, so every value equals the one the full stack
-    gives.
+    with a single stack-sized allocation).  A batched ``det`` factorizes
+    each matrix on its own, so every value equals the one a per-flip
+    loop gives.
 
     ``zero_block`` is an optional boolean mask of positions T on which
     ``A`` is expected to vanish (``A[T, T] = 0``; see
@@ -169,21 +159,17 @@ def flipped_determinants(A, zero_block=None) -> np.ndarray:
     """
     A = as_matrix(A)
     n = A.shape[0]
-    changes = np.empty(n + 1, dtype=bool)
-    changes[0] = True
-    changes[1:] = A.any(axis=1)
     if zero_block is not None:
         order, p, eye, sign_p, sign_t, remap = _split_plan(
-            changes[1:].tobytes(), zero_block.tobytes())
+            A.any(axis=1).tobytes(), zero_block.tobytes())
         B = A[order[:, None], order]
         if not B[p:, p:].any():
             inner = B[:p, :p] - (B[:p, p:] * sign_t[:, None, :]) @ B[p:, :p]
             dets = np.linalg.det(eye + sign_p[:, :, None] * inner)
             return dets if remap is None else dets[remap]
     eye = np.eye(n)
-    flipped = np.arange(n) < np.flatnonzero(changes)[:, None]
-    dets = np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
-    return dets[changes.cumsum() - 1]
+    flipped = np.arange(n) < np.arange(n + 1)[:, None]
+    return np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
 
 
 # A dense draw of a layout needs one plan; a witness needs one per

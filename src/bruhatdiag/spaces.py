@@ -260,35 +260,44 @@ def _disc_sample(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
     return r * np.exp(1j * phi)
 
 
+#: A random draw whose tangent has some ``|det(1 + I_k X)|``, k = 1..N, at
+#: or below this floor sits too close to a cell boundary and is redrawn.
+CONDITION_FLOOR = 1e-3
+
+
 def random_coordinates(spec: SpaceSpec, rng: np.random.Generator,
-                       radius: float = 0.7,
-                       condition_floor: float = 1e-3) -> Coordinates:
+                       radius: float = 0.7) -> Coordinates:
     """Sample a coordinate payload with entries in the disc of ``radius``.
 
     Constrained payloads (DIII, CI) are filled from their free entries so
     the symmetry holds exactly rather than after projection.
 
     Draws whose tangent sits too close to a cell boundary (some
-    ``|det(1 + I_k X)|`` below ``condition_floor``) are redrawn, so random
-    sampling stays away from near-degenerate minors; degenerate inputs are
-    for deliberate tests, not accidents.  Pass ``condition_floor=0`` to
-    disable the rejection.
+    ``|det(1 + I_k X)|`` at or below :data:`CONDITION_FLOOR`) are redrawn,
+    so random sampling stays away from near-degenerate minors; degenerate
+    inputs are for deliberate tests, not accidents.
     """
+    return _draw_tangent(spec, rng, radius)[0]
+
+
+def _draw_tangent(spec: SpaceSpec, rng: np.random.Generator,
+                  radius: float) -> tuple[Coordinates, np.ndarray, np.ndarray]:
+    """The rejection loop of :func:`random_coordinates`.
+
+    Returns the accepted payload with the tangent ``X`` and the split
+    stack ``det(1 + I_k X)``, k = 0..N, built to judge it, so a caller
+    that goes on to check the draw need not build either again.
+    """
+    block = zero_block(spec)
     for _ in range(1000):
         coords = _sample_coordinates(spec, rng, radius)
-        if condition_floor <= 0.0:
-            return coords
-        if _min_flipped_det(spec, coords) > condition_floor:
-            return coords
+        X = build_tangent(spec, coords)
+        dets = flipped_determinants(X, block)
+        if np.hypot(dets.real[1:], dets.imag[1:]).min(initial=np.inf) > CONDITION_FLOOR:
+            return coords, X, dets
     raise RuntimeError(
         f"could not draw a well-conditioned payload for {spec.family} "
-        f"at radius {radius}; lower the radius or the condition floor")
-
-
-def _min_flipped_det(spec: SpaceSpec, coords: Coordinates) -> float:
-    """Smallest ``|det(1 + I_k X)|`` over k = 1..N (``inf`` when N = 0)."""
-    dets = flipped_determinants(build_tangent(spec, coords), zero_block(spec))[1:]
-    return float(np.hypot(dets.real, dets.imag).min(initial=np.inf))
+        f"at radius {radius}; lower the radius")
 
 
 def _sample_coordinates(spec: SpaceSpec, rng: np.random.Generator,
@@ -506,10 +515,6 @@ class ViolationReport:
     @property
     def ok(self) -> bool:
         return all(v <= self.tolerance for v in self.violations.values())
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.violations, key=self.violations.get)
-        return name, self.violations[name]
 
 
 def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:

@@ -11,11 +11,10 @@ import pytest
 
 from bruhatdiag.bruhat import (
     NonGenericError,
-    cross_check,
+    check_draw,
     diagonal_via_cayley,
     diagonal_via_minors,
     ldu,
-    max_cross_gap,
     point_genericity,
     tangent_genericity,
 )
@@ -59,17 +58,18 @@ def route_sweep():
         worst_gap = 0.0
         worst_lemma = 0.0
         for _ in range(DRAWS):
-            X = build_tangent(spec, random_coordinates(spec, rng, RADIUS))
-            reports = cross_check(X)  # gauss, minor_ratio, cayley_det, fredholm
-            worst_gap = max(worst_gap, max_cross_gap(reports))
-            worst_lemma = max(worst_lemma, reports["cayley_det"].lemma3_residual)
+            draw = check_draw(spec, rng, RADIUS)
+            assert list(draw.reports) == ["gauss", "minor_ratio", "cayley_det",
+                                          "fredholm", "coroot_product"]
+            worst_gap = max(worst_gap, draw.gap)
+            worst_lemma = max(worst_lemma, draw.reports["cayley_det"].lemma3_residual)
         results[spec.family] = (worst_gap, worst_lemma)
     return results
 
 
 def test_criterion_1_route_equivalence(route_sweep):
     worst = max(gap for gap, _ in route_sweep.values())
-    detail = (f"max relative gap among gauss/minor/cayley/fredholm over "
+    detail = (f"max relative gap among gauss/minor/cayley/fredholm/coroot over "
               f"{DRAWS} draws x {len(FAMILY_CASES)} families = {worst:.3e} (tol 1e-8)")
     _report(1, worst <= 1e-8, detail)
 

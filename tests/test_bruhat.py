@@ -5,9 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from bruhatdiag import bruhat
+from bruhatdiag import bruhat, spaces
 from bruhatdiag.bruhat import (
     NonGenericError,
+    check_draw,
     cross_check,
     diagonal_via_cayley,
     diagonal_via_coroots,
@@ -20,7 +21,7 @@ from bruhatdiag.bruhat import (
     point_genericity,
     tangent_genericity,
 )
-from bruhatdiag.cayley import cayley
+from bruhatdiag.cayley import cayley, verify_image
 from bruhatdiag.components import (
     DEFAULT_GRID,
     ComponentRep,
@@ -44,6 +45,7 @@ from bruhatdiag.spaces import (
     cii,
     diii,
     random_coordinates,
+    spec_from_family,
     zero_block,
 )
 
@@ -514,12 +516,12 @@ class TestDistinctFlips:
         report = limit_check(rep)
         assert report.converged
         assert shapes == [(9, 4, 4)] * 3
-        # rows 1 and 4 of -0.0 leave flips 2 and 5 equal to flips 1 and 4
+        # without a block every flip is factorized, zero rows of -0.0 or not
         A = np.arange(1.0, 37.0).reshape(6, 6) * (1 + 1j)
         A[[1, 4]] = complex(-0.0, -0.0)
         shapes.clear()
         flipped_determinants(A)
-        assert shapes == [(5, 6, 6)]
+        assert shapes == [(7, 6, 6)]
         # zero columns under nonzero rows: every flip is a different matrix
         shapes.clear()
         flipped_determinants(A.T.copy())
@@ -730,3 +732,41 @@ class TestSharedTables:
         with pytest.raises(NonGenericError) as err:
             cross_check(boundary, aiii(2, 2))
         assert err.value.route == "gauss"
+
+
+class TestCheckDraw:
+    def test_equals_public_composition(self, monkeypatch):
+        # the six `verify` defaults, AIII(5, 45), and AIII(2, 3) at seed 134,
+        # whose first payload the rejection loop redraws
+        samples = []
+        real_sample = spaces._sample_coordinates
+
+        def counting_sample(*args):
+            samples.append(args[0])
+            return real_sample(*args)
+
+        monkeypatch.setattr(spaces, "_sample_coordinates", counting_sample)
+        cases = [(spec_from_family(f, **FAMILY[f].defaults), 0) for f in FAMILY]
+        cases += [(aiii(5, 45), 0), (aiii(2, 3), 134)]
+        for spec, seed in cases:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                samples.clear()
+                draw = check_draw(spec, rng)
+                drawn = len(samples)
+                X = build_tangent(spec, random_coordinates(spec, ref_rng))
+                reports = cross_check(X, spec)
+                assert len(samples) == 2 * drawn
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert list(draw.reports) == list(reports), spec.family
+                for tag, r in reports.items():
+                    d = draw.reports[tag]
+                    assert d.entries.tobytes() == r.entries.tobytes(), (spec, tag)
+                    assert (d.generic, d.product, d.lemma3_residual) == (
+                        r.generic, r.product, r.lemma3_residual), (spec, tag)
+                assert draw.gap == max_cross_gap(reports), spec.family
+                assert draw.membership == max(
+                    verify_image(spec, cayley(X)).violations.values()), spec.family
+        samples.clear()
+        check_draw(aiii(2, 3), np.random.default_rng(134))
+        assert len(samples) == 2

@@ -1,13 +1,17 @@
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bruhatdiag import cli
+from bruhatdiag import bruhat, cli, spaces
 from bruhatdiag.cli import main
 from bruhatdiag.linalg import matrix_from_json
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +149,34 @@ class TestVerifyCommands:
         assert result["ok"] is True
         assert result["max_route_gap"] <= 1e-9
 
+    def test_verify_builds_one_image_and_stack_per_draw(self, capsys, monkeypatch):
+        # seed 134 redraws the first AIII(2, 3) payload: a redrawn payload
+        # costs its own stack, an accepted one no second stack or image
+        solves, stacks, samples = [], [], []
+        real_solve = np.linalg.solve
+        real_sample = spaces._sample_coordinates
+
+        def counting_solve(a, b):
+            solves.append(np.shape(a))
+            return real_solve(a, b)
+
+        def counting_sample(*args):
+            samples.append(args[0].family)
+            return real_sample(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(spaces, "_sample_coordinates", counting_sample)
+        for module in (spaces, bruhat):
+            real = module.flipped_determinants
+            monkeypatch.setattr(module, "flipped_determinants",
+                                lambda *args, real=real: stacks.append(1) or real(*args))
+        code, out, _ = run_cli(capsys, "verify", "--seed", "134", "--draws", "3")
+        assert code == 0
+        assert len(json.loads(out)["results"]) == 6
+        assert len(solves) == 6 * 3
+        assert samples.count("AIII") == 4 and len(samples) > 6 * 3
+        assert len(stacks) == len(samples)
+
     def test_verify_rep(self, capsys):
         code, out, _ = run_cli(capsys, "verify-rep", "--n", "3", "--samples", "25")
         assert code == 0
@@ -263,6 +295,25 @@ class TestErrorHandling:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("verify", "--draws", "-3"), "--draws"),
+        (("verify", "--draws", "0"), "--draws"),
+        (("golden", "--draws", "-1"), "--draws"),
+        (("verify-rep", "--n", "3", "--samples", "-2"), "--samples"),
+        (("verify", "--tol", "nan"), "--tol"),
+        (("d", "--family", "AIII", "--m", "1", "--n", "1", "--method", "all",
+          "--payload", '{"Z": [[[0.5, 0]]]}', "--tol", "nan"), "--tol"),
+        (("verify", "--radius", "inf"), "--radius"),
+        (("verify", "--radius", "0"), "--radius"),
+    ], ids=["verify_draws_negative", "verify_draws_zero", "golden_draws_negative",
+            "verify_rep_samples_negative", "verify_tol_nan", "d_tol_nan",
+            "verify_radius_inf", "verify_radius_zero"])
+    def test_malformed_count_or_tolerance_is_refused(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        assert f"argument {flag}: must be " in capsys.readouterr().err
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "golden", "--suite", "nope")
         assert code == 1
@@ -296,3 +347,14 @@ class TestDeterminism:
                             "--format", "table")
         first = out.split()[0]
         assert first == "0.6"
+
+
+class TestBenchmarkParity:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_pipeline_matches_verify(self, monkeypatch, seed):
+        # the benchmark refuses to time (exit 3) when its draw pipeline and
+        # `bruhatdiag verify` disagree; the same check runs here first
+        monkeypatch.syspath_prepend(str(BENCH))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        workloads = importlib.import_module("workloads")
+        assert workloads.cli_parity(seed) == []
