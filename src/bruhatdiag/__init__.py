@@ -23,8 +23,6 @@ from .bruhat import (
     flipped_determinants,
     ldu,
     max_cross_gap,
-    point_genericity,
-    tangent_genericity,
 )
 from .cayley import cayley, verify_image
 from .components import (

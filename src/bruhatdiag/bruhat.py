@@ -23,6 +23,14 @@ them, including the minor-identity residual of ``cayley_det``; only
 bitwise-identical recomputation is shared, never one route's result with
 another route.
 
+A route returns a report only for an input that is generic at every
+step, and otherwise raises :class:`NonGenericError` with the step.
+``gauss`` and ``minor_ratio`` cut leading minors of ``g`` on ``g``'s
+scale; ``cayley_det``, ``fredholm`` and ``coroot_product`` cut every
+``det(1 + I_k X)``, k = 1..N, on the scale of ``det(1 + X)`` through one
+check, so the two routes that read the flipped stack refuse the same
+inputs at the same step.
+
 :func:`check_draw` is the one checked random draw, as ``bruhatdiag
 verify`` and the acceptance sweep make it: the rejection loop of
 :func:`~bruhatdiag.spaces.random_coordinates` hands over the tangent and
@@ -57,8 +65,9 @@ from .linalg import (
 )
 from .spaces import CorootSystem, SpaceSpec, _draw_tangent, coroots, zero_block
 
-#: Coefficient of the scale-aware genericity cutoff: a leading minor of a
-#: matrix with max-norm M counts as vanishing when |minor| <= GENERIC_TOL * M**k.
+#: Coefficient of the scale-aware genericity cutoffs: a leading minor of a
+#: matrix with max-norm M counts as vanishing when |minor| <= GENERIC_TOL * M**k,
+#: and det(1 + I_k X) when it is at most GENERIC_TOL * |det(1 + X)|.
 GENERIC_TOL = 1e-10
 
 
@@ -82,16 +91,6 @@ def _minor_cutoffs(A) -> np.ndarray:
     return GENERIC_TOL * scale ** np.arange(1, n + 1)
 
 
-def _flipped_cutoffs(det_plus: complex, n: int) -> np.ndarray:
-    """Cutoffs for |det(1 + I_k X)|, k = 1..n.
-
-    The minor identity det(1 + I_k X) = det(g[k]) det(1 + X) reduces
-    genericity of a tangent to genericity of its unitary image, whose
-    max-norm is at most 1; so the image cutoff rescales by |det(1 + X)|.
-    """
-    return np.full(n, GENERIC_TOL * max(abs(det_plus), 1e-300))
-
-
 def _checked_ratios(values: np.ndarray, cutoffs: np.ndarray, route: str) -> np.ndarray:
     """Telescoping ratios ``values[k] / values[k - 1]``, k = 1..n.
 
@@ -105,8 +104,15 @@ def _checked_ratios(values: np.ndarray, cutoffs: np.ndarray, route: str) -> np.n
 
 
 def _flipped_ratios(dets: np.ndarray, route: str) -> np.ndarray:
-    """Checked ratios of the flipped determinants ``det(1 + I_k X)``, k = 0..n."""
-    return _checked_ratios(dets, _flipped_cutoffs(dets[0], len(dets) - 1), route)
+    """Checked ratios of the flipped determinants ``det(1 + I_k X)``, k = 0..n.
+
+    The minor identity det(1 + I_k X) = det(g[k]) det(1 + X) reduces
+    genericity of a tangent to genericity of its unitary image, whose
+    max-norm is at most 1; so every k = 1..n has the image cutoff
+    rescaled by |det(1 + X)|.
+    """
+    cutoff = GENERIC_TOL * max(abs(dets[0]), 1e-300)
+    return _checked_ratios(dets, np.full(len(dets) - 1, cutoff), route)
 
 
 def _flipped_stack(X: np.ndarray, spec: Optional[SpaceSpec]) -> np.ndarray:
@@ -130,17 +136,18 @@ class LDUFactorization:
 
 @dataclass
 class DiagonalReport:
-    """Diagonal entries with their method tag and genericity flags.
+    """Diagonal entries with their method tag.
 
-    ``product`` is the product of the entries, which equals the
-    determinant of the underlying group element.  The ``cayley_det`` route
-    also attaches its minor-identity residual (`lemma3_residual`), which
-    is not part of the JSON form.
+    A route returns a report only for an input that is generic at every
+    step; otherwise it raises :class:`NonGenericError`.  ``product`` is
+    the product of the entries, which equals the determinant of the
+    underlying group element.  The ``cayley_det`` route also attaches its
+    minor-identity residual (`lemma3_residual`), which is not part of the
+    JSON form.
     """
 
     method: str
     entries: np.ndarray
-    generic: list[bool]
     product: complex
     lemma3_residual: Optional[float] = None
 
@@ -148,20 +155,14 @@ class DiagonalReport:
         return {
             "method": self.method,
             "entries": [complex_to_pair(z) for z in self.entries],
-            "generic": list(self.generic),
             "product": complex_to_pair(self.product),
         }
 
 
-def _report(method: str, entries: np.ndarray, generic, **extra) -> DiagonalReport:
+def _report(method: str, entries: np.ndarray, **extra) -> DiagonalReport:
     entries = np.asarray(entries, dtype=complex)
-    return DiagonalReport(
-        method=method,
-        entries=entries,
-        generic=[bool(b) for b in generic],
-        product=complex(np.prod(entries)) if entries.size else 1.0 + 0.0j,
-        **extra,
-    )
+    return DiagonalReport(method=method, entries=entries,
+                          product=complex(np.prod(entries)), **extra)
 
 
 def _eliminate(A: np.ndarray) -> np.ndarray:
@@ -208,7 +209,7 @@ def ldu(g) -> LDUFactorization:
 def diagonal_via_gauss(g) -> DiagonalReport:
     """Diagonal as the elimination pivots; ``L`` and ``U`` are never built."""
     entries = _eliminate(as_matrix(g).copy())
-    return _report("gauss", entries, [True] * len(entries))
+    return _report("gauss", entries)
 
 
 def leading_minors(g) -> np.ndarray:
@@ -227,35 +228,15 @@ def leading_minors(g) -> np.ndarray:
     return out
 
 
-def point_genericity(g) -> list[bool]:
-    """Per-k flags: leading principal minor k of ``g`` clears the cutoff."""
-    g = as_matrix(g)
-    minors = leading_minors(g)[1:]
-    cutoffs = _minor_cutoffs(g)
-    return [bool(abs(m) > c) for m, c in zip(minors, cutoffs)]
-
-
 def _minor_ratio_report(g: np.ndarray, minors: np.ndarray) -> DiagonalReport:
     entries = _checked_ratios(minors, _minor_cutoffs(g), "minor_ratio")
-    return _report("minor_ratio", entries, [True] * len(entries))
+    return _report("minor_ratio", entries)
 
 
 def diagonal_via_minors(g) -> DiagonalReport:
     """Diagonal as the telescoping ratios of leading principal minors."""
     g = as_matrix(g)
     return _minor_ratio_report(g, leading_minors(g))
-
-
-def _clears_cutoffs(dets: np.ndarray, cutoffs: np.ndarray) -> list[bool]:
-    """Per-k flags ``|dets[k]| > cutoffs[k - 1]``, k = 1..n."""
-    return [bool(abs(d) > c) for d, c in zip(dets[1:], cutoffs)]
-
-
-def tangent_genericity(X) -> list[bool]:
-    """Per-k flags: |det(1 + I_k X)| clears the cutoff, k = 1..n."""
-    X = as_matrix(X)
-    dets = flipped_determinants(X)
-    return _clears_cutoffs(dets, _flipped_cutoffs(dets[0], X.shape[0]))
 
 
 def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
@@ -267,7 +248,7 @@ def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
         residual = float((np.abs(minors[1:] * dets[0] - dets[1:]) / scale).max())
     else:
         residual = 0.0
-    return _report("cayley_det", entries, [True] * len(entries), lemma3_residual=residual)
+    return _report("cayley_det", entries, lemma3_residual=residual)
 
 
 def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None) -> DiagonalReport:
@@ -298,22 +279,13 @@ def diagonal_via_fredholm(X) -> DiagonalReport:
     """
     dets = flipped_minor_expansion(X)
     entries = _flipped_ratios(dets, "fredholm")
-    return _report("fredholm", entries, [True] * len(entries))
+    return _report("fredholm", entries)
 
 
 def _coroot_report(spec: SpaceSpec, dets: np.ndarray) -> DiagonalReport:
+    _flipped_ratios(dets, "coroot_product")  # refuses as cayley_det does
     N = spec.ambient
     system: CorootSystem = coroots(spec)
-    cutoffs = _flipped_cutoffs(dets[0], N)
-    if abs(dets[0]) <= GENERIC_TOL:
-        raise NonGenericError(0, abs(dets[0]), "coroot_product")
-    needed = set(system.product_indices)
-    if system.terminal_index is not None:
-        needed.add(system.terminal_index)
-    for k in sorted(needed):
-        if abs(dets[k]) <= cutoffs[k - 1]:
-            raise NonGenericError(k, abs(dets[k]), "coroot_product")
-
     ratios = dets / dets[0]
     entries = np.ones(N, dtype=complex)
     for k in system.product_indices:
@@ -325,7 +297,7 @@ def _coroot_report(spec: SpaceSpec, dets: np.ndarray) -> DiagonalReport:
         for j, num in enumerate(system.terminal_numerators):
             if num:
                 entries[j] *= r ** (num // 2)
-    return _report("coroot_product", entries, _clears_cutoffs(dets, cutoffs))
+    return _report("coroot_product", entries)
 
 
 def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
@@ -336,7 +308,9 @@ def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
     exponents arrive as halves; for every family here the numerators are
     even (:func:`~bruhatdiag.spaces.coroots` asserts it), so the arithmetic
     stays in integer powers and no root branch is ever chosen.  Requires
-    ``X`` to be a tangent of ``spec``.
+    ``X`` to be a tangent of ``spec``.  The whole stack is checked as
+    :func:`diagonal_via_cayley` checks it, so the two routes refuse the
+    same inputs at the same step, even at indices no exponent reads.
     """
     return _coroot_report(spec, _flipped_stack(as_matrix(X), spec))
 

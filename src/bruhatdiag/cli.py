@@ -70,6 +70,7 @@ def _checked(kind: type, holds, what: str):
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 _RADIUS = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
 
@@ -86,7 +87,7 @@ def _build_parser() -> _Parser:
                        help="check tolerance (default 1e-9)")
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_SEED, default=0)
 
     def add_space(p):
         p.add_argument("--family", choices=FAMILIES)
@@ -130,7 +131,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-rep", help="representation conjugacy checks")
     add_common(p), add_seed(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--samples", type=_COUNT, default=100)
 
     return parser
@@ -298,10 +299,10 @@ def _cmd_enumerate(args) -> int:
         line = rep.label()
         if args.check_limits:
             lr = limit_check(rep)
-            entry["deviations"] = [None if d is None else d for d in lr.deviations]
+            entry["deviations"] = lr.deviations
             entry["converged"] = lr.converged
             all_converged &= lr.converged
-            last = lr.deviations[-1] if lr.deviations else None
+            last = lr.deviations[-1]
             line += "  final_dev=" + (
                 "n/a" if last is None else _fmt(last)
             ) + ("  converged" if lr.converged else "  NOT-CONVERGED")
@@ -334,8 +335,6 @@ def _cmd_golden(args) -> int:
 
 
 def _cmd_verify_rep(args) -> int:
-    if args.n < 1:
-        raise ValueError('flag "--n" must be at least 1')
     rng = np.random.default_rng(args.seed)
     report = verify_conjugacy(args.n, samples=args.samples, rng=rng)
     obj = {

@@ -13,10 +13,9 @@ from bruhatdiag.bruhat import (
     NonGenericError,
     check_draw,
     diagonal_via_cayley,
+    diagonal_via_coroots,
     diagonal_via_minors,
     ldu,
-    point_genericity,
-    tangent_genericity,
 )
 from bruhatdiag.cayley import cayley, verify_image
 from bruhatdiag.components import construct_witness, enumerate_components, limit_check
@@ -214,20 +213,20 @@ def test_criterion_7_representation_conjugacy():
 
 
 def test_criterion_8_nongenericity_detection():
-    X = build_tangent(aiii(1, 1), Coordinates(family="AIII", Z=np.array([[1.0]])))
+    spec = aiii(1, 1)
+    X = build_tangent(spec, Coordinates(family="AIII", Z=np.array([[1.0]])))
     g = cayley(X)
-    ok = tangent_genericity(X)[0] is False
-    ok &= point_genericity(g)[0] is False
     indices = []
     for call in (lambda: diagonal_via_minors(g),
                  lambda: diagonal_via_cayley(X),
+                 lambda: diagonal_via_coroots(spec, X),
                  lambda: ldu(g)):
         try:
             call()
             indices.append(None)
         except NonGenericError as err:
             indices.append(err.index)
-    ok &= indices == [1, 1, 1]
-    detail = ("unit-circle coordinate flagged non-generic at k = 1 by the "
-              f"minor and determinant routes; elimination fails at step {indices}")
+    ok = indices == [1, 1, 1, 1]
+    detail = ("unit-circle coordinate refused at k = 1 by the minor, determinant "
+              f"and exponent-product routes and by elimination: steps {indices}")
     _report(8, ok, detail)

@@ -18,8 +18,6 @@ from bruhatdiag.bruhat import (
     flipped_determinants,
     ldu,
     max_cross_gap,
-    point_genericity,
-    tangent_genericity,
 )
 from bruhatdiag.cayley import cayley, verify_image
 from bruhatdiag.components import (
@@ -53,6 +51,8 @@ FAMILY_CASES = [
     aiii(2, 3), diii(3), ci(3), cii(2, 2),
     SpaceSpec("BDI_even", p=4, q=3), SpaceSpec("BDI_oddodd", p=3, q=3),
 ]
+#: The ``bruhatdiag verify`` layouts.
+FAMILY_DEFAULTS = [spec_from_family(f, **FAMILY[f].defaults) for f in FAMILY]
 
 
 def relative_gap(a, b) -> float:
@@ -312,16 +312,32 @@ class TestCorootRoute:
         assert abs(a[2].imag) > 1e-3
 
 
+def _wall_scales(X, deltas):
+    """``(k, t)`` placing ``t X`` at relative distance δ from each wall of
+    ``X``'s ray, past it for δ > 0: ``det(1 + t I_k X) = prod(1 + t λ)`` over the eigenvalues
+    λ of ``I_k X``, so every real negative λ puts a wall at ``t = -1/λ``."""
+    N = X.shape[0]
+    for k in range(1, N + 1):
+        flip = np.where(np.arange(N) < k, -1.0, 1.0)
+        for lam in np.linalg.eigvals(flip[:, None] * X):
+            if lam.real < 0 and abs(lam.imag) <= 1e-9 * abs(lam):
+                for delta in deltas:
+                    yield k, -(1.0 + delta) / lam.real
+
+
+def _outcome(route):
+    """``None`` when ``route()`` returns, else the ``(index, magnitude)`` it
+    refused with."""
+    try:
+        route()
+    except NonGenericError as exc:
+        return exc.index, exc.magnitude
+    return None
+
+
 class TestGenericity:
     def test_zero_tangent_fully_generic(self):
-        assert tangent_genericity(np.zeros((4, 4))) == [True] * 4
-
-    def test_unit_circle_coordinate_degenerates(self):
-        X = _sphere_tangent(1.0)
-        flags = tangent_genericity(X)
-        assert flags[0] is False
-        g = cayley(X)
-        assert point_genericity(g)[0] is False
+        diagonal_via_cayley(np.zeros((4, 4)))
 
     def test_all_routes_report_the_failing_index(self):
         X = _sphere_tangent(1.0)
@@ -330,6 +346,7 @@ class TestGenericity:
             lambda: diagonal_via_minors(g),
             lambda: diagonal_via_cayley(X),
             lambda: diagonal_via_fredholm(X),
+            lambda: diagonal_via_coroots(aiii(1, 1), X),
             lambda: ldu(g),
             lambda: diagonal_via_gauss(g),
         ):
@@ -342,7 +359,33 @@ class TestGenericity:
         spec = aiii(2, 3)
         for _ in range(50):
             X = build_tangent(spec, random_coordinates(spec, rng, radius=0.5))
-            assert all(tangent_genericity(X))
+            diagonal_via_cayley(X)
+
+    def test_coroot_and_cayley_routes_refuse_alike_at_walls(self):
+        # The 30th raw CII(1, 2) draw of seed 7, 1e-10 past its step-5 wall:
+        # dets[5] falls to the cutoff, and no exponent vector reads step 5.
+        spec = cii(1, 2)
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            coords = spaces._sample_coordinates(spec, rng, 0.7)
+        X = 0.8816150712639457 * build_tangent(spec, coords)
+        refusal = _outcome(lambda: diagonal_via_cayley(X, spec))
+        assert refusal is not None and refusal[0] == 5
+        assert _outcome(lambda: diagonal_via_coroots(spec, X)) == refusal
+
+        refused = returned = 0
+        for seed, spec in enumerate(FAMILY_DEFAULTS + [cii(1, 2)]):
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                X = build_tangent(spec, random_coordinates(spec, rng))
+                for k, t in _wall_scales(X, (0.0, 1e-12, -1e-12, 1e-10)):
+                    tX = t * X
+                    a = _outcome(lambda: diagonal_via_cayley(tX, spec))
+                    b = _outcome(lambda: diagonal_via_coroots(spec, tX))
+                    assert a == b, (spec, k, t)
+                    refused += a is not None
+                    returned += a is None
+        assert refused and returned
 
 
 def _expansion_reference(A):
@@ -665,7 +708,6 @@ class TestSharedTables:
                     a = alone[tag]
                     assert r.method == a.method == tag
                     assert r.entries.tobytes() == a.entries.tobytes(), (spec, tag)
-                    assert r.generic == a.generic, (spec, tag)
                     assert r.product == a.product, (spec, tag)
                     assert r.lemma3_residual == a.lemma3_residual, (spec, tag)
 
@@ -746,7 +788,7 @@ class TestCheckDraw:
             return real_sample(*args)
 
         monkeypatch.setattr(spaces, "_sample_coordinates", counting_sample)
-        cases = [(spec_from_family(f, **FAMILY[f].defaults), 0) for f in FAMILY]
+        cases = [(spec, 0) for spec in FAMILY_DEFAULTS]
         cases += [(aiii(5, 45), 0), (aiii(2, 3), 134)]
         for spec, seed in cases:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -762,8 +804,8 @@ class TestCheckDraw:
                 for tag, r in reports.items():
                     d = draw.reports[tag]
                     assert d.entries.tobytes() == r.entries.tobytes(), (spec, tag)
-                    assert (d.generic, d.product, d.lemma3_residual) == (
-                        r.generic, r.product, r.lemma3_residual), (spec, tag)
+                    assert (d.product, d.lemma3_residual) == (
+                        r.product, r.lemma3_residual), (spec, tag)
                 assert draw.gap == max_cross_gap(reports), spec.family
                 assert draw.membership == max(
                     verify_image(spec, cayley(X)).violations.values()), spec.family

@@ -30,7 +30,7 @@ class TestDiagonalCommand:
         assert obj["method"] == "cayley_det"
         assert obj["entries"][0][0] == pytest.approx(0.6)
         assert obj["entries"][1][0] == pytest.approx(1 / 0.6)
-        assert obj["generic"] == [True, True]
+        assert "generic" not in obj
 
     def test_all_methods_agree(self, capsys):
         # CI payload must equal its own antitranspose: corners match
@@ -305,9 +305,14 @@ class TestErrorHandling:
           "--payload", '{"Z": [[[0.5, 0]]]}', "--tol", "nan"), "--tol"),
         (("verify", "--radius", "inf"), "--radius"),
         (("verify", "--radius", "0"), "--radius"),
+        (("verify", "--seed", "-1"), "--seed"),
+        (("golden", "--seed", "-1"), "--seed"),
+        (("verify-rep", "--n", "3", "--seed", "-1"), "--seed"),
+        (("verify-rep", "--n", "0"), "--n"),
     ], ids=["verify_draws_negative", "verify_draws_zero", "golden_draws_negative",
             "verify_rep_samples_negative", "verify_tol_nan", "d_tol_nan",
-            "verify_radius_inf", "verify_radius_zero"])
+            "verify_radius_inf", "verify_radius_zero", "verify_seed_negative",
+            "golden_seed_negative", "verify_rep_seed_negative", "verify_rep_n_zero"])
     def test_malformed_count_or_tolerance_is_refused(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))

@@ -56,11 +56,11 @@ PINNED = {
                           "--draws", "20", "--format", "json"),
                          "dfd5bdc925ebcc6c88324a7c1c507c83"),
     "d_all_cii": (("d", "--method", "all", "--payload", CII_PAYLOAD),
-                  "3698bc5037532306f4aeaae1f7ea8d2a"),
+                  "f396f872a26561122554d6ea461db006"),
     "d_all_bdi_oddodd": (("d", "--method", "all", "--payload", BDI_ODDODD_PAYLOAD),
-                         "dd2b41cab4f8b77e9249e90cd519eaa5"),
+                         "9a2aaad55d25bb9ec2f60597be7f145d"),
     "d_coroot_product": (("d", "--method", "coroot_product", "--payload", AIII_PAYLOAD),
-                         "33aeee56d933417ce3a49f4c96679f6d"),
+                         "c273f2fbb60f1a4e7d178cdf9115ddb2"),
     "build_bdi_oddodd_zeros": (("build", "--payload", BDI_ODDODD_ZEROS_PAYLOAD),
                                "a7854d1ff7162ee39d8e1a9b488430b1"),
     "build_cii": (("build", "--payload", CII_PAYLOAD), "18feb9be83c291d432ec38bafc797062"),
