@@ -116,12 +116,13 @@ def _flipped_ratios(dets: np.ndarray, route: str) -> np.ndarray:
 
 
 def _flipped_stack(X: np.ndarray, spec: Optional[SpaceSpec]) -> np.ndarray:
-    """``det(1 + I_k X)``, k = 0..N; with a spec, ``X`` must have its ambient
-    size and the stack is split on the spec's zero block."""
+    """``det(1 + I_k X)``, k = 0..N, for a matrix or a stack of them; with a
+    spec, ``X`` must have its ambient size and the stack is split on the
+    spec's zero block."""
     if spec is None:
         return flipped_determinants(X)
-    if X.shape[0] != spec.ambient:
-        raise ValueError(f"matrix has shape {X.shape}, ambient size is {spec.ambient}")
+    if X.shape[-1] != spec.ambient:
+        raise ValueError(f"matrix has shape {X.shape[-2:]}, ambient size is {spec.ambient}")
     return flipped_determinants(X, zero_block(spec))
 
 

@@ -200,7 +200,7 @@ class LimitReport:
 
     @property
     def converged(self) -> bool:
-        last = self.deviations[-1] if self.deviations else None
+        last = self.deviations[-1]
         return last is not None and last <= LIMIT_TOL
 
 
@@ -208,25 +208,24 @@ def limit_check(rep: ComponentRep, X=None) -> LimitReport:
     """Evaluate the diagonal along ``t X``, t in :data:`DEFAULT_GRID`, and
     compare against the signs.
 
-    Each grid point needs only the ``cayley_det`` entries: one flipped
+    Each grid point needs only the ``cayley_det`` entries: the flipped
     stack ``det(1 + I_k tX)``, its cutoffs and its checked ratios.  The
+    stacks of every grid point come from one call on the stacked scaled
+    witnesses, so a representative makes one split plan and one batched
+    determinant call; the checks and ratios still run per grid point.  The
     Cayley image and the minor-identity residual, which
     :func:`~bruhatdiag.bruhat.diagonal_via_cayley` would also build, are
     not computed.
     """
-    spec = rep.spec
     if X is None:
         X = construct_witness(rep)
-    X = np.asarray(X, dtype=complex)
+    X = as_matrix(X)
     target = np.array(rep.signs, dtype=float)
+    stacks = _flipped_stack(np.array(DEFAULT_GRID)[:, None, None] * X, rep.spec)
     deviations: list[Optional[float]] = []
-    for t in DEFAULT_GRID:
-        if rep.is_identity:
-            deviations.append(0.0)
-            continue
-        tX = as_matrix(t * X)
+    for dets in stacks:
         try:
-            d = _flipped_ratios(_flipped_stack(tX, spec), "cayley_det")
+            d = _flipped_ratios(dets, "cayley_det")
         except NonGenericError:
             deviations.append(None)
             continue

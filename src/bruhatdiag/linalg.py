@@ -14,7 +14,10 @@ tangent does on its involution's larger same-sign class, it factors only
 what is left: a zero row of ``A`` is a unit row of every flip and drops
 out, and a Schur complement on the unit block ``(1 + I_k A)_TT = 1``
 turns each determinant into the ``p x p`` one of
-``1_P + S_P (A_PP - A_PT S_T A_TP)`` on the kept rows P outside T.
+``1_P + S_P (A_PP - A_PT S_T A_TP)`` on the kept rows P outside T.  It
+also takes a stack of matrices, such as one witness scaled to every grid
+point of a limit check: the stack shares one plan, keeping every row that
+is nonzero in any member, and its determinants are still one LU call.
 :func:`flipped_minor_expansion` computes every principal minor of ``A``
 once (one gather and one batched ``det`` per subset size) and forms the
 n + 1 expansions as signed sums, since the minor of ``I_k A`` on
@@ -46,7 +49,16 @@ class ExpansionLimitError(ValueError):
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a square complex matrix and validate its entries."""
     A = np.asarray(a, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    return _square_stack(A)
+
+
+def _square_stack(a) -> np.ndarray:
+    """Coerce ``a`` to a stack of square complex matrices, shape
+    ``(..., n, n)``, and validate its entries."""
+    A = np.asarray(a, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
@@ -132,13 +144,14 @@ def flipped_minor_expansion(A) -> np.ndarray:
 def flipped_determinants(A, zero_block=None) -> np.ndarray:
     """``det(1 + I_k A)`` for k = 0..n from one stacked LU call.
 
-    ``I_0`` is the identity; for n = 0 the single entry is the empty
-    determinant 1.  Row i of ``1 + I_k A`` is row i of ``1 - A`` when
-    i < k and of ``1 + A`` otherwise, so the stack is one selection
-    between those two matrices (the same values as ``1 + I_k @ A``,
-    with a single stack-sized allocation).  A batched ``det`` factorizes
-    each matrix on its own, so every value equals the one a per-flip
-    loop gives.
+    ``A`` is one ``n x n`` matrix or a stack of them, shape ``(..., n, n)``;
+    the result has shape ``(..., n + 1)``.  ``I_0`` is the identity; for
+    n = 0 the single entry is the empty determinant 1.  Row i of
+    ``1 + I_k A`` is row i of ``1 - A`` when i < k and of ``1 + A``
+    otherwise, so the stack is one selection between those two matrices
+    (the same values as ``1 + I_k @ A``, with a single stack-sized
+    allocation).  A batched ``det`` factorizes each matrix on its own, so
+    every value equals the one a per-flip loop gives.
 
     ``zero_block`` is an optional boolean mask of positions T on which
     ``A`` is expected to vanish (``A[T, T] = 0``; see
@@ -153,22 +166,37 @@ def flipped_determinants(A, zero_block=None) -> np.ndarray:
       the Schur complement on it gives
       ``det(1 + I_k A) = det(1_P + S_P (A_PP - A_PT S_T A_TP))``, where
       ``S_P`` and ``S_T`` are the signs of ``I_k`` on P and on T.  No
-      inverse is taken.
+      inverse is taken, and for p > 1 the products ``A_PT S_T A_TP`` of
+      every flip are one matrix product.
 
+    A stack shares one plan: a row is kept when it is nonzero in any
+    member, and the split runs only when every member vanishes on T.
     Otherwise, and when no block is passed, the full stack above runs.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
+    A = _square_stack(A)
+    n = A.shape[-1]
+    lead = A.shape[:-2]
     if zero_block is not None:
         order, p, eye, sign_p, sign_t, remap = _split_plan(
-            A.any(axis=1).tobytes(), zero_block.tobytes())
-        B = A[order[:, None], order]
-        if not B[p:, p:].any():
-            inner = B[:p, :p] - (B[:p, p:] * sign_t[:, None, :]) @ B[p:, :p]
-            dets = np.linalg.det(eye + sign_p[:, :, None] * inner)
-            return dets if remap is None else dets[remap]
+            A.any(axis=tuple(range(A.ndim - 2)) + (-1,)).tobytes(), zero_block.tobytes())
+        B = A[..., order[:, None], order]
+        if not B[..., p:, p:].any():
+            flips, t = sign_t.shape
+            left = B[..., None, :p, p:] * sign_t[:, None, :]
+            if p > 1:
+                schur = (left.reshape(*lead, flips * p, t)
+                         @ B[..., p:, :p]).reshape(*lead, flips, p, p)
+            else:  # per-flip dot products; a matrix-vector one sums in another order
+                schur = left @ B[..., None, p:, :p]
+            # 1_P + S_P (A_PP - schur), formed in place in schur
+            np.subtract(B[..., None, :p, :p], schur, out=schur)
+            schur *= sign_p[:, :, None]
+            schur += eye
+            dets = np.linalg.det(schur)
+            return dets if remap is None else dets[..., remap]
     eye = np.eye(n)
     flipped = np.arange(n) < np.arange(n + 1)[:, None]
+    A = A[..., None, :, :]
     return np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
 
 

@@ -558,7 +558,7 @@ class TestDistinctFlips:
         shapes = _count_det_calls(monkeypatch)
         report = limit_check(rep)
         assert report.converged
-        assert shapes == [(9, 4, 4)] * 3
+        assert shapes == [(len(DEFAULT_GRID), 9, 4, 4)]
         # without a block every flip is factorized, zero rows of -0.0 or not
         A = np.arange(1.0, 37.0).reshape(6, 6) * (1 + 1j)
         A[[1, 4]] = complex(-0.0, -0.0)
@@ -612,6 +612,93 @@ class TestDistinctFlips:
                 assert all(split[k + 1] == split[k] for k in drop), (spec.family, drop)
         # the zero matrix keeps no row: every determinant is the empty 1
         assert flipped_determinants(np.zeros((6, 6)), zero_block(aiii(3, 3))).tolist() == [1.0] * 7
+
+    def test_stack_equals_per_member_calls_bitwise(self, monkeypatch):
+        # a stack of one zero pattern shares the plan each member would make
+        shapes = _count_det_calls(monkeypatch)
+        rng = np.random.default_rng(86)
+        grid = np.array(DEFAULT_GRID)[:, None, None]
+        for spec in FAMILY_DEFAULTS:
+            block = zero_block(spec)
+            N = spec.ambient
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            no_p, no_t, rows, off_block = X.copy(), X.copy(), X.copy(), X.copy()
+            no_p[~block] = 0.0
+            no_t[block] = 0.0
+            rows[::3] = 0.0
+            off_block[np.flatnonzero(block)[0], np.flatnonzero(block)[-1]] = 0.25j
+            for A in (X, no_p, no_t, rows, off_block, np.zeros_like(X)):
+                S = grid * A
+                for mask in (block, None):
+                    shapes.clear()
+                    got = flipped_determinants(S, mask)
+                    assert got.shape == (len(DEFAULT_GRID), N + 1)
+                    stacked = shapes[0]
+                    for member, dets in zip(S, got):
+                        assert dets.tobytes() == flipped_determinants(member, mask).tobytes(), spec
+                    if mask is None or A is off_block:
+                        assert stacked == (len(DEFAULT_GRID), N + 1, N, N), spec
+                    elif A is no_p:
+                        assert stacked[-1] == 0, spec
+
+    def test_one_row_outside_block_keeps_per_flip_products_bitwise(self):
+        # with p = 1 a single product over the flips would be a matrix-vector
+        # one, which rounds differently from one dot product per flip
+        def schur_loop(A, block):
+            order = np.concatenate([np.flatnonzero(~block), np.flatnonzero(block)])
+            B, p, n = A[np.ix_(order, order)], np.count_nonzero(~block), A.shape[0]
+            dets = []
+            for k in range(n + 1):
+                s = np.where(order < k, -1.0, 1.0)
+                inner = B[:p, :p] - (B[:p, p:] * s[p:]) @ B[p:, :p]
+                dets.append(np.linalg.det(np.eye(p) + s[:p, None] * inner))
+            return np.array(dets)
+
+        rng = np.random.default_rng(88)
+        for spec in (aiii(1, 2), aiii(1, 4), aiii(1, 9)):
+            block = zero_block(spec)
+            for _ in range(10):
+                X = build_tangent(spec, random_coordinates(spec, rng))
+                want = schur_loop(X, block).tobytes()
+                assert flipped_determinants(X, block).tobytes() == want, spec
+                stacked = flipped_determinants(np.stack([X, 2.0 * X]), block)
+                assert stacked[0].tobytes() == want, spec
+
+    def test_stack_of_different_zero_patterns_keeps_every_nonzero_row(self):
+        rng = np.random.default_rng(87)
+        for spec in FAMILY_DEFAULTS:
+            block = zero_block(spec)
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            rows, cross = X.copy(), X.copy()
+            rows[::2] = 0.0
+            cross[1::3] = 0.0
+            cross[:, 1::3] = 0.0
+            S = np.stack([rows, X, 3.0 * cross, np.zeros_like(X)])
+            for member, dets in zip(S, flipped_determinants(S, block)):
+                assert np.allclose(dets, flipped_determinants(member, block), rtol=1e-13, atol=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning",
+                                "ignore:invalid value encountered in det:RuntimeWarning")
+    def test_limit_deviations_equal_a_loop_over_grid_points(self):
+        reps = enumerate_components(aiii(5, 5)) + enumerate_components(ci(8))
+        reps += [_block_rep(60, range(j)) for j in range(4, 61, 8)]
+        for rep in reps:
+            X = construct_witness(rep)
+            target = np.array(rep.signs, dtype=float)
+            want = []
+            for t in DEFAULT_GRID:
+                try:
+                    d = bruhat._flipped_ratios(bruhat._flipped_stack(t * X, rep.spec),
+                                               "cayley_det")
+                except NonGenericError:
+                    want.append(None)
+                    continue
+                want.append(float(np.max(np.abs(d - target) / np.maximum(1.0, np.abs(d)))))
+            assert limit_check(rep, X).deviations == want, rep.label()
+        # j = 52 and 60 overflow at t = 1000, which skips that grid point only
+        for rep in reps[-2:]:
+            deviations = limit_check(rep).deviations
+            assert deviations[-1] is None and None not in deviations[:-1], rep.label()
 
     def test_zero_block_is_the_larger_sign_class_and_cached(self):
         for spec, T in ((aiii(2, 3), [2, 3, 4]), (aiii(2, 2), [2, 3]),

@@ -179,6 +179,15 @@ class TestLimitCheck:
         report = limit_check(rep)
         assert report.deviations == [0.0, 0.0, 0.0]
 
+    def test_identity_rep_checks_its_witness(self):
+        # the identity goes through the same stack as every other representative
+        rep = enumerate_components(aiii(1, 1))[0]
+        assert rep.label() == "++"
+        with pytest.raises(ValueError, match="ambient size is 2"):
+            limit_check(rep, X=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            limit_check(rep, X=np.full((2, 2), np.nan))
+
     def test_alternating_projective_rep(self):
         rep = ComponentRep(aiii(1, 2), (-1, 1, -1))
         report = limit_check(rep)
@@ -241,7 +250,7 @@ class TestLimitCheck:
                     expect.append(float(np.max(np.abs(d - target) / np.maximum(1.0, np.abs(d)))))
                 assert report.deviations == expect, (spec, rep.label())
 
-    def test_one_stacked_det_per_grid_point(self, monkeypatch):
+    def test_one_stacked_det_per_representative(self, monkeypatch):
         det_shapes, solves = [], []
         real_det, real_solve = np.linalg.det, np.linalg.solve
         monkeypatch.setattr(np.linalg, "det",
@@ -249,10 +258,13 @@ class TestLimitCheck:
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: solves.append(np.shape(a)) or real_solve(a, b))
         # every row of the all-negative witness is nonzero; 3 lie outside the zero block
-        rep = enumerate_components(aiii(3, 3))[-1]
-        X = construct_witness(rep)
-        report = limit_check(rep, X)
-        assert det_shapes == [(7, 3, 3)] * len(report.t_grid)
+        reps = enumerate_components(aiii(3, 3))
+        report = limit_check(reps[-1], construct_witness(reps[-1]))
+        assert det_shapes == [(len(report.t_grid), 7, 3, 3)]
+        # the identity's zero witness keeps no row: one flip of 0 x 0 per grid point
+        det_shapes.clear()
+        assert limit_check(reps[0]).deviations == [0.0] * len(report.t_grid)
+        assert det_shapes == [(len(report.t_grid), 1, 0, 0)]
         assert solves == []
 
     def test_shape_mismatch_raises(self):
