@@ -40,7 +40,6 @@ from .linalg import (
     matrix_to_json,
 )
 from .repcompat import (
-    ConjugacyReport,
     conjugator,
     symplectic_conjugator,
     verify_conjugacy,

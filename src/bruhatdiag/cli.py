@@ -38,6 +38,7 @@ from .spaces import (
     FAMILIES,
     FAMILY,
     SpaceSpec,
+    ViolationReport,
     build_tangent,
     coordinates_from_json,
     coordinates_from_payload,
@@ -137,15 +138,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_DIMENSIONS = ("m", "n", "p", "q")
+
+
+def _dimension_flags(args, family) -> dict:
+    """The dimension flags given; with a ``family``, one it does not take
+    is refused."""
+    flags = {k: getattr(args, k) for k in _DIMENSIONS if getattr(args, k) is not None}
+    for name in flags:
+        if family and name not in FAMILY[family].params:
+            raise ValueError(f'family {family} takes no flag "--{name}"')
+    return flags
+
+
+def _refuse_space_flags(args, why: str) -> None:
+    for name in ("family",) + _DIMENSIONS:
+        if getattr(args, name) is not None:
+            raise ValueError(f'flag "--{name}" is not read {why}')
+
+
 def _spec_from_args(args) -> SpaceSpec:
     if not args.family:
         raise ValueError('missing required flag "--family"')
-    params = {}
+    params = _dimension_flags(args, args.family)
     for name in FAMILY[args.family].params:
-        value = getattr(args, name)
-        if value is None:
+        if name not in params:
             raise ValueError(f'family {args.family} requires flag "--{name}"')
-        params[name] = value
     return spec_from_family(args.family, **params)
 
 
@@ -166,6 +184,7 @@ def _load_json_arg(text: str, what: str):
 def _tangent_from_args(args) -> tuple[SpaceSpec, np.ndarray]:
     obj = _load_json_arg(args.payload, "--payload")
     if isinstance(obj, dict) and "payload" in obj:
+        _refuse_space_flags(args, "with a coordinates object, which names its own space")
         spec, coords = coordinates_from_json(obj)
     else:
         spec = _spec_from_args(args)
@@ -196,6 +215,12 @@ def _matrix_table(A) -> list[str]:
     return ["  ".join(_fmt_complex(z) for z in row) for row in np.asarray(A)]
 
 
+def _report_json(fields: dict, report: ViolationReport, tol_key: str = "tol") -> dict:
+    """``fields`` with the report's worst values, its tolerance under
+    ``tol_key`` and its verdict under ``"ok"``."""
+    return {**fields, **report.violations, tol_key: report.tolerance, "ok": report.ok}
+
+
 def _cmd_build(args) -> int:
     spec, X = _tangent_from_args(args)
     _emit(matrix_to_json(X), args.format, _matrix_table(X))
@@ -206,6 +231,7 @@ def _cmd_cayley(args) -> int:
     if args.payload:
         _, X = _tangent_from_args(args)
     elif args.matrix:
+        _refuse_space_flags(args, 'with "--matrix"')
         X = matrix_from_json(_load_json_arg(args.matrix, "--matrix"))
     else:
         raise ValueError('need either "--payload" or "--matrix"')
@@ -229,19 +255,14 @@ def _cmd_d(args) -> int:
     spec, X = _tangent_from_args(args)
     if args.method == "all":
         reports = cross_check(X, spec)
-        gap = max_cross_gap(reports)
-        ok = gap <= args.tol
-        obj = {
-            "reports": {k: r.to_json_dict() for k, r in reports.items()},
-            "max_gap": gap,
-            "tol": args.tol,
-            "ok": ok,
-        }
+        verdict = ViolationReport({"max_gap": max_cross_gap(reports)}, args.tol)
         lines = [f"{k}: " + "  ".join(_fmt_complex(z) for z in r.entries)
                  for k, r in sorted(reports.items())]
-        lines.append(f"max gap {_fmt(gap)}  ({'OK' if ok else 'FAIL'})")
-        _emit(obj, args.format, lines)
-        return 0 if ok else 2
+        lines.append(f"max gap {_fmt(verdict.violations['max_gap'])}  "
+                     f"({'OK' if verdict.ok else 'FAIL'})")
+        _emit(_report_json({"reports": {k: r.to_json_dict() for k, r in reports.items()}},
+                           verdict), args.format, lines)
+        return 0 if verdict.ok else 2
     route = {
         "cayley_det": lambda: diagonal_via_cayley(X, spec),
         "gauss": lambda: diagonal_via_gauss(cayley(X)),
@@ -256,27 +277,26 @@ def _cmd_d(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """One report per family; without ``--family`` the dimension flags given
+    apply to every family that takes them, the rest run their defaults."""
     families = [args.family] if args.family else list(FAMILIES)
+    flags = _dimension_flags(args, args.family)
     results = []
-    all_ok = True
     for family in families:
-        params = {k: getattr(args, k) for k in FAMILY[family].params
-                  if getattr(args, k) is not None} or FAMILY[family].defaults
+        params = {k: v for k, v in flags.items()
+                  if k in FAMILY[family].params} or FAMILY[family].defaults
         spec = spec_from_family(family, **params)
         rng = np.random.default_rng(args.seed)
-        worst_gap = worst_member = worst_lemma = 0.0
+        worst = [0.0, 0.0, 0.0]
         for _ in range(args.draws):
             draw = check_draw(spec, rng, args.radius)
-            worst_gap = max(worst_gap, draw.gap)
-            worst_lemma = max(worst_lemma, draw.reports["cayley_det"].lemma3_residual)
-            worst_member = max(worst_member, draw.membership)
-        ok = worst_gap <= args.tol and worst_member <= args.tol and worst_lemma <= args.tol
-        all_ok &= ok
-        results.append({
-            "family": family, "params": spec.params_dict(), "draws": args.draws,
-            "max_route_gap": worst_gap, "max_membership_violation": worst_member,
-            "max_minor_identity_residual": worst_lemma, "tol": args.tol, "ok": ok,
-        })
+            seen = (draw.gap, draw.membership, draw.reports["cayley_det"].lemma3_residual)
+            worst = [max(w, v) for w, v in zip(worst, seen)]
+        report = ViolationReport(dict(zip(("max_route_gap", "max_membership_violation",
+                                           "max_minor_identity_residual"), worst)), args.tol)
+        results.append(_report_json({"family": family, "params": spec.params_dict(),
+                                     "draws": args.draws}, report))
+    all_ok = all(r["ok"] for r in results)
     lines = [
         f"{r['family']:<11} gap={_fmt(r['max_route_gap'])} member="
         f"{_fmt(r['max_membership_violation'])} minors="
@@ -317,38 +337,31 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_golden(args) -> int:
+    if args.suite != "all" and args.suite not in golden_mod.suite_names():
+        raise ValueError(f'unknown suite {args.suite!r} for "--suite"; choose from '
+                         f"{golden_mod.suite_names()} or 'all'")
     names = golden_mod.suite_names() if args.suite == "all" else (args.suite,)
-    for name in names:
-        if name not in golden_mod.suite_names():
-            raise ValueError(
-                f'unknown suite {name!r} for "--suite"; choose from '
-                f"{golden_mod.suite_names()} or 'all'")
-    results = [golden_mod.run_suite(name, draws=args.draws, seed=args.seed)
-               for name in names]
-    ok = all(r.ok for r in results)
-    lines = [f"{r.suite:<8} max_dev={_fmt(r.max_deviation)} "
+    reports = {name: golden_mod.run_suite(name, draws=args.draws, seed=args.seed)
+               for name in names}
+    ok = all(r.ok for r in reports.values())
+    lines = [f"{name:<8} max_dev={_fmt(r.violations['max_deviation'])} "
              f"tol={_fmt(r.tolerance)}  {'PASS' if r.ok else 'FAIL'}"
-             for r in results]
-    _emit({"results": [r.to_json_dict() for r in results], "ok": ok},
-          args.format, lines)
+             for name, r in reports.items()]
+    results = [_report_json({"suite": name, "draws": args.draws}, r, "tolerance")
+               for name, r in reports.items()]
+    _emit({"results": results, "ok": ok}, args.format, lines)
     return 0 if ok else 2
 
 
 def _cmd_verify_rep(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    report = verify_conjugacy(args.n, samples=args.samples, rng=rng)
-    obj = {
-        "n": report.n, "samples": report.samples,
-        "max_orthogonal_dev": report.max_orthogonal_dev,
-        "max_orthogonal_fixed_dev": report.max_orthogonal_fixed_dev,
-        "max_symplectic_dev": report.max_symplectic_dev,
-        "tolerance": report.tolerance, "ok": report.ok,
-    }
-    lines = [f"n={report.n} orth={_fmt(report.max_orthogonal_dev)} "
-             f"fixed={_fmt(report.max_orthogonal_fixed_dev)} "
-             f"sympl={_fmt(report.max_symplectic_dev)} "
-             f"{'OK' if report.ok else 'FAIL'}"]
-    _emit(obj, args.format, lines)
+    report = verify_conjugacy(args.n, samples=args.samples,
+                              rng=np.random.default_rng(args.seed))
+    v = report.violations
+    lines = [f"n={args.n} orth={_fmt(v['max_orthogonal_dev'])} "
+             f"fixed={_fmt(v['max_orthogonal_fixed_dev'])} "
+             f"sympl={_fmt(v['max_symplectic_dev'])} {'OK' if report.ok else 'FAIL'}"]
+    _emit(_report_json({"n": args.n, "samples": args.samples}, report, "tolerance"),
+          args.format, lines)
     return 0 if report.ok else 2
 
 

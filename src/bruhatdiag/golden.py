@@ -14,13 +14,13 @@ Two layout-driven details are easy to get wrong and worth stating:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .bruhat import diagonal_via_cayley
-from .spaces import Coordinates, SpaceSpec, _disc_sample, aiii, build_tangent, cii, diii
+from .spaces import (Coordinates, SpaceSpec, ViolationReport, _disc_sample, aiii,
+                     build_tangent, cii, diii)
 
 GOLDEN_RADIUS = 0.5
 GOLDEN_DRAWS = 50
@@ -107,27 +107,6 @@ def rp_odd_closed_form(zs, s: float) -> np.ndarray:
     return F[1:] / F[:-1]
 
 
-@dataclass
-class GoldenResult:
-    suite: str
-    draws: int
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "draws": self.draws,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-        }
-
-
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
 
@@ -193,9 +172,12 @@ def suite_names() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
-def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0) -> GoldenResult:
-    """Compare one suite's closed form against the determinant route, at the
-    suite's own tolerance."""
+def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0) -> ViolationReport:
+    """Compare one suite's closed form against the determinant route.
+
+    Returns the worst relative deviation over every draw, keyed
+    ``max_deviation``, judged at the suite's own tolerance.
+    """
     if name not in _SUITES:
         raise ValueError(f"unknown golden suite {name!r}; choose from {suite_names()}")
     rng = np.random.default_rng(seed)
@@ -205,5 +187,4 @@ def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0) -> GoldenResu
         for _ in range(draws):
             X, closed = case(rng, _disc_sample(rng, (n,), GOLDEN_RADIUS))
             worst = max(worst, _rel(diagonal_via_cayley(X).entries, closed))
-    return GoldenResult(suite=name, draws=draws, max_deviation=worst,
-                        tolerance=_SUITE_TOL[name])
+    return ViolationReport({"max_deviation": worst}, _SUITE_TOL[name])

@@ -15,11 +15,14 @@ realizations are conjugate to the textbook ones:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import antitranspose, leading_signature, max_abs, reversal_matrix
+from .spaces import ViolationReport
+
+#: Largest relative deviation from an intertwining identity that
+#: :func:`verify_conjugacy` accepts.
+CONJUGACY_TOL = 1e-10
 
 
 def theta_standard(A) -> np.ndarray:
@@ -83,30 +86,12 @@ def symplectic_conjugator(n: int) -> np.ndarray:
     return S
 
 
-@dataclass
-class ConjugacyReport:
-    """Worst-case deviations from the intertwining identities."""
-
-    n: int
-    samples: int
-    max_orthogonal_dev: float
-    max_orthogonal_fixed_dev: float
-    max_symplectic_dev: float
-    tolerance: float = 1e-10
-
-    @property
-    def ok(self) -> bool:
-        return max(self.max_orthogonal_dev,
-                   self.max_orthogonal_fixed_dev,
-                   self.max_symplectic_dev) <= self.tolerance
-
-
 def _random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def verify_conjugacy(n: int, samples: int = 100,
-                     rng: np.random.Generator | None = None) -> ConjugacyReport:
+def verify_conjugacy(n: int, samples: int = 100, *,
+                     rng: np.random.Generator) -> ViolationReport:
     """Check the conjugacy identities on random matrices.
 
     For each sample ``A``: the antidiagonal involution must agree with the
@@ -114,9 +99,11 @@ def verify_conjugacy(n: int, samples: int = 100,
     of the standard involution) the conjugated matrix must be fixed by the
     antidiagonal involution.  The symplectic identity is checked at size
     ``2n`` with its own conjugator.
+
+    Returns the worst relative deviations ``max_orthogonal_dev``,
+    ``max_orthogonal_fixed_dev`` and ``max_symplectic_dev``, judged at
+    :data:`CONJUGACY_TOL`.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     P = conjugator(n)
     P_inv = P.conj().T
     S = symplectic_conjugator(n)
@@ -142,9 +129,6 @@ def verify_conjugacy(n: int, samples: int = 100,
         rhs_sp = S @ theta_symplectic_standard(S_inv @ C @ S) @ S_inv
         worst_sp = max(worst_sp, max_abs(lhs_sp - rhs_sp) / max(1.0, max_abs(C)))
 
-    return ConjugacyReport(
-        n=n, samples=samples,
-        max_orthogonal_dev=worst,
-        max_orthogonal_fixed_dev=worst_fixed,
-        max_symplectic_dev=worst_sp,
-    )
+    return ViolationReport({"max_orthogonal_dev": worst,
+                            "max_orthogonal_fixed_dev": worst_fixed,
+                            "max_symplectic_dev": worst_sp}, CONJUGACY_TOL)

@@ -136,13 +136,18 @@ def bdi(p: int, q: int) -> SpaceSpec:
 
 
 def spec_from_family(family: str, **params) -> SpaceSpec:
+    """The spec of ``family`` with exactly its parameters; a missing or a
+    foreign parameter raises ``ValueError``."""
     if family not in FAMILY:
         raise ValueError(f"unknown family {family!r}")
     names = FAMILY[family].params
     for name in names:
         if name not in params:
             raise ValueError(f'family {family} requires parameter "{name}"')
-    return SpaceSpec(family, **{name: params[name] for name in names})
+    for name in params:
+        if name not in names:
+            raise ValueError(f'family {family} takes no parameter "{name}"')
+    return SpaceSpec(family, **params)
 
 
 # --- block layout ----------------------------------------------------------
@@ -342,10 +347,14 @@ def coordinates_to_json(spec: SpaceSpec, coords: Coordinates) -> dict:
 
 
 def coordinates_from_payload(spec: SpaceSpec, payload: dict) -> Coordinates:
-    """Build coordinates from the JSON payload dict for ``spec``."""
+    """Build coordinates from the JSON payload dict for ``spec``; a field
+    the family has no slot for raises ``ValueError``."""
     if not isinstance(payload, dict):
         raise ValueError(f"payload must be an object, got {payload!r}")
     shapes = _payload_shapes(spec)
+    for name in payload:
+        if name not in shapes:
+            raise ValueError(f'family {spec.family} has no payload field "{name}"')
     fields = {}
     for name, shape in shapes.items():
         if name == "s":
@@ -507,7 +516,12 @@ def _tangent_plan(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass
 class ViolationReport:
-    """Worst-case violation of each membership constraint of a tangent or a point."""
+    """The verdict of a check that compares worst values with a tolerance.
+
+    ``violations`` maps each checked quantity (a membership constraint, a
+    route gap, a closed-form or intertwining deviation) to its worst value;
+    the check passes when every one is at most ``tolerance``.
+    """
 
     violations: dict[str, float]
     tolerance: float
@@ -522,7 +536,8 @@ def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
 
     Checks skew-Hermitianity, anti-invariance under the involution, the
     family reflection condition, and vanishing outside the allowed block
-    support.  Always returns a report; nothing is raised.
+    support.  A matrix of the wrong shape raises ``ValueError``; any other
+    matrix gets a report.
     """
     X = np.asarray(X, dtype=complex)
     N = spec.ambient

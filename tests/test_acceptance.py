@@ -99,8 +99,8 @@ def test_criterion_4_golden_closed_forms():
     for name in ("cpn", "so6u3", "hp1", "rp6", "rp5"):
         result = run_suite(name, draws=50, seed=0)
         ok &= result.ok
-        if result.max_deviation >= worst:
-            worst_name, worst, tol = name, result.max_deviation, result.tolerance
+        if result.violations["max_deviation"] >= worst:
+            worst_name, worst, tol = name, result.violations["max_deviation"], result.tolerance
     detail = (f"closed forms vs determinant route, 50 draws each at each suite's "
               f"tolerance; worst suite {worst_name} at {worst:.3e} (tol {tol:.0e})")
     _report(4, ok, detail)
@@ -202,8 +202,9 @@ def test_criterion_7_representation_conjugacy():
     ok = True
     for n in range(2, 9):
         report = verify_conjugacy(n, samples=100, rng=np.random.default_rng(n))
-        worst = max(worst, report.max_orthogonal_dev,
-                    report.max_orthogonal_fixed_dev, report.max_symplectic_dev)
+        worst = max(worst, report.violations["max_orthogonal_dev"],
+                    report.violations["max_orthogonal_fixed_dev"],
+                    report.violations["max_symplectic_dev"])
         ok &= report.ok
     for n in range(2, 9):
         ok &= preserves_triangular_split(theta_antidiagonal, n)

@@ -7,11 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bruhatdiag import bruhat, cli, spaces
+from bruhatdiag import bruhat, cli, golden, repcompat, spaces
 from bruhatdiag.cli import main
 from bruhatdiag.linalg import matrix_from_json
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+#: The CI(2) payload of ``test_all_methods_agree``: its five routes agree
+#: to a gap of about 2e-16.
+CI_PAYLOAD = '{"Z": [[[0.2, 0.1], [0.3, 0]], [[-0.1, 0.2], [0.2, 0.1]]]}'
+AIII_COORDINATES = '{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": {"Z": [[[0.5, 0]]]}}'
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +46,18 @@ class TestDiagonalCommand:
         assert obj["ok"] is True
         assert set(obj["reports"]) == {"gauss", "minor_ratio", "cayley_det",
                                        "fredholm", "coroot_product"}
+
+    def test_all_methods_fail_at_zero_tolerance(self, capsys):
+        argv = ("d", "--family", "CI", "--n", "2", "--method", "all", "--tol", "0",
+                "--payload", CI_PAYLOAD)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert '"ok": false' in out
+        obj = json.loads(out)
+        assert obj["max_gap"] > 0.0 and obj["tol"] == 0.0
+        code, out, _ = run_cli(capsys, *argv, "--format", "table")
+        assert code == 2
+        assert out.splitlines()[-1] == f"max gap {obj['max_gap']:.12g}  (FAIL)"
 
     def test_nongeneric_failure_report(self, capsys):
         code, out, _ = run_cli(
@@ -149,6 +165,32 @@ class TestVerifyCommands:
         assert result["ok"] is True
         assert result["max_route_gap"] <= 1e-9
 
+    def test_verify_without_family_shares_dimension_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--m", "1", "--n", "2", "--draws", "2")
+        assert code == 0
+        params = {r["family"]: r["params"] for r in json.loads(out)["results"]}
+        assert params["AIII"] == {"m": 1, "n": 2}
+        assert params["DIII"] == params["CI"] == {"n": 2}
+        assert params["CII"] == {"p": 2, "q": 2}
+
+    def test_verify_fails_at_zero_tolerance_with_the_same_worst_values(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--draws", "2", "--tol", "0")
+        assert code == 2
+        assert '"ok": false' in out
+        failed = json.loads(out)
+        _, out, _ = run_cli(capsys, "verify", "--draws", "2", "--tol", "1e-9")
+        passed = json.loads(out)
+        assert failed["ok"] is False and passed["ok"] is True
+        for bad, good in zip(failed["results"], passed["results"]):
+            assert bad["ok"] is False and bad["tol"] == 0.0
+            assert {k: v for k, v in bad.items() if k not in ("ok", "tol")} == {
+                k: v for k, v in good.items() if k not in ("ok", "tol")}
+        code, out, _ = run_cli(capsys, "verify", "--draws", "2", "--tol", "0",
+                               "--format", "table")
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 6 and all(line.endswith(" FAIL") for line in lines)
+
     def test_verify_builds_one_image_and_stack_per_draw(self, capsys, monkeypatch):
         # seed 134 redraws the first AIII(2, 3) payload: a redrawn payload
         # costs its own stack, an accepted one no second stack or image
@@ -184,11 +226,35 @@ class TestVerifyCommands:
         assert obj["ok"] is True
         assert obj["max_symplectic_dev"] <= 1e-10
 
+    def test_verify_rep_fails_at_zero_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setattr(repcompat, "CONJUGACY_TOL", 0.0)
+        code, out, _ = run_cli(capsys, "verify-rep", "--n", "3", "--samples", "25")
+        assert code == 2
+        assert '"ok": false' in out
+        obj = json.loads(out)
+        assert obj["tolerance"] == 0.0 and obj["max_orthogonal_dev"] > 0.0
+        code, out, _ = run_cli(capsys, "verify-rep", "--n", "3", "--samples", "25",
+                               "--format", "table")
+        assert code == 2
+        assert out.endswith(" FAIL\n")
+
     def test_golden_suite(self, capsys):
         code, out, _ = run_cli(capsys, "golden", "--suite", "rp6",
                                "--format", "table")
         assert code == 0
         assert "PASS" in out
+
+    def test_golden_suite_fails_at_zero_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setitem(golden._SUITE_TOL, "rp6", 0.0)
+        code, out, _ = run_cli(capsys, "golden", "--suite", "rp6")
+        assert code == 2
+        assert '"ok": false' in out
+        (result,) = json.loads(out)["results"]
+        assert result["ok"] is False and result["tolerance"] == 0.0
+        assert result["max_deviation"] > 0.0
+        code, out, _ = run_cli(capsys, "golden", "--suite", "rp6", "--format", "table")
+        assert code == 2
+        assert out.endswith("  FAIL\n")
 
 
 class TestErrorHandling:
@@ -255,12 +321,42 @@ class TestErrorHandling:
         ('{"family": "BDI_oddodd", "params": {"p": 1, "q": 1}, "payload": '
          '{"Z1": [], "Z2": [], "w1": [], "w2": [], "s": NaN}}',
          "s has non-finite entries"),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1, "q": 7}, "payload": {"Z": [[[0.5, 0]]]}}',
+         'family AIII takes no parameter "q"'),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": '
+         '{"Z": [[[0.5, 0]]], "W": [[1, 2]]}}',
+         'family AIII has no payload field "W"'),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": {"Z": [[[0.5, 0]]], "s": 0.3}}',
+         'family AIII has no payload field "s"'),
     ], ids=["null_parameter", "payload_not_an_object", "block_not_a_grid",
             "family_not_a_string", "null_entry", "vector_not_a_list", "null_scalar",
             "fractional_parameter", "boolean_parameter", "string_parameter",
-            "string_and_boolean_entry", "string_scalar", "non_finite_scalar"])
+            "string_and_boolean_entry", "string_scalar", "non_finite_scalar",
+            "foreign_parameter", "foreign_payload_field", "foreign_torus_field"])
     def test_malformed_coordinates_json_exits_one(self, capsys, payload, message):
         code, out, err = run_cli(capsys, "d", "--payload", payload)
+        assert code == 1
+        assert out == ""
+        assert err == f"bruhatdiag: error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("d", "--family", "DIII", "--n", "2", "--m", "9", "--payload",
+          '{"Z": [[[0.4, 0], [0, 0]], [[0, 0], [-0.4, 0]]]}'),
+         'family DIII takes no flag "--m"'),
+        (("verify", "--family", "DIII", "--m", "4"), 'family DIII takes no flag "--m"'),
+        (("enumerate", "--family", "CI", "--n", "2", "--q", "1"),
+         'family CI takes no flag "--q"'),
+        (("d", "--family", "DIII", "--n", "2", "--payload", AIII_COORDINATES),
+         'flag "--family" is not read with a coordinates object, which names its own space'),
+        (("build", "--m", "1", "--payload", AIII_COORDINATES),
+         'flag "--m" is not read with a coordinates object, which names its own space'),
+        (("cayley", "--family", "AIII", "--matrix", '{"n": 1, "entries": [[[0, 0.5]]]}'),
+         'flag "--family" is not read with "--matrix"'),
+    ], ids=["d_foreign_dimension", "verify_foreign_dimension", "enumerate_foreign_dimension",
+            "d_family_with_coordinates", "build_dimension_with_coordinates",
+            "cayley_family_with_matrix"])
+    def test_space_flag_that_is_not_read_exits_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == f"bruhatdiag: error: {message}\n"

@@ -80,9 +80,13 @@ class TestConjugacy:
     def test_report_passes(self):
         report = verify_conjugacy(3, samples=100, rng=np.random.default_rng(1))
         assert report.ok
-        assert report.max_orthogonal_dev <= 1e-10
-        assert report.max_orthogonal_fixed_dev <= 1e-10
-        assert report.max_symplectic_dev <= 1e-10
+        assert report.violations["max_orthogonal_dev"] <= 1e-10
+        assert report.violations["max_orthogonal_fixed_dev"] <= 1e-10
+        assert report.violations["max_symplectic_dev"] <= 1e-10
+
+    def test_generator_is_required(self):
+        with pytest.raises(TypeError):
+            verify_conjugacy(3, samples=5)
 
     def test_real_skew_transport(self):
         rng = np.random.default_rng(2)

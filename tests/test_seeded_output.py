@@ -40,6 +40,8 @@ PINNED = {
                "90af29faaa9ac6489d014b09de862dbe"),
     "golden": (("golden", "--suite", "all", "--format", "json"),
                "c15d4c99ed16f0583ca84f6131931c9b"),
+    "golden_table": (("golden", "--suite", "all", "--format", "table"),
+                     "fb556c9e9cd92cf18078f9b5bff5c728"),
     "enumerate_aiii_limits": (("enumerate", "--family", "AIII", "--m", "3", "--n", "3",
                                "--check-limits", "--format", "json"),
                               "61b22015edbc772b65f201922f72a9c4"),
@@ -66,6 +68,8 @@ PINNED = {
     "build_cii": (("build", "--payload", CII_PAYLOAD), "18feb9be83c291d432ec38bafc797062"),
     "factorize": (("factorize", "--matrix", MATRIX), "22c30ef5dd0bf38d8674feaaef914e13"),
     "verify_rep_6": (("verify-rep", "--n", "6"), "883a4685ab81f6b3f34f878f42059f0d"),
+    "verify_rep_6_table": (("verify-rep", "--n", "6", "--format", "table"),
+                           "1fb6090fb76fa47ca30a853cac1e7869"),
 }
 
 

@@ -195,6 +195,10 @@ class TestValidateTangent:
         assert not report.ok
         assert report.violations["skew_hermitian"] == pytest.approx(2.0)
 
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\), ambient size is 2"):
+            validate_tangent(aiii(1, 1), np.eye(3))
+
     def test_perturbation_is_pinpointed(self):
         rng = np.random.default_rng(9)
         spec = diii(3)
