@@ -46,7 +46,6 @@ from .repcompat import (
 )
 from .spaces import (
     Coordinates,
-    CorootSystem,
     SpaceSpec,
     ViolationReport,
     aiii,

@@ -12,7 +12,7 @@ along independent paths so they can be cross checked:
 * ``diagonal_via_minors``     -- leading principal minor ratios of ``g``
 * ``diagonal_via_cayley``     -- sign-flipped determinant ratios in ``X``
 * ``diagonal_via_fredholm``   -- principal-minor expansion of those determinants
-* ``diagonal_via_coroots``    -- determinant ratios raised to exponent vectors
+* ``diagonal_via_coroots``    -- determinant ratios raised to an integer exponent table
 
 Each route reads one determinant table: the leading minors of ``g`` for
 ``minor_ratio``, the stacked ``det(1 + I_k X)`` for ``cayley_det`` and
@@ -63,7 +63,7 @@ from .linalg import (
     flipped_minor_expansion,
     max_abs,
 )
-from .spaces import CorootSystem, SpaceSpec, _draw_tangent, coroots, zero_block
+from .spaces import SpaceSpec, _draw_tangent, coroots, zero_block
 
 #: Coefficient of the scale-aware genericity cutoffs: a leading minor of a
 #: matrix with max-norm M counts as vanishing when |minor| <= GENERIC_TOL * M**k,
@@ -285,33 +285,22 @@ def diagonal_via_fredholm(X) -> DiagonalReport:
 
 def _coroot_report(spec: SpaceSpec, dets: np.ndarray) -> DiagonalReport:
     _flipped_ratios(dets, "coroot_product")  # refuses as cayley_det does
-    N = spec.ambient
-    system: CorootSystem = coroots(spec)
-    ratios = dets / dets[0]
-    entries = np.ones(N, dtype=complex)
-    for k in system.product_indices:
-        exps = system.vector(k)
-        nz = exps != 0
-        entries[nz] *= ratios[k] ** exps[nz]
-    if system.terminal_index is not None:
-        r = ratios[system.terminal_index]
-        for j, num in enumerate(system.terminal_numerators):
-            if num:
-                entries[j] *= r ** (num // 2)
-    return _report("coroot_product", entries)
+    E = coroots(spec)
+    ratios = dets[1:len(E) + 1] / dets[0]
+    return _report("coroot_product", np.prod(ratios[:, None] ** E, axis=0))
 
 
 def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
-    """Diagonal as a product of determinant ratios raised to exponent vectors.
+    """Diagonal as a product of determinant ratios raised to integer exponents.
 
-    Entry ``j`` is the product over the family's ratio indices ``k`` of
-    ``(det(1 + I_k X)/det(1 + X)) ** e_k[j]``.  The terminal factor's
-    exponents arrive as halves; for every family here the numerators are
-    even (:func:`~bruhatdiag.spaces.coroots` asserts it), so the arithmetic
-    stays in integer powers and no root branch is ever chosen.  Requires
-    ``X`` to be a tangent of ``spec``.  The whole stack is checked as
-    :func:`diagonal_via_cayley` checks it, so the two routes refuse the
-    same inputs at the same step, even at indices no exponent reads.
+    Entry ``j`` is the product over k of
+    ``(det(1 + I_k X)/det(1 + X)) ** E[k-1, j]`` with ``E`` the family's
+    exponent table (:func:`~bruhatdiag.spaces.coroots`).  The exponents
+    are integers, so the arithmetic stays in integer powers only and no
+    root branch is ever chosen.  Requires ``X`` to be a tangent of
+    ``spec``.  The whole stack is checked as :func:`diagonal_via_cayley`
+    checks it, so the two routes refuse the same inputs at the same step,
+    even at indices no exponent reads.
     """
     return _coroot_report(spec, _flipped_stack(as_matrix(X), spec))
 

@@ -45,8 +45,14 @@ from .spaces import (
     spec_from_family,
 )
 
-_ACCEPTED_METHODS = ("cayley_det", "gauss", "minor_ratio", "fredholm",
-                     "coroot_product", "all")
+#: Each single route of ``d --method``, in the order its choices list them.
+_ROUTES = {
+    "cayley_det": diagonal_via_cayley,
+    "gauss": lambda X, spec: diagonal_via_gauss(cayley(X)),
+    "minor_ratio": lambda X, spec: diagonal_via_minors(cayley(X)),
+    "fredholm": lambda X, spec: diagonal_via_fredholm(X),
+    "coroot_product": lambda X, spec: diagonal_via_coroots(spec, X),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,8 +109,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cayley", help="map a tangent matrix to the group")
     add_common(p), add_space(p)
-    p.add_argument("--payload", help="inline JSON or @file")
-    p.add_argument("--matrix", help="tangent matrix as JSON or @file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--payload", help="inline JSON or @file")
+    source.add_argument("--matrix", help="tangent matrix as JSON or @file")
 
     p = sub.add_parser("factorize", help="unpivoted LDU of a square matrix")
     add_common(p)
@@ -113,7 +120,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("d", help="diagonal factor of the Cayley image")
     add_common(p), add_space(p), add_tol(p)
     p.add_argument("--payload", required=True, help="inline JSON or @file")
-    p.add_argument("--method", choices=_ACCEPTED_METHODS, default="cayley_det")
+    p.add_argument("--method", choices=(*_ROUTES, "all"), default="cayley_det")
 
     p = sub.add_parser("verify", help="cross-check all routes on random draws")
     add_common(p), add_space(p), add_tol(p), add_seed(p)
@@ -228,13 +235,11 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_cayley(args) -> int:
-    if args.payload:
+    if args.payload is not None:
         _, X = _tangent_from_args(args)
-    elif args.matrix:
+    else:
         _refuse_space_flags(args, 'with "--matrix"')
         X = matrix_from_json(_load_json_arg(args.matrix, "--matrix"))
-    else:
-        raise ValueError('need either "--payload" or "--matrix"')
     g = cayley(X)
     _emit(matrix_to_json(g), args.format, _matrix_table(g))
     return 0
@@ -263,28 +268,22 @@ def _cmd_d(args) -> int:
         _emit(_report_json({"reports": {k: r.to_json_dict() for k, r in reports.items()}},
                            verdict), args.format, lines)
         return 0 if verdict.ok else 2
-    route = {
-        "cayley_det": lambda: diagonal_via_cayley(X, spec),
-        "gauss": lambda: diagonal_via_gauss(cayley(X)),
-        "minor_ratio": lambda: diagonal_via_minors(cayley(X)),
-        "fredholm": lambda: diagonal_via_fredholm(X),
-        "coroot_product": lambda: diagonal_via_coroots(spec, X),
-    }[args.method]
-    report = route()
+    report = _ROUTES[args.method](X, spec)
     lines = ["  ".join(_fmt_complex(z) for z in report.entries)]
     _emit(report.to_json_dict(), args.format, lines)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    """One report per family; without ``--family`` the dimension flags given
-    apply to every family that takes them, the rest run their defaults."""
+    """One report per family (every family without ``--family``); each
+    starts from its defaults and takes the dimension flags given that it
+    reads."""
     families = [args.family] if args.family else list(FAMILIES)
     flags = _dimension_flags(args, args.family)
     results = []
     for family in families:
-        params = {k: v for k, v in flags.items()
-                  if k in FAMILY[family].params} or FAMILY[family].defaults
+        params = {**FAMILY[family].defaults,
+                  **{k: v for k, v in flags.items() if k in FAMILY[family].params}}
         spec = spec_from_family(family, **params)
         rng = np.random.default_rng(args.seed)
         worst = [0.0, 0.0, 0.0]

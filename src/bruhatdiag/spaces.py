@@ -280,7 +280,8 @@ def random_coordinates(spec: SpaceSpec, rng: np.random.Generator,
     Draws whose tangent sits too close to a cell boundary (some
     ``|det(1 + I_k X)|`` at or below :data:`CONDITION_FLOOR`) are redrawn,
     so random sampling stays away from near-degenerate minors; degenerate
-    inputs are for deliberate tests, not accidents.
+    inputs are for deliberate tests, not accidents.  After 1000 redraws it
+    gives up with ``ValueError``.
     """
     return _draw_tangent(spec, rng, radius)[0]
 
@@ -300,7 +301,7 @@ def _draw_tangent(spec: SpaceSpec, rng: np.random.Generator,
         dets = flipped_determinants(X, block)
         if np.hypot(dets.real[1:], dets.imag[1:]).min(initial=np.inf) > CONDITION_FLOOR:
             return coords, X, dets
-    raise RuntimeError(
+    raise ValueError(
         f"could not draw a well-conditioned payload for {spec.family} "
         f"at radius {radius}; lower the radius")
 
@@ -557,89 +558,31 @@ def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
     return ViolationReport(violations=v, tolerance=tol)
 
 
-# --- coroot exponent systems -------------------------------------------------
-
-@dataclass(frozen=True)
-class CorootSystem:
-    """Integer diagonal exponent vectors driving the intrinsic product form.
-
-    ``vectors[k-1]`` is the exponent vector attached to the k-th determinant
-    ratio for ``k in product_indices``.  When a terminal factor exists, the
-    ratio at ``terminal_index`` enters with exponent ``terminal_numerators/2``
-    instead (the numerators are even for every family here, so the combined
-    exponents are integers).  The arrays are made read-only, because
-    :func:`coroots` hands one system to every caller.
-    """
-
-    vectors: tuple[np.ndarray, ...]
-    product_indices: tuple[int, ...]
-    terminal_index: Optional[int] = None
-    terminal_numerators: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        for v in self.vectors:
-            v.flags.writeable = False
-        if self.terminal_numerators is not None:
-            self.terminal_numerators.flags.writeable = False
-
-    def vector(self, k: int) -> np.ndarray:
-        return self.vectors[k - 1]
-
-
-def _e_diff(N: int, entries: dict[int, int]) -> np.ndarray:
-    """Diagonal integer vector from 1-based position -> value pairs."""
-    h = np.zeros(N, dtype=int)
-    for pos, val in entries.items():
-        h[pos - 1] += val
-    return h
-
+# --- coroot exponent tables --------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
-def coroots(spec: SpaceSpec) -> CorootSystem:
-    """The family's exponent vectors and terminal rule, one rule per reflection type.
+def coroots(spec: SpaceSpec) -> np.ndarray:
+    """The family's integer exponent table ``E`` of shape ``(K, N)``.
 
-    Rank-degenerate corners get their obvious systems: the n = 1
-    orthogonal case is a single point (empty product, every diagonal
-    entry 1), and the smallest doubly-odd layout has a bare torus slot
-    whose diagonal is the first determinant ratio itself.
+    ``E[k-1, j]`` is the power of ``det(1 + I_k X) / det(1 + X)`` in
+    diagonal entry j.  With ``e_j`` the 1-based unit vectors:
 
-    Each system is built once per spec and shared by every caller.
+    * without a reflection, row k is ``e_k - e_{k+1}``, k = 1..N-1;
+    * with a reflection (``so`` and ``sp`` alike) and r = N // 2, row
+      k < r is ``e_k - e_{k+1} + e_{N-k} - e_{N+1-k}`` and row r is
+      ``e_r - e_{N+1-r}``.
+
+    Every row sums to zero.  The table is built once per spec and is
+    read-only, because every caller shares it.
     """
-    fam = FAMILY[spec.family]
     N = spec.ambient
-    if not fam.reflection:
-        vecs = tuple(_e_diff(N, {k: 1, k + 1: -1}) for k in range(1, N))
-        return CorootSystem(vectors=vecs, product_indices=tuple(range(1, N)))
-
-    r = N // 2
-    vecs = [
-        _e_diff(N, {k: 1, k + 1: -1, N - k: 1, N - k + 1: -1})
-        for k in range(1, r)
-    ]
-    if fam.reflection == "sp":
-        vecs.append(_e_diff(N, {r: 1, r + 1: -1}))
-        return CorootSystem(vectors=tuple(vecs), product_indices=tuple(range(1, r + 1)))
-    if N == 2:
-        if 0 in fam.signs:
-            return CorootSystem(vectors=(_e_diff(N, {1: 1, 2: -1}),),
-                                product_indices=(1,))
-        return CorootSystem(vectors=(), product_indices=())
-    if N % 2 == 0:
-        h_r = _e_diff(N, {r - 1: 1, r: 1, r + 1: -1, r + 2: -1})
-        vecs.append(h_r)
-        numerators = -vecs[r - 2] + h_r
-    else:
-        h_r = _e_diff(N, {r: 2, r + 2: -2})
-        vecs.append(h_r)
-        numerators = h_r.copy()
-    # 2e_r - 2e_{r+1} or 2e_r - 2e_{r+2}: the half exponents are integers
-    assert not np.any(numerators % 2), f"odd terminal numerators {numerators}"
-    return CorootSystem(
-        vectors=tuple(vecs),
-        product_indices=tuple(range(1, r)),
-        terminal_index=r,
-        terminal_numerators=numerators,
-    )
+    eye = np.eye(N, dtype=np.int64)
+    E = eye[:-1] - eye[1:]
+    if FAMILY[spec.family].reflection:
+        r = N // 2
+        E = np.vstack([(E + E[::-1])[:r - 1], eye[r - 1] - eye[N - r]])
+    E.flags.writeable = False
+    return E
 
 
 # --- the family registry -----------------------------------------------------

@@ -294,6 +294,21 @@ class TestCorootRoute:
                 b = diagonal_via_cayley(X).entries
                 assert max(relative_gap(x, y) for x, y in zip(a, b)) <= 1e-9
 
+    def test_one_product_equals_a_loop_over_rows(self):
+        # reference: each ratio raised only where its exponent row is nonzero
+        rng = np.random.default_rng(43)
+        for spec in FAMILY_CASES + [diii(1), diii(2), SpaceSpec("BDI_oddodd", p=1, q=1)]:
+            E = spaces.coroots(spec)
+            for _ in range(10):
+                X = build_tangent(spec, random_coordinates(spec, rng))
+                dets = bruhat._flipped_stack(X, spec)
+                ratios = dets / dets[0]
+                want = np.ones(spec.ambient, dtype=complex)
+                for k, row in enumerate(E, start=1):
+                    want[row != 0] *= ratios[k] ** row[row != 0]
+                got = diagonal_via_coroots(spec, X).entries
+                assert got.tobytes() == want.tobytes(), spec
+
     def test_zero_tangent(self):
         spec = cii(1, 1)
         X = np.zeros((4, 4))

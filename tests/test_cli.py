@@ -173,6 +173,22 @@ class TestVerifyCommands:
         assert params["DIII"] == params["CI"] == {"n": 2}
         assert params["CII"] == {"p": 2, "q": 2}
 
+    def test_verify_without_family_puts_flags_over_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "2", "--draws", "1")
+        assert code == 0
+        params = {r["family"]: r["params"] for r in json.loads(out)["results"]}
+        assert params["AIII"] == {"m": 2, "n": 2}
+        assert params["DIII"] == params["CI"] == {"n": 2}
+        assert params["CII"] == {"p": 2, "q": 2}
+
+    def test_verify_draw_loop_that_gives_up_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "CI", "--radius", "1e300",
+                                 "--draws", "1")
+        assert code == 1
+        assert out == ""
+        assert err == ("bruhatdiag: error: could not draw a well-conditioned payload "
+                       "for CI at radius 1e+300; lower the radius\n")
+
     def test_verify_fails_at_zero_tolerance_with_the_same_worst_values(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--draws", "2", "--tol", "0")
         assert code == 2
@@ -414,6 +430,17 @@ class TestErrorHandling:
             main(list(argv))
         assert exc.value.code == 1
         assert f"argument {flag}: must be " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sources", [
+        ("--payload", AIII_COORDINATES, "--matrix", '{"n": 1, "entries": [[[0, 0]]]}'),
+        (),
+    ], ids=["both", "neither"])
+    def test_cayley_takes_exactly_one_source(self, capsys, sources):
+        with pytest.raises(SystemExit) as exc:
+            main(["cayley", *sources])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--payload" in err and "--matrix" in err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "golden", "--suite", "nope")

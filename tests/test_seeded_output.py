@@ -32,6 +32,8 @@ BDI_ODDODD_ZEROS_PAYLOAD = (
     '"w1": [[-0.0, 0.0]], "w2": [[-0.1, 0.0], [0.0, -0.3]], "s": -0.35}}')
 AIII_PAYLOAD = ('{"family": "AIII", "params": {"m": 2, "n": 3}, "payload": {"Z": '
                 '[[[0.3, 0.1], [-0.2, 0.4], [0.1, -0.3]], [[0.25, -0.15], [0.05, 0.2], [-0.35, 0.1]]]}}')
+CI_PAYLOAD = ('{"family": "CI", "params": {"n": 2}, "payload": '
+              '{"Z": [[[0.3, 0.1], [0.2, -0.4]], [[-0.15, 0.25], [0.3, 0.1]]]}}')
 MATRIX = ('{"n": 3, "entries": [[[2, 0.5], [1, -1], [0.5, 0]], [[-1, 0.25], [3, 0], [1, 1]], '
           '[[0.5, -0.5], [2, 0.75], [4, -1]]]}')
 
@@ -63,6 +65,8 @@ PINNED = {
                          "9a2aaad55d25bb9ec2f60597be7f145d"),
     "d_coroot_product": (("d", "--method", "coroot_product", "--payload", AIII_PAYLOAD),
                          "c273f2fbb60f1a4e7d178cdf9115ddb2"),
+    "d_coroot_product_ci": (("d", "--method", "coroot_product", "--payload", CI_PAYLOAD),
+                            "57dcaece286b61b74a04d670a18cee97"),
     "build_bdi_oddodd_zeros": (("build", "--payload", BDI_ODDODD_ZEROS_PAYLOAD),
                                "a7854d1ff7162ee39d8e1a9b488430b1"),
     "build_cii": (("build", "--payload", CII_PAYLOAD), "18feb9be83c291d432ec38bafc797062"),

@@ -252,76 +252,74 @@ class TestInvolution:
 
 class TestCoroots:
     def test_rank_two_unitary_case(self):
-        sys = coroots(aiii(1, 2))
-        assert [v.tolist() for v in sys.vectors] == [[1, -1, 0], [0, 1, -1]]
-        assert sys.terminal_index is None
+        assert coroots(aiii(1, 2)).tolist() == [[1, -1, 0], [0, 1, -1]]
 
     def test_symplectic_n2(self):
-        sys = coroots(ci(2))
-        assert [v.tolist() for v in sys.vectors] == [
+        assert coroots(ci(2)).tolist() == [
             [1, -1, 1, -1],
             [0, 1, -1, 0],
         ]
-        assert sys.product_indices == (1, 2)
 
     def test_orthogonal_n2(self):
-        sys = coroots(diii(2))
-        assert [v.tolist() for v in sys.vectors] == [
+        # the last row is e_r - e_{N+1-r}: integer exponents, no halves
+        assert coroots(diii(2)).tolist() == [
             [1, -1, 1, -1],
-            [1, 1, -1, -1],
+            [0, 1, -1, 0],
         ]
-        assert sys.terminal_index == 2
-        # the half combination resolves to integer exponents
-        assert sys.terminal_numerators.tolist() == [0, 2, -2, 0]
 
     def test_odd_ambient_terminal(self):
-        sys = coroots(SpaceSpec("BDI_even", p=4, q=3))
-        assert sys.terminal_index == 3
-        assert sys.terminal_numerators.tolist() == [0, 0, 2, 0, -2, 0, 0]
+        assert coroots(SpaceSpec("BDI_even", p=4, q=3)).tolist() == [
+            [1, -1, 0, 0, 0, 1, -1],
+            [0, 1, -1, 0, 1, -1, 0],
+            [0, 0, 1, 0, -1, 0, 0],
+        ]
 
     def test_all_vectors_traceless(self):
         for spec in ALL_SPECS:
-            sys = coroots(spec)
-            for v in sys.vectors:
-                assert v.sum() == 0
-            if sys.terminal_numerators is not None:
-                assert sys.terminal_numerators.sum() == 0
-                assert np.all(sys.terminal_numerators % 2 == 0)
+            assert not coroots(spec).sum(axis=1).any(), spec
 
     def test_product_form_holds_over_grid(self):
-        # coroots() asserts even terminal numerators; its product form must
-        # also reproduce the determinant-ratio diagonal on every layout
+        # the product form must reproduce the determinant-ratio diagonal on
+        # every layout
         rng = np.random.default_rng(41)
-        terminal = 0
         for spec in GRID:
-            sys = coroots(spec)
-            if sys.terminal_numerators is not None:
-                terminal += 1
-                assert not np.any(sys.terminal_numerators % 2), spec
             X = build_tangent(spec, random_coordinates(spec, rng))
             a = diagonal_via_coroots(spec, X).entries
             b = diagonal_via_cayley(X, spec).entries
             assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-9, spec
-        assert (len(GRID), terminal) == (154, 75)
+        assert len(GRID) == 154
+
+    def test_last_row_is_the_halved_terminal_numerators(self):
+        # on orthogonal layouts the last row is the coroot system's terminal
+        # rule: even numerators, halved, (h_r - v_{r-1}) / 2 for even N and
+        # h_r / 2 for odd N, with h_r and v_{r-1} written out below
+        so_layouts = [spec for spec in GRID if spec.so_like and spec.ambient >= 3]
+        assert len(so_layouts) == 75
+        for spec in so_layouts:
+            N = spec.ambient
+            r = N // 2
+            e = np.eye(N + 1, dtype=int)[:, 1:]  # e[j] is e_j, 1-based
+            if N % 2 == 0:
+                h_r = e[r - 1] + e[r] - e[r + 1] - e[r + 2]
+                v = e[r - 1] - e[r] + e[N - r + 1] - e[N - r + 2]
+                numerators = h_r - v
+            else:
+                numerators = 2 * e[r] - 2 * e[r + 2]
+            assert coroots(spec)[-1].tolist() == (numerators // 2).tolist(), spec
 
     def test_each_system_built_once_and_read_only(self):
         for spec in ALL_SPECS:
-            sys = coroots(spec)
-            assert coroots(SpaceSpec(spec.family, **spec.params_dict())) is sys
-            arrays = list(sys.vectors)
-            if sys.terminal_numerators is not None:
-                arrays.append(sys.terminal_numerators)
-            for v in arrays:
-                with pytest.raises(ValueError, match="read-only"):
-                    v[0] = 7
+            E = coroots(spec)
+            assert coroots(SpaceSpec(spec.family, **spec.params_dict())) is E
+            assert E.dtype.kind == "i" and E.shape == (len(E), spec.ambient)
+            with pytest.raises(ValueError, match="read-only"):
+                E[0, 0] = 7
 
     def test_degenerate_corners(self):
-        # the n = 1 orthogonal space is a point: empty exponent system
-        assert coroots(diii(1)).vectors == ()
+        # the n = 1 orthogonal space is a point: its one ratio is exactly 1
+        assert coroots(diii(1)).tolist() == [[1, -1]]
         # the smallest doubly-odd layout keeps its bare torus generator
-        sys = coroots(SpaceSpec("BDI_oddodd", p=1, q=1))
-        assert [v.tolist() for v in sys.vectors] == [[1, -1]]
-        assert sys.terminal_index is None
+        assert coroots(SpaceSpec("BDI_oddodd", p=1, q=1)).tolist() == [[1, -1]]
 
 
 class TestCoordinateJson:
