@@ -91,39 +91,78 @@ def _minor_cutoffs(A) -> np.ndarray:
     return GENERIC_TOL * scale ** np.arange(1, n + 1)
 
 
-def _checked_ratios(values: np.ndarray, cutoffs: np.ndarray, route: str) -> np.ndarray:
+def _screened_ratios(values: np.ndarray, cutoffs):
+    """The genericity check and telescoping ratios of a determinant table,
+    or of every table in a stack of them, in one vectorized pass.
+
+    ``values`` has shape ``(..., n + 1)``, and step k = 1..n is refused when
+    ``|values[..., k]| <= cutoffs[..., k - 1]``.  Magnitudes come from
+    ``np.hypot``, which rounds as ``abs(complex)`` does, and the first
+    refused k of each table is found by ``argmax``; a NaN magnitude or
+    cutoff refuses nothing, as a scalar comparison would not.
+
+    Returns ``(refusals, ratios)``.  ``refusals`` is None when no table
+    refuses a step, else the first refused step of each table (0 for a
+    table with none) and its magnitude.  ``ratios`` holds
+    ``values[..., k] / values[..., k - 1]``, k = 1..n, of every table that
+    refuses nothing, and NaN in a table that refuses, whose divisions are
+    never made.
+    """
+    mag = np.hypot(values.real, values.imag)[..., 1:]
+    fail = mag <= cutoffs
+    # the first True of the flattened table, if any; cheaper than fail.any()
+    # on the short tables of a single draw
+    if not fail.size or not fail.flat[fail.argmax()]:
+        return None, values[..., 1:] / values[..., :-1]
+    first = fail.argmax(axis=-1)[..., None]
+    refused = fail.any(axis=-1)
+    ratios = np.divide(values[..., 1:], values[..., :-1], where=~refused[..., None],
+                       out=np.full(mag.shape, np.nan, dtype=complex))
+    steps = np.where(refused, first[..., 0] + 1, 0)
+    return (steps, np.take_along_axis(mag, first, axis=-1)[..., 0]), ratios
+
+
+def _checked_ratios(values: np.ndarray, cutoffs, route: str) -> np.ndarray:
     """Telescoping ratios ``values[k] / values[k - 1]``, k = 1..n.
 
-    Every ``|values[k]|`` must clear ``cutoffs[k - 1]``; the first that
-    does not raises :class:`NonGenericError` with step k and ``route``.
+    Every ``|values[k]|`` must clear ``cutoffs[k - 1]``, checked in one
+    pass by :func:`_screened_ratios`; the first that does not raises
+    :class:`NonGenericError` with step k and ``route``.
     """
-    for k in range(1, len(values)):
-        if abs(values[k]) <= cutoffs[k - 1]:
-            raise NonGenericError(k, abs(values[k]), route)
-    return values[1:] / values[:-1]
+    refused, ratios = _screened_ratios(values, cutoffs)
+    if refused is not None:
+        step, magnitude = refused
+        raise NonGenericError(int(step), float(magnitude), route)
+    return ratios
 
 
-def _flipped_ratios(dets: np.ndarray, route: str) -> np.ndarray:
-    """Checked ratios of the flipped determinants ``det(1 + I_k X)``, k = 0..n.
+def _flipped_cutoffs(dets: np.ndarray) -> np.ndarray:
+    """The cutoff of every ``det(1 + I_k X)``, k = 1..n, in a flipped table
+    ``dets`` (shape ``(..., n + 1)``), as shape ``(..., 1)``.
 
     The minor identity det(1 + I_k X) = det(g[k]) det(1 + X) reduces
     genericity of a tangent to genericity of its unitary image, whose
     max-norm is at most 1; so every k = 1..n has the image cutoff
     rescaled by |det(1 + X)|.
     """
-    cutoff = GENERIC_TOL * max(abs(dets[0]), 1e-300)
-    return _checked_ratios(dets, np.full(len(dets) - 1, cutoff), route)
+    head = dets[..., :1]
+    return GENERIC_TOL * np.maximum(np.hypot(head.real, head.imag), 1e-300)
 
 
-def _flipped_stack(X: np.ndarray, spec: Optional[SpaceSpec]) -> np.ndarray:
-    """``det(1 + I_k X)``, k = 0..N, for a matrix or a stack of them; with a
-    spec, ``X`` must have its ambient size and the stack is split on the
-    spec's zero block."""
+def _flipped_ratios(dets: np.ndarray, route: str) -> np.ndarray:
+    """Checked ratios of the flipped determinants ``det(1 + I_k X)``, k = 0..n."""
+    return _checked_ratios(dets, _flipped_cutoffs(dets), route)
+
+
+def _flipped_stack(X, spec: Optional[SpaceSpec], scales=None) -> np.ndarray:
+    """``det(1 + I_k X)``, k = 0..N, for a matrix or, with ``scales``, for
+    the ray of its scaled copies; with a spec, ``X`` must have its ambient
+    size and the stack is split on the spec's zero block."""
     if spec is None:
-        return flipped_determinants(X)
-    if X.shape[-1] != spec.ambient:
-        raise ValueError(f"matrix has shape {X.shape[-2:]}, ambient size is {spec.ambient}")
-    return flipped_determinants(X, zero_block(spec))
+        return flipped_determinants(X, None, scales)
+    if np.shape(X)[-1:] != (spec.ambient,):
+        raise ValueError(f"matrix has shape {np.shape(X)}, ambient size is {spec.ambient}")
+    return flipped_determinants(X, zero_block(spec), scales)
 
 
 @dataclass
@@ -284,7 +323,7 @@ def diagonal_via_fredholm(X) -> DiagonalReport:
 
 
 def _coroot_report(spec: SpaceSpec, dets: np.ndarray) -> DiagonalReport:
-    _flipped_ratios(dets, "coroot_product")  # refuses as cayley_det does
+    """Report of a flipped stack ``dets`` that has passed the flipped check."""
     E = coroots(spec)
     ratios = dets[1:len(E) + 1] / dets[0]
     return _report("coroot_product", np.prod(ratios[:, None] ** E, axis=0))
@@ -302,7 +341,9 @@ def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
     checks it, so the two routes refuse the same inputs at the same step,
     even at indices no exponent reads.
     """
-    return _coroot_report(spec, _flipped_stack(as_matrix(X), spec))
+    dets = _flipped_stack(as_matrix(X), spec)
+    _flipped_ratios(dets, "coroot_product")  # refuses as cayley_det does
+    return _coroot_report(spec, dets)
 
 
 def cross_check(X, spec: Optional[SpaceSpec] = None) -> dict[str, DiagonalReport]:
@@ -315,8 +356,11 @@ def cross_check(X, spec: Optional[SpaceSpec] = None) -> dict[str, DiagonalReport
     ``g = cayley(X)``, its leading minors and the flipped stack
     ``det(1 + I_k X)`` are built once here: ``gauss`` reads ``g``,
     ``minor_ratio`` and the ``cayley_det`` residual read the minors,
-    ``cayley_det`` and ``coroot_product`` read the stack.  Each report
-    and each error equals the one the standalone route gives.
+    ``cayley_det`` and ``coroot_product`` read the stack, which is
+    checked once, for ``cayley_det``: ``coroot_product`` applies the same
+    check to the same stack, so it cannot refuse what ``cayley_det``
+    passed.  Each report and each error equals the one the standalone
+    route gives.
     """
     X = as_matrix(X)
     return _cross_check(X, spec, cayley(X))

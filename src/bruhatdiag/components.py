@@ -16,8 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bruhat import NonGenericError, _flipped_ratios, _flipped_stack
-from .linalg import as_matrix
+from .bruhat import _flipped_cutoffs, _flipped_stack, _screened_ratios
 from .spaces import FAMILY, SpaceSpec, _position_signs
 
 #: Geometric grid of scaling parameters for limit checks.
@@ -209,26 +208,24 @@ def limit_check(rep: ComponentRep, X=None) -> LimitReport:
     compare against the signs.
 
     Each grid point needs only the ``cayley_det`` entries: the flipped
-    stack ``det(1 + I_k tX)``, its cutoffs and its checked ratios.  The
-    stacks of every grid point come from one call on the stacked scaled
-    witnesses, so a representative makes one split plan and one batched
-    determinant call; the checks and ratios still run per grid point.  The
-    Cayley image and the minor-identity residual, which
+    stack ``det(1 + I_k tX)``, its cutoffs and its checked ratios.  ``X``
+    is validated once and the stacks of every grid point come from one ray
+    call (:func:`~bruhatdiag.linalg.flipped_determinants` with
+    ``scales``): one split plan from ``X`` itself, its kept block gathered
+    once and scaled per point, and one batched determinant call.  The
+    check, the ratios and the deviations of all grid points are then one
+    vectorized pass over the ``(grid, N + 1)`` table; a refused point reads
+    ``None``.  The Cayley image and the minor-identity residual, which
     :func:`~bruhatdiag.bruhat.diagonal_via_cayley` would also build, are
     not computed.
     """
     if X is None:
         X = construct_witness(rep)
-    X = as_matrix(X)
-    target = np.array(rep.signs, dtype=float)
-    stacks = _flipped_stack(np.array(DEFAULT_GRID)[:, None, None] * X, rep.spec)
-    deviations: list[Optional[float]] = []
-    for dets in stacks:
-        try:
-            d = _flipped_ratios(dets, "cayley_det")
-        except NonGenericError:
-            deviations.append(None)
-            continue
-        dev = float(np.max(np.abs(d - target) / np.maximum(1.0, np.abs(d))))
-        deviations.append(dev)
+    dets = _flipped_stack(X, rep.spec, DEFAULT_GRID)
+    refused, d = _screened_ratios(dets, _flipped_cutoffs(dets))
+    deviations = np.max(np.abs(d - np.array(rep.signs, dtype=float))
+                        / np.maximum(1.0, np.abs(d)), axis=-1).tolist()
+    if refused is not None:
+        deviations = [None if step else dev
+                      for step, dev in zip(refused[0].tolist(), deviations)]
     return LimitReport(rep=rep, t_grid=DEFAULT_GRID, deviations=deviations)

@@ -15,9 +15,10 @@ what is left: a zero row of ``A`` is a unit row of every flip and drops
 out, and a Schur complement on the unit block ``(1 + I_k A)_TT = 1``
 turns each determinant into the ``p x p`` one of
 ``1_P + S_P (A_PP - A_PT S_T A_TP)`` on the kept rows P outside T.  It
-also takes a stack of matrices, such as one witness scaled to every grid
-point of a limit check: the stack shares one plan, keeping every row that
-is nonzero in any member, and its determinants are still one LU call.
+also takes a ray, one matrix with positive scales, such as a witness
+walked to every grid point of a limit check: the matrix is validated and
+planned once, its kept block is gathered once and scaled per point, and
+the determinants of every point are still one LU call.
 :func:`flipped_minor_expansion` computes every principal minor of ``A``
 once (one gather and one batched ``det`` per subset size) and forms the
 n + 1 expansions as signed sums, since the minor of ``I_k A`` on
@@ -49,16 +50,7 @@ class ExpansionLimitError(ValueError):
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a square complex matrix and validate its entries."""
     A = np.asarray(a, dtype=complex)
-    if A.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return _square_stack(A)
-
-
-def _square_stack(a) -> np.ndarray:
-    """Coerce ``a`` to a stack of square complex matrices, shape
-    ``(..., n, n)``, and validate its entries."""
-    A = np.asarray(a, dtype=complex)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
@@ -141,17 +133,26 @@ def flipped_minor_expansion(A) -> np.ndarray:
     return totals
 
 
-def flipped_determinants(A, zero_block=None) -> np.ndarray:
+def flipped_determinants(A, zero_block=None, scales=None) -> np.ndarray:
     """``det(1 + I_k A)`` for k = 0..n from one stacked LU call.
 
-    ``A`` is one ``n x n`` matrix or a stack of them, shape ``(..., n, n)``;
-    the result has shape ``(..., n + 1)``.  ``I_0`` is the identity; for
-    n = 0 the single entry is the empty determinant 1.  Row i of
-    ``1 + I_k A`` is row i of ``1 - A`` when i < k and of ``1 + A``
-    otherwise, so the stack is one selection between those two matrices
-    (the same values as ``1 + I_k @ A``, with a single stack-sized
-    allocation).  A batched ``det`` factorizes each matrix on its own, so
-    every value equals the one a per-flip loop gives.
+    ``A`` is one ``n x n`` matrix; the result has shape ``(n + 1,)``.
+    ``I_0`` is the identity; for n = 0 the single entry is the empty
+    determinant 1.  Row i of ``1 + I_k A`` is row i of ``1 - A`` when
+    i < k and of ``1 + A`` otherwise, so the stack is one selection
+    between those two matrices (the same values as ``1 + I_k @ A``, with a
+    single stack-sized allocation).  A batched ``det`` factorizes each
+    matrix on its own, so every value equals the one a per-flip loop gives.
+
+    ``scales`` is an optional 1-D array of positive factors: the result
+    then has shape ``(len(scales), n + 1)``, and row s holds the flipped
+    determinants of ``scales[s] * A``, the ray through ``A`` that a limit
+    check walks.  ``A`` is validated and planned once; only the block it
+    keeps is multiplied by each scale, with the same products ``t * a`` a
+    call on ``t * A`` makes, so every row equals that call bitwise (a
+    scale that underflows an entry to zero still keeps its row).  A scaled
+    entry that overflows raises ``ValueError``, as a call on ``t * A``
+    does.
 
     ``zero_block`` is an optional boolean mask of positions T on which
     ``A`` is expected to vanish (``A[T, T] = 0``; see
@@ -169,18 +170,22 @@ def flipped_determinants(A, zero_block=None) -> np.ndarray:
       inverse is taken, and for p > 1 the products ``A_PT S_T A_TP`` of
       every flip are one matrix product.
 
-    A stack shares one plan: a row is kept when it is nonzero in any
-    member, and the split runs only when every member vanishes on T.
-    Otherwise, and when no block is passed, the full stack above runs.
+    Otherwise, and when no block is passed, the full stack above runs, on
+    every scaled matrix of a ray.
     """
-    A = _square_stack(A)
-    n = A.shape[-1]
-    lead = A.shape[:-2]
+    A = as_matrix(A)
+    n = A.shape[0]
+    if scales is not None:
+        scales = np.asarray(scales, dtype=float)
+        if scales.ndim != 1 or not np.all(scales > 0):
+            raise ValueError(f"scales must be a 1-D array of positive numbers, got {scales!r}")
     if zero_block is not None:
         order, p, eye, sign_p, sign_t, remap = _split_plan(
-            A.any(axis=tuple(range(A.ndim - 2)) + (-1,)).tobytes(), zero_block.tobytes())
-        B = A[..., order[:, None], order]
-        if not B[..., p:, p:].any():
+            A.any(axis=1).tobytes(), zero_block.tobytes())
+        B = A[order[:, None], order]
+        if not B[p:, p:].any():
+            B = _on_ray(B, scales)
+            lead = B.shape[:-2]
             flips, t = sign_t.shape
             left = B[..., None, :p, p:] * sign_t[:, None, :]
             if p > 1:
@@ -196,8 +201,20 @@ def flipped_determinants(A, zero_block=None) -> np.ndarray:
             return dets if remap is None else dets[..., remap]
     eye = np.eye(n)
     flipped = np.arange(n) < np.arange(n + 1)[:, None]
-    A = A[..., None, :, :]
+    A = _on_ray(A, scales)[..., None, :, :]
     return np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
+
+
+def _on_ray(A: np.ndarray, scales) -> np.ndarray:
+    """``A`` itself without ``scales``, else the stack ``t * A`` over them,
+    whose entries must stay finite: an overflow raises, without a warning."""
+    if scales is None:
+        return A
+    with np.errstate(over="ignore"):
+        S = scales[:, None, None] * A
+    if not np.isfinite(S).all():
+        raise ValueError("matrix entries must be finite")
+    return S
 
 
 # A dense draw of a layout needs one plan; a witness needs one per

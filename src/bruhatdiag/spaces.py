@@ -292,14 +292,19 @@ def _draw_tangent(spec: SpaceSpec, rng: np.random.Generator,
 
     Returns the accepted payload with the tangent ``X`` and the split
     stack ``det(1 + I_k X)``, k = 0..N, built to judge it, so a caller
-    that goes on to check the draw need not build either again.
+    that goes on to check the draw need not build either again.  At a huge
+    radius the stack overflows; it is built without floating-point
+    warnings and a non-finite stack is redrawn like a near-boundary one.
     """
     block = zero_block(spec)
     for _ in range(1000):
         coords = _sample_coordinates(spec, rng, radius)
         X = build_tangent(spec, coords)
-        dets = flipped_determinants(X, block)
-        if np.hypot(dets.real[1:], dets.imag[1:]).min(initial=np.inf) > CONDITION_FLOOR:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets = flipped_determinants(X, block)
+        mag = np.hypot(dets.real, dets.imag)
+        # an infinite magnitude clears the floor, so finiteness is its own test
+        if np.isfinite(mag).all() and mag[1:].min(initial=np.inf) > CONDITION_FLOOR:
             return coords, X, dets
     raise ValueError(
         f"could not draw a well-conditioned payload for {spec.family} "

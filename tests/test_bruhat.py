@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhatdiag import bruhat, spaces
 from bruhatdiag.bruhat import (
@@ -403,6 +406,110 @@ class TestGenericity:
         assert refused and returned
 
 
+def _scalar_checked_ratios(values, cutoffs):
+    """The per-step loop the vectorized check replaced: ``(k, |values[k]|)``
+    of the first refused step, or the ratios."""
+    for k in range(1, len(values)):
+        if abs(values[k]) <= cutoffs[k - 1]:
+            return k, abs(values[k])
+    return values[1:] / values[:-1]
+
+
+def _scalar_flipped_cutoffs(values):
+    return np.full(len(values) - 1, bruhat.GENERIC_TOL * max(abs(values[0]), 1e-300))
+
+
+def _near(cutoff):
+    """Magnitudes at ``cutoff``, one ulp below and one ulp above it."""
+    return [cutoff, np.nextafter(cutoff, 0.0), np.nextafter(cutoff, np.inf)]
+
+
+_HEADS = st.sampled_from([1.0, 0.0, -2.5j, 3e-7 + 2e-7j, 1e300, 1e-300, np.inf,
+                          complex(np.nan, 0.0), complex(np.inf, np.nan)])
+_FINITE = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _flipped_table(draw, n):
+    """A flipped table of length n + 1 whose steps sit at, just below and
+    just above its cutoff, or are NaN, inf, zero or ordinary."""
+    head = draw(_HEADS | _FINITE)
+    cutoff = bruhat.GENERIC_TOL * max(abs(head), 1e-300)
+    special = [0.0, np.nan, np.inf, complex(np.inf, np.nan), -np.inf * 1j]
+    if np.isfinite(cutoff):
+        special += [m * unit for m in _near(cutoff) for unit in (1.0, -1j, complex(0.6, 0.8))]
+    return np.array([head] + [draw(st.sampled_from(special) | _FINITE) for _ in range(n)],
+                    dtype=complex)
+
+
+def _assert_same_outcome(got_step, got_magnitude, got_ratios, want):
+    if isinstance(want, tuple):
+        assert (got_step, got_magnitude) == want
+        assert np.isnan(got_ratios).all()
+    else:
+        assert got_step == 0
+        assert got_ratios.tobytes() == want.tobytes()
+
+
+class TestVectorizedCheck:
+    """The vectorized genericity check against the scalar loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8).flatmap(_flipped_table))
+    def test_one_flipped_table_equals_the_scalar_loop(self, values):
+        with np.errstate(all="ignore"):
+            want = _scalar_checked_ratios(values, _scalar_flipped_cutoffs(values))
+            refused, ratios = bruhat._screened_ratios(values, bruhat._flipped_cutoffs(values))
+            step, magnitude = (0, None) if refused is None else map(float, refused)
+            _assert_same_outcome(step, magnitude, ratios, want)
+            try:
+                got = bruhat._flipped_ratios(values, "cayley_det")
+            except NonGenericError as exc:
+                assert (exc.index, exc.magnitude) == want
+                assert exc.route == "cayley_det"
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8).flatmap(
+        lambda n: st.lists(_flipped_table(n), min_size=1, max_size=len(DEFAULT_GRID))))
+    def test_stack_of_flipped_tables_equals_the_scalar_loop_per_row(self, tables):
+        stack = np.stack(tables)
+        with np.errstate(all="ignore"):
+            refused, ratios = bruhat._screened_ratios(stack, bruhat._flipped_cutoffs(stack))
+            assert ratios.shape == (len(tables), stack.shape[1] - 1)
+            for row, values in enumerate(tables):
+                want = _scalar_checked_ratios(values, _scalar_flipped_cutoffs(values))
+                if refused is None:
+                    step, magnitude = 0, None
+                else:
+                    step, magnitude = int(refused[0][row]), float(refused[1][row])
+                _assert_same_outcome(step, magnitude if step else None, ratios[row], want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(_FINITE, min_size=n + 1, max_size=n + 1),
+        st.lists(st.sampled_from([0.0, 1e-10, 2.5, np.nan, np.inf]),
+                 min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+    def test_per_step_cutoffs_equal_the_scalar_loop(self, case):
+        # minor_ratio cuts each step on its own cutoff: plant values at it
+        values, cutoffs, plant = (np.array(a) for a in case)
+        values = values.astype(complex)
+        cutoffs = cutoffs.astype(float)
+        for k, how in enumerate(plant):
+            if how and np.isfinite(cutoffs[k]):
+                values[k + 1] = _near(cutoffs[k])[how - 1] * 1j
+        with np.errstate(all="ignore"):
+            want = _scalar_checked_ratios(values, cutoffs)
+            try:
+                got = bruhat._checked_ratios(values, cutoffs, "minor_ratio")
+            except NonGenericError as exc:
+                assert (exc.index, exc.magnitude) == want
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
 def _expansion_reference(A):
     """det(1 + A) as the size-by-size sum of principal minors, one gather
     per index set: the loop the batched expansion replaced."""
@@ -595,6 +702,23 @@ class TestDistinctFlips:
             flipped_determinants(X, zero_block(spec))
             assert shapes == [(N + 1, N, N), (N + 1, p, p)], spec.family
 
+    def test_limit_check_allocates_no_dense_grid_stack(self):
+        # the AIII(60, 60) j = 4 witness keeps 8 of 120 rows: its ray scales
+        # an 8 x 8 block, never the (3, 120, 120) stack of t * X
+        rep = _block_rep(60, range(4))
+        X = construct_witness(rep)
+        dense = len(DEFAULT_GRID) * X.nbytes
+        assert dense == 691200
+        limit_check(rep, X)  # the split plan is cached after the first call
+        tracemalloc.start()
+        try:
+            report = limit_check(rep, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < dense, peak
+
     def test_non_tangent_with_block_equals_full_stack_bitwise(self):
         rng = np.random.default_rng(83)
         for spec in FAMILY_CASES + [aiii(5, 45)]:
@@ -628,11 +752,10 @@ class TestDistinctFlips:
         # the zero matrix keeps no row: every determinant is the empty 1
         assert flipped_determinants(np.zeros((6, 6)), zero_block(aiii(3, 3))).tolist() == [1.0] * 7
 
-    def test_stack_equals_per_member_calls_bitwise(self, monkeypatch):
-        # a stack of one zero pattern shares the plan each member would make
+    def test_ray_equals_per_point_calls_bitwise(self, monkeypatch):
+        # a ray plans on the matrix, as a call on each scaled copy would
         shapes = _count_det_calls(monkeypatch)
         rng = np.random.default_rng(86)
-        grid = np.array(DEFAULT_GRID)[:, None, None]
         for spec in FAMILY_DEFAULTS:
             block = zero_block(spec)
             N = spec.ambient
@@ -643,18 +766,38 @@ class TestDistinctFlips:
             rows[::3] = 0.0
             off_block[np.flatnonzero(block)[0], np.flatnonzero(block)[-1]] = 0.25j
             for A in (X, no_p, no_t, rows, off_block, np.zeros_like(X)):
-                S = grid * A
                 for mask in (block, None):
                     shapes.clear()
-                    got = flipped_determinants(S, mask)
+                    got = flipped_determinants(A, mask, DEFAULT_GRID)
                     assert got.shape == (len(DEFAULT_GRID), N + 1)
                     stacked = shapes[0]
-                    for member, dets in zip(S, got):
-                        assert dets.tobytes() == flipped_determinants(member, mask).tobytes(), spec
+                    for t, dets in zip(DEFAULT_GRID, got):
+                        assert dets.tobytes() == flipped_determinants(t * A, mask).tobytes(), spec
                     if mask is None or A is off_block:
                         assert stacked == (len(DEFAULT_GRID), N + 1, N, N), spec
                     elif A is no_p:
                         assert stacked[-1] == 0, spec
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ray_validates_its_matrix_scales_and_scaled_entries(self):
+        X = build_tangent(aiii(2, 3), random_coordinates(aiii(2, 3), np.random.default_rng(89)))
+        block = zero_block(aiii(2, 3))
+        for bad in ([[1.0]], [1.0, 0.0], [-1.0], [np.nan]):
+            with pytest.raises(ValueError, match="scales must be"):
+                flipped_determinants(X, block, bad)
+        with pytest.raises(ValueError, match="square"):
+            flipped_determinants(np.stack([X, X]), block, [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            flipped_determinants(np.full((5, 5), np.nan), block, [1.0])
+        # an entry that overflows at one scale raises, as a call on t * X does
+        big = 1e306 * X
+        for mask in (block, None):
+            with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+                flipped_determinants(1000.0 * big, mask)
+            with pytest.raises(ValueError, match="finite"):
+                flipped_determinants(big, mask, [1.0, 1000.0])
+        # an empty ray has no rows
+        assert flipped_determinants(X, block, []).shape == (0, 6)
 
     def test_one_row_outside_block_keeps_per_flip_products_bitwise(self):
         # with p = 1 a single product over the flips would be a matrix-vector
@@ -676,21 +819,8 @@ class TestDistinctFlips:
                 X = build_tangent(spec, random_coordinates(spec, rng))
                 want = schur_loop(X, block).tobytes()
                 assert flipped_determinants(X, block).tobytes() == want, spec
-                stacked = flipped_determinants(np.stack([X, 2.0 * X]), block)
-                assert stacked[0].tobytes() == want, spec
-
-    def test_stack_of_different_zero_patterns_keeps_every_nonzero_row(self):
-        rng = np.random.default_rng(87)
-        for spec in FAMILY_DEFAULTS:
-            block = zero_block(spec)
-            X = build_tangent(spec, random_coordinates(spec, rng))
-            rows, cross = X.copy(), X.copy()
-            rows[::2] = 0.0
-            cross[1::3] = 0.0
-            cross[:, 1::3] = 0.0
-            S = np.stack([rows, X, 3.0 * cross, np.zeros_like(X)])
-            for member, dets in zip(S, flipped_determinants(S, block)):
-                assert np.allclose(dets, flipped_determinants(member, block), rtol=1e-13, atol=0)
+                ray = flipped_determinants(X, block, [1.0, 2.0])
+                assert ray[0].tobytes() == want, spec
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning",
                                 "ignore:invalid value encountered in det:RuntimeWarning")

@@ -181,6 +181,7 @@ class TestVerifyCommands:
         assert params["DIII"] == params["CI"] == {"n": 2}
         assert params["CII"] == {"p": 2, "q": 2}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_verify_draw_loop_that_gives_up_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--family", "CI", "--radius", "1e300",
                                  "--draws", "1")

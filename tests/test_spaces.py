@@ -353,6 +353,16 @@ class TestCoordinateJson:
         coords = random_coordinates(diii(4), rng)
         assert np.abs(coords.Z + antitranspose(coords.Z)).max() == 0.0
 
+    def test_non_finite_stack_is_redrawn(self, monkeypatch):
+        # an all-inf stack clears the floor comparison; it must still be redrawn
+        from bruhatdiag import spaces
+
+        for value in (np.inf, complex(np.inf, np.nan), np.nan):
+            monkeypatch.setattr(spaces, "flipped_determinants",
+                                lambda X, block, value=value: np.full(X.shape[0] + 1, value))
+            with pytest.raises(ValueError, match="could not draw a well-conditioned payload"):
+                random_coordinates(aiii(1, 2), np.random.default_rng(38))
+
 
 # Hand-written per-family tables: the registry must derive the same layout.
 
