@@ -54,9 +54,11 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import cayley, verify_image
+from .cayley import _cayley, verify_image
 from .linalg import (
     EXPANSION_CAP,
+    _flipped_determinants,
+    _minor_expansion,
     as_matrix,
     complex_to_pair,
     flipped_determinants,
@@ -91,13 +93,15 @@ def _minor_cutoffs(A) -> np.ndarray:
     return GENERIC_TOL * scale ** np.arange(1, n + 1)
 
 
-def _screened_ratios(values: np.ndarray, cutoffs):
+def _screened_ratios(values: np.ndarray, cutoffs=None):
     """The genericity check and telescoping ratios of a determinant table,
     or of every table in a stack of them, in one vectorized pass.
 
     ``values`` has shape ``(..., n + 1)``, and step k = 1..n is refused when
-    ``|values[..., k]| <= cutoffs[..., k - 1]``.  Magnitudes come from
-    ``np.hypot``, which rounds as ``abs(complex)`` does, and the first
+    ``|values[..., k]| <= cutoffs[..., k - 1]``; without ``cutoffs`` the
+    table is a flipped one and each gets :func:`_flipped_cutoffs` from the
+    same magnitudes, so ``np.hypot`` runs once over it.  Magnitudes come
+    from ``np.hypot``, which rounds as ``abs(complex)`` does, and the first
     refused k of each table is found by ``argmax``; a NaN magnitude or
     cutoff refuses nothing, as a scalar comparison would not.
 
@@ -108,7 +112,10 @@ def _screened_ratios(values: np.ndarray, cutoffs):
     refuses nothing, and NaN in a table that refuses, whose divisions are
     never made.
     """
-    mag = np.hypot(values.real, values.imag)[..., 1:]
+    mag = np.hypot(values.real, values.imag)
+    if cutoffs is None:
+        cutoffs = _flipped_cutoffs(mag)
+    mag = mag[..., 1:]
     fail = mag <= cutoffs
     # the first True of the flattened table, if any; cheaper than fail.any()
     # on the short tables of a single draw
@@ -125,8 +132,9 @@ def _screened_ratios(values: np.ndarray, cutoffs):
 def _checked_ratios(values: np.ndarray, cutoffs, route: str) -> np.ndarray:
     """Telescoping ratios ``values[k] / values[k - 1]``, k = 1..n.
 
-    Every ``|values[k]|`` must clear ``cutoffs[k - 1]``, checked in one
-    pass by :func:`_screened_ratios`; the first that does not raises
+    Every ``|values[k]|`` must clear ``cutoffs[k - 1]`` (the flipped
+    cutoffs when ``cutoffs`` is None), checked in one pass by
+    :func:`_screened_ratios`; the first that does not raises
     :class:`NonGenericError` with step k and ``route``.
     """
     refused, ratios = _screened_ratios(values, cutoffs)
@@ -136,33 +144,37 @@ def _checked_ratios(values: np.ndarray, cutoffs, route: str) -> np.ndarray:
     return ratios
 
 
-def _flipped_cutoffs(dets: np.ndarray) -> np.ndarray:
-    """The cutoff of every ``det(1 + I_k X)``, k = 1..n, in a flipped table
-    ``dets`` (shape ``(..., n + 1)``), as shape ``(..., 1)``.
+def _flipped_cutoffs(mag: np.ndarray) -> np.ndarray:
+    """The cutoff of every ``det(1 + I_k X)``, k = 1..n, from the
+    magnitudes ``mag = |dets|`` of a flipped table (shape ``(..., n + 1)``),
+    as shape ``(..., 1)``.
 
     The minor identity det(1 + I_k X) = det(g[k]) det(1 + X) reduces
     genericity of a tangent to genericity of its unitary image, whose
     max-norm is at most 1; so every k = 1..n has the image cutoff
     rescaled by |det(1 + X)|.
     """
-    head = dets[..., :1]
-    return GENERIC_TOL * np.maximum(np.hypot(head.real, head.imag), 1e-300)
+    return GENERIC_TOL * np.maximum(mag[..., :1], 1e-300)
 
 
 def _flipped_ratios(dets: np.ndarray, route: str) -> np.ndarray:
     """Checked ratios of the flipped determinants ``det(1 + I_k X)``, k = 0..n."""
-    return _checked_ratios(dets, _flipped_cutoffs(dets), route)
+    return _checked_ratios(dets, None, route)
 
 
-def _flipped_stack(X, spec: Optional[SpaceSpec], scales=None) -> np.ndarray:
-    """``det(1 + I_k X)``, k = 0..N, for a matrix or, with ``scales``, for
-    the ray of its scaled copies; with a spec, ``X`` must have its ambient
-    size and the stack is split on the spec's zero block."""
-    if spec is None:
-        return flipped_determinants(X, None, scales)
+def _check_ambient(X, spec: SpaceSpec) -> None:
     if np.shape(X)[-1:] != (spec.ambient,):
         raise ValueError(f"matrix has shape {np.shape(X)}, ambient size is {spec.ambient}")
-    return flipped_determinants(X, zero_block(spec), scales)
+
+
+def _flipped_stack(X: np.ndarray, spec: Optional[SpaceSpec]) -> np.ndarray:
+    """``det(1 + I_k X)``, k = 0..N, of an already validated matrix; with a
+    spec, ``X`` must have its ambient size and the stack is split on the
+    spec's zero block."""
+    if spec is None:
+        return _flipped_determinants(X)
+    _check_ambient(X, spec)
+    return _flipped_determinants(X, zero_block(spec))
 
 
 @dataclass
@@ -205,18 +217,17 @@ def _report(method: str, entries: np.ndarray, **extra) -> DiagonalReport:
                           product=complex(np.prod(entries)), **extra)
 
 
-def _eliminate(A: np.ndarray) -> np.ndarray:
+def _eliminate(A: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
     """Unpivoted elimination of ``A`` in place; returns the pivots.
 
     Step k divides column k below the diagonal by the pivot, stores those
     multipliers there and updates only ``A[k+1:, k+1:]``, so on return
     the strict lower triangle holds ``L`` and the upper triangle holds
     ``D U``.  The running product of the pivots is the k-th leading
-    minor; the first that falls to its cutoff raises
-    :class:`NonGenericError` with step k.
+    minor; the first that falls to its cutoff (``_minor_cutoffs`` of the
+    input) raises :class:`NonGenericError` with step k.
     """
     n = A.shape[0]
-    cutoffs = _minor_cutoffs(A)
     minor = 1.0 + 0.0j
     for k in range(n):
         pivot = A[k, k]
@@ -238,7 +249,7 @@ def ldu(g) -> LDUFactorization:
     reported through :class:`NonGenericError`.
     """
     A = as_matrix(g).copy()
-    pivots = _eliminate(A)
+    pivots = _eliminate(A, _minor_cutoffs(A))
     L = np.tril(A, -1)
     np.fill_diagonal(L, 1.0)
     U = (np.triu(A).T / pivots).T
@@ -248,8 +259,12 @@ def ldu(g) -> LDUFactorization:
 
 def diagonal_via_gauss(g) -> DiagonalReport:
     """Diagonal as the elimination pivots; ``L`` and ``U`` are never built."""
-    entries = _eliminate(as_matrix(g).copy())
-    return _report("gauss", entries)
+    g = as_matrix(g)
+    return _gauss_report(g, _minor_cutoffs(g))
+
+
+def _gauss_report(g: np.ndarray, cutoffs: np.ndarray) -> DiagonalReport:
+    return _report("gauss", _eliminate(g.copy(), cutoffs))
 
 
 def leading_minors(g) -> np.ndarray:
@@ -259,7 +274,11 @@ def leading_minors(g) -> np.ndarray:
     is the table :func:`cross_check` shares between ``minor_ratio`` and
     the ``cayley_det`` minor-identity residual.
     """
-    g = as_matrix(g)
+    return _leading_minors(as_matrix(g))
+
+
+def _leading_minors(g: np.ndarray) -> np.ndarray:
+    """:func:`leading_minors` of an already validated matrix."""
     n = g.shape[0]
     out = np.empty(n + 1, dtype=complex)
     out[0] = 1.0
@@ -268,15 +287,14 @@ def leading_minors(g) -> np.ndarray:
     return out
 
 
-def _minor_ratio_report(g: np.ndarray, minors: np.ndarray) -> DiagonalReport:
-    entries = _checked_ratios(minors, _minor_cutoffs(g), "minor_ratio")
-    return _report("minor_ratio", entries)
+def _minor_ratio_report(minors: np.ndarray, cutoffs: np.ndarray) -> DiagonalReport:
+    return _report("minor_ratio", _checked_ratios(minors, cutoffs, "minor_ratio"))
 
 
 def diagonal_via_minors(g) -> DiagonalReport:
     """Diagonal as the telescoping ratios of leading principal minors."""
     g = as_matrix(g)
-    return _minor_ratio_report(g, leading_minors(g))
+    return _minor_ratio_report(_leading_minors(g), _minor_cutoffs(g))
 
 
 def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
@@ -304,7 +322,7 @@ def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None) -> DiagonalReport:
     X = as_matrix(X)
     dets = _flipped_stack(X, spec)
     entries = _flipped_ratios(dets, "cayley_det")
-    return _cayley_det_report(dets, entries, leading_minors(cayley(X)))
+    return _cayley_det_report(dets, entries, leading_minors(_cayley(X)))
 
 
 def diagonal_via_fredholm(X) -> DiagonalReport:
@@ -317,9 +335,11 @@ def diagonal_via_fredholm(X) -> DiagonalReport:
     route is capped at :data:`~bruhatdiag.linalg.EXPANSION_CAP` and serves
     as the independent combinatorial oracle for :func:`diagonal_via_cayley`.
     """
-    dets = flipped_minor_expansion(X)
-    entries = _flipped_ratios(dets, "fredholm")
-    return _report("fredholm", entries)
+    return _fredholm_report(flipped_minor_expansion(X))
+
+
+def _fredholm_report(dets: np.ndarray) -> DiagonalReport:
+    return _report("fredholm", _flipped_ratios(dets, "fredholm"))
 
 
 def _coroot_report(spec: SpaceSpec, dets: np.ndarray) -> DiagonalReport:
@@ -360,28 +380,32 @@ def cross_check(X, spec: Optional[SpaceSpec] = None) -> dict[str, DiagonalReport
     checked once, for ``cayley_det``: ``coroot_product`` applies the same
     check to the same stack, so it cannot refuse what ``cayley_det``
     passed.  Each report and each error equals the one the standalone
-    route gives.
+    route gives.  ``X`` and ``g`` are validated once each, and the minor
+    cutoffs of ``g`` are computed once, for ``gauss`` and ``minor_ratio``.
     """
     X = as_matrix(X)
-    return _cross_check(X, spec, cayley(X))
+    return _cross_check(X, spec, _cayley(X))
 
 
 def _cross_check(X: np.ndarray, spec: Optional[SpaceSpec], g: np.ndarray,
                  dets: Optional[np.ndarray] = None) -> dict[str, DiagonalReport]:
-    """:func:`cross_check` on ``X`` with its image ``g`` and, if already
-    built, its flipped stack ``dets``; a missing stack is built after
-    ``gauss`` and ``minor_ratio``, so errors come in the same order."""
-    minors = leading_minors(g)
+    """:func:`cross_check` on the validated ``X`` with its image ``g``, which
+    is validated here, and, if already built, its flipped stack ``dets``;
+    a missing stack is built after ``gauss`` and ``minor_ratio``, so errors
+    come in the same order."""
+    g = as_matrix(g)
+    cutoffs = _minor_cutoffs(g)
+    minors = _leading_minors(g)
     out = {
-        "gauss": diagonal_via_gauss(g),
-        "minor_ratio": _minor_ratio_report(g, minors),
+        "gauss": _gauss_report(g, cutoffs),
+        "minor_ratio": _minor_ratio_report(minors, cutoffs),
     }
     if dets is None:
         dets = _flipped_stack(X, spec)
     out["cayley_det"] = _cayley_det_report(
         dets, _flipped_ratios(dets, "cayley_det"), minors)
     if X.shape[0] <= EXPANSION_CAP:
-        out["fredholm"] = diagonal_via_fredholm(X)
+        out["fredholm"] = _fredholm_report(_minor_expansion(X))
     if spec is not None:
         out["coroot_product"] = _coroot_report(spec, dets)
     return out
@@ -429,7 +453,7 @@ def check_draw(spec: SpaceSpec, rng: np.random.Generator, radius: float = 0.7) -
     ``verify_image(spec, cayley(X))`` on the drawn ``X``.
     """
     _, X, dets = _draw_tangent(spec, rng, radius)
-    g = cayley(X)
+    g = _cayley(X)  # the draw loop validated X
     reports = _cross_check(X, spec, g, dets)
     membership = max(verify_image(spec, g).violations.values())
     return Draw(reports, max_cross_gap(reports), membership)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import antitranspose, as_matrix, det, leading_signature, max_abs
-from .spaces import SpaceSpec, ViolationReport, involution_apply
+from .linalg import antitranspose, as_matrix, max_abs
+from .spaces import SpaceSpec, ViolationReport, _sp_twist, involution_apply
 
 
 def cayley(X) -> np.ndarray:
@@ -22,7 +22,11 @@ def cayley(X) -> np.ndarray:
     (the spectrum is purely imaginary) and the result is unitary.  The two
     factors commute, so solving from the left is equivalent.
     """
-    X = as_matrix(X)
+    return _cayley(as_matrix(X))
+
+
+def _cayley(X: np.ndarray) -> np.ndarray:
+    """:func:`cayley` of an already validated matrix."""
     n = X.shape[0]
     eye = np.eye(n, dtype=complex)
     try:
@@ -48,11 +52,10 @@ def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:
     v = {
         "unitary": max_abs(g.conj().T @ g - eye),
         "involution_inverts": max_abs(involution_apply(spec, g) - ginv),
-        "determinant_one": abs(det(g) - 1.0),
+        "determinant_one": abs(complex(np.linalg.det(g)) - 1.0),
     }
     if spec.so_like:
         v["orthogonal_structure"] = max_abs(antitranspose(g) - ginv)
     elif spec.sp_like:
-        I = leading_signature(N, N // 2)
-        v["symplectic_structure"] = max_abs(I @ antitranspose(ginv) @ I - g)
+        v["symplectic_structure"] = max_abs(antitranspose(ginv) * _sp_twist(N) - g)
     return ViolationReport(violations=v, tolerance=tol)

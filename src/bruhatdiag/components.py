@@ -10,17 +10,23 @@ diagonal factor along that witness is checked numerically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .bruhat import _flipped_cutoffs, _flipped_stack, _screened_ratios
-from .spaces import FAMILY, SpaceSpec, _position_signs
+from .bruhat import _check_ambient, _screened_ratios
+from .linalg import flipped_determinants
+from .spaces import FAMILY, SpaceSpec, _position_signs, zero_block
 
 #: Geometric grid of scaling parameters for limit checks.
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
+
+# the grid as the one read-only float array every limit check scales by
+_GRID = np.array(DEFAULT_GRID)
+_GRID.flags.writeable = False
 
 #: A limit check converges when the deviation at the last grid point is
 #: computed and at most this.
@@ -53,10 +59,12 @@ class ComponentRep:
         return "".join("+" if s == 1 else "-" for s in self.signs)
 
 
-def _part_labels(spec: SpaceSpec) -> list[Optional[int]]:
+@functools.lru_cache(maxsize=64)
+def _part_labels(spec: SpaceSpec) -> tuple[Optional[int], ...]:
     """Per-position label: the involution's sign, which tells apart the two
-    block families it exchanges, and None for the exempt middle positions."""
-    return [sign or None for sign in _position_signs(spec)]
+    block families it exchanges, and None for the exempt middle positions.
+    Built once per spec, as a tuple because every caller shares it."""
+    return tuple(sign or None for sign in _position_signs(spec))
 
 
 def _signs_from_alpha(N: int, alpha: Iterable[int]) -> tuple[int, ...]:
@@ -210,21 +218,27 @@ def limit_check(rep: ComponentRep, X=None) -> LimitReport:
     Each grid point needs only the ``cayley_det`` entries: the flipped
     stack ``det(1 + I_k tX)``, its cutoffs and its checked ratios.  ``X``
     is validated once and the stacks of every grid point come from one ray
-    call (:func:`~bruhatdiag.linalg.flipped_determinants` with
-    ``scales``): one split plan from ``X`` itself, its kept block gathered
-    once and scaled per point, and one batched determinant call.  The
-    check, the ratios and the deviations of all grid points are then one
-    vectorized pass over the ``(grid, N + 1)`` table; a refused point reads
-    ``None``.  The Cayley image and the minor-identity residual, which
+    call (:func:`~bruhatdiag.linalg.flipped_determinants` with the grid as
+    ``scales``, one read-only float array built at import and checked on
+    every call): one split plan from ``X`` itself, its kept block gathered
+    once and scaled per point, and one batched determinant call.  A scaled
+    entry that would overflow raises ``ValueError``; the bound that decides
+    it is the largest grid point times the largest real or imaginary part
+    of the kept block.  The check, the ratios and the deviations of all
+    grid points are then one vectorized pass over the ``(grid, N + 1)``
+    table, with one ``np.hypot`` of it for the magnitudes and the cutoffs
+    alike; a refused point reads ``None``.  The Cayley image and the
+    minor-identity residual, which
     :func:`~bruhatdiag.bruhat.diagonal_via_cayley` would also build, are
     not computed.
     """
     if X is None:
         X = construct_witness(rep)
-    dets = _flipped_stack(X, rep.spec, DEFAULT_GRID)
-    refused, d = _screened_ratios(dets, _flipped_cutoffs(dets))
-    deviations = np.max(np.abs(d - np.array(rep.signs, dtype=float))
-                        / np.maximum(1.0, np.abs(d)), axis=-1).tolist()
+    _check_ambient(X, rep.spec)
+    dets = flipped_determinants(X, zero_block(rep.spec), _GRID)
+    refused, d = _screened_ratios(dets)
+    deviations = (np.abs(d - np.array(rep.signs, dtype=float))
+                  / np.maximum(1.0, np.abs(d))).max(axis=-1).tolist()
     if refused is not None:
         deviations = [None if step else dev
                       for step, dev in zip(refused[0].tolist(), deviations)]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -52,7 +53,7 @@ def as_matrix(a) -> np.ndarray:
     A = np.asarray(a, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.size and not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -119,7 +120,11 @@ def flipped_minor_expansion(A) -> np.ndarray:
     independent oracle for :func:`flipped_determinants`.  There are 2**n
     minors, so the side length is capped at :data:`EXPANSION_CAP`.
     """
-    A = as_matrix(A)
+    return _minor_expansion(as_matrix(A))
+
+
+def _minor_expansion(A: np.ndarray) -> np.ndarray:
+    """:func:`flipped_minor_expansion` of an already validated matrix."""
     n = A.shape[0]
     if n > EXPANSION_CAP:
         raise ExpansionLimitError(
@@ -147,12 +152,16 @@ def flipped_determinants(A, zero_block=None, scales=None) -> np.ndarray:
     ``scales`` is an optional 1-D array of positive factors: the result
     then has shape ``(len(scales), n + 1)``, and row s holds the flipped
     determinants of ``scales[s] * A``, the ray through ``A`` that a limit
-    check walks.  ``A`` is validated and planned once; only the block it
-    keeps is multiplied by each scale, with the same products ``t * a`` a
-    call on ``t * A`` makes, so every row equals that call bitwise (a
+    check walks; a float array, such as the read-only grid
+    :func:`~bruhatdiag.components.limit_check` builds once, is checked
+    without a copy.  ``A`` is validated and planned once; only the block
+    it keeps is multiplied by each scale, with the same products ``t * a``
+    a call on ``t * A`` makes, so every row equals that call bitwise (a
     scale that underflows an entry to zero still keeps its row).  A scaled
-    entry that overflows raises ``ValueError``, as a call on ``t * A``
-    does.
+    entry that would overflow raises ``ValueError``, as a call on
+    ``t * A`` does.  One bound decides that before any product is formed,
+    so no numpy warning is raised: the largest scale times the largest
+    real or imaginary part of the kept block (see :func:`_on_ray`).
 
     ``zero_block`` is an optional boolean mask of positions T on which
     ``A`` is expected to vanish (``A[T, T] = 0``; see
@@ -174,16 +183,22 @@ def flipped_determinants(A, zero_block=None, scales=None) -> np.ndarray:
     every scaled matrix of a ray.
     """
     A = as_matrix(A)
-    n = A.shape[0]
     if scales is not None:
         scales = np.asarray(scales, dtype=float)
-        if scales.ndim != 1 or not np.all(scales > 0):
+        # a NaN scale makes the minimum NaN, which fails the test as well
+        if scales.ndim != 1 or not scales.min(initial=np.inf) > 0:
             raise ValueError(f"scales must be a 1-D array of positive numbers, got {scales!r}")
+    return _flipped_determinants(A, zero_block, scales)
+
+
+def _flipped_determinants(A: np.ndarray, zero_block=None, scales=None) -> np.ndarray:
+    """:func:`flipped_determinants` of an already validated matrix and,
+    if given, validated ``scales``."""
     if zero_block is not None:
         order, p, eye, sign_p, sign_t, remap = _split_plan(
             A.any(axis=1).tobytes(), zero_block.tobytes())
         B = A[order[:, None], order]
-        if not B[p:, p:].any():
+        if not np.count_nonzero(B[p:, p:]):
             B = _on_ray(B, scales)
             lead = B.shape[:-2]
             flips, t = sign_t.shape
@@ -199,6 +214,7 @@ def flipped_determinants(A, zero_block=None, scales=None) -> np.ndarray:
             schur += eye
             dets = np.linalg.det(schur)
             return dets if remap is None else dets[..., remap]
+    n = A.shape[0]
     eye = np.eye(n)
     flipped = np.arange(n) < np.arange(n + 1)[:, None]
     A = _on_ray(A, scales)[..., None, :, :]
@@ -206,15 +222,22 @@ def flipped_determinants(A, zero_block=None, scales=None) -> np.ndarray:
 
 
 def _on_ray(A: np.ndarray, scales) -> np.ndarray:
-    """``A`` itself without ``scales``, else the stack ``t * A`` over them,
-    whose entries must stay finite: an overflow raises, without a warning."""
+    """``A`` itself without ``scales``, else the stack ``t * A`` over them.
+
+    A product that would overflow raises instead.  Rounding is monotone,
+    so ``fl(t * |x|) <= fl(max(scales) * max|Re, Im|)`` for every scale t
+    and every real or imaginary part x of ``A``: that one bound is finite
+    exactly when every product is (an infinite scale times zero parts is
+    NaN, as those products are), and no product is formed before it is
+    checked, so no numpy warning is raised either.
+    """
     if scales is None:
         return A
-    with np.errstate(over="ignore"):
-        S = scales[:, None, None] * A
-    if not np.isfinite(S).all():
-        raise ValueError("matrix entries must be finite")
-    return S
+    if A.size and scales.size:
+        parts = A.reshape(-1).view(np.float64)
+        if not math.isfinite(float(scales.max()) * float(abs(parts).max())):
+            raise ValueError("matrix entries must be finite")
+    return scales[:, None, None] * A
 
 
 # A dense draw of a layout needs one plan; a witness needs one per

@@ -43,7 +43,6 @@ from .linalg import (
     _json_number,
     antitranspose,
     flipped_determinants,
-    leading_signature,
     max_abs,
     pair_to_complex,
     rectangular_from_json,
@@ -177,13 +176,37 @@ def involution_matrix(spec: SpaceSpec) -> np.ndarray:
 
 
 def involution_apply(spec: SpaceSpec, A) -> np.ndarray:
-    """Conjugate ``A`` by the involution matrix; involutive by construction."""
+    """Conjugate ``A`` by the involution matrix; involutive by construction.
+
+    The matrix is a signed permutation, so ``I A I`` is ``A`` with rows and
+    columns permuted and each entry multiplied by +-1: O(N^2) work, with
+    the values of the matrix product ``involution_matrix(spec) @ A @
+    involution_matrix(spec)`` (see :func:`_involution_plan`).
+    """
     A = np.asarray(A, dtype=complex)
     N = spec.ambient
     if A.shape != (N, N):
         raise ValueError(f"matrix has shape {A.shape}, ambient size is {N}")
-    I = involution_matrix(spec)
-    return I @ A @ I
+    perm, signs = _involution_plan(spec)
+    return A[perm[:, None], perm] * signs
+
+
+@functools.lru_cache(maxsize=64)
+def _involution_plan(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, signs)`` with ``(I A I)[i, j] = signs[i, j] * A[perm[i], perm[j]]``.
+
+    Row i of the involution matrix ``I`` holds one entry ``s_i = +-1``, at
+    column ``perm[i]``, so ``signs`` is the outer product of ``s`` with
+    itself.  Built once per spec; both arrays are read-only because every
+    caller shares them.
+    """
+    I = involution_matrix(spec).real
+    perm = np.abs(I).argmax(axis=1)
+    s = I[np.arange(len(perm)), perm]
+    signs = np.multiply.outer(s, s)
+    perm.flags.writeable = False
+    signs.flags.writeable = False
+    return perm, signs
 
 
 def support_mask(spec: SpaceSpec) -> np.ndarray:
@@ -409,7 +432,7 @@ def _check_shape(name: str, arr, shape) -> np.ndarray:
     A = np.asarray(arr, dtype=complex)
     if A.shape != tuple(shape):
         raise CoordinateError(f"{name} has shape {A.shape}, expected {tuple(shape)}")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.size and not np.isfinite(A).all():
         raise CoordinateError(f"{name} has non-finite entries")
     return A
 
@@ -557,10 +580,20 @@ def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
     if spec.so_like:
         v["reflection"] = max_abs(X + antitranspose(X))
     elif spec.sp_like:
-        half = N // 2
-        I = leading_signature(N, half)
-        v["reflection"] = max_abs(X + I @ antitranspose(X) @ I)
+        v["reflection"] = max_abs(X + antitranspose(X) * _sp_twist(N))
     return ViolationReport(violations=v, tolerance=tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _sp_twist(N: int) -> np.ndarray:
+    """``t`` with ``I A I = A * t`` for the leading signature
+    ``I = leading_signature(N, N // 2)`` of the ``sp`` reflection: the
+    outer product of its diagonal with itself, so the two products with a
+    diagonal +-1 matrix are one sign scaling.  Read-only and shared."""
+    diagonal = np.where(np.arange(N) < N // 2, -1.0, 1.0)
+    twist = np.multiply.outer(diagonal, diagonal)
+    twist.flags.writeable = False
+    return twist
 
 
 # --- coroot exponent tables --------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruhatdiag import bruhat, spaces
+from bruhatdiag import bruhat, cli, linalg, spaces
 from bruhatdiag.bruhat import (
     NonGenericError,
     check_draw,
@@ -459,7 +459,7 @@ class TestVectorizedCheck:
     def test_one_flipped_table_equals_the_scalar_loop(self, values):
         with np.errstate(all="ignore"):
             want = _scalar_checked_ratios(values, _scalar_flipped_cutoffs(values))
-            refused, ratios = bruhat._screened_ratios(values, bruhat._flipped_cutoffs(values))
+            refused, ratios = bruhat._screened_ratios(values)
             step, magnitude = (0, None) if refused is None else map(float, refused)
             _assert_same_outcome(step, magnitude, ratios, want)
             try:
@@ -476,7 +476,7 @@ class TestVectorizedCheck:
     def test_stack_of_flipped_tables_equals_the_scalar_loop_per_row(self, tables):
         stack = np.stack(tables)
         with np.errstate(all="ignore"):
-            refused, ratios = bruhat._screened_ratios(stack, bruhat._flipped_cutoffs(stack))
+            refused, ratios = bruhat._screened_ratios(stack)
             assert ratios.shape == (len(tables), stack.shape[1] - 1)
             for row, values in enumerate(tables):
                 want = _scalar_checked_ratios(values, _scalar_flipped_cutoffs(values))
@@ -796,8 +796,67 @@ class TestDistinctFlips:
                 flipped_determinants(1000.0 * big, mask)
             with pytest.raises(ValueError, match="finite"):
                 flipped_determinants(big, mask, [1.0, 1000.0])
-        # an empty ray has no rows
-        assert flipped_determinants(X, block, []).shape == (0, 6)
+        # an empty ray has no rows, on either path
+        for mask in (block, None):
+            assert flipped_determinants(X, mask, []).shape == (0, 6)
+
+    def test_ray_bound_refuses_exactly_where_the_scaled_entries_overflow(self):
+        # the ray decides overflow from max(scales) * max|Re, Im| before any
+        # product is formed; the check it replaced formed every t * A under
+        # np.errstate and tested the result for finiteness
+        def products_overflow(A, scales):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return not np.isfinite(scales[:, None, None] * A).all()
+
+        spec = aiii(2, 3)
+        block = zero_block(spec)
+        X = build_tangent(spec, random_coordinates(spec, np.random.default_rng(90)))
+        i, j = np.flatnonzero(~block)[0], np.flatnonzero(block)[0]
+        big = np.finfo(float).max
+        values = [np.nan, np.inf, complex(0.5, -np.inf), 1e-300]
+        for t in DEFAULT_GRID:
+            edge = big / t
+            for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                values += [x, -x, complex(0.5, x), complex(-x, -x)]
+        rays = [[t] for t in DEFAULT_GRID] + [list(DEFAULT_GRID), [1e-30], [np.inf], []]
+        refused = kept = 0
+        for value in values:
+            A = X.copy()
+            A[i, j], A[j, i] = value, -np.conj(value)
+            finite = np.isfinite(A).all()
+            for ray in rays:
+                scales = np.array(ray, dtype=float)
+                if products_overflow(A, scales):
+                    refused += 1
+                    with pytest.raises(ValueError, match="finite"):
+                        linalg._on_ray(A, scales)
+                    for mask in (block, None):  # no determinant is taken
+                        with pytest.raises(ValueError, match="finite"):
+                            flipped_determinants(A, mask, scales)
+                else:
+                    kept += 1
+                    got = linalg._on_ray(A, scales)
+                    assert got.tobytes() == (scales[:, None, None] * A).tobytes()
+                    if not finite:  # validation refuses it before the ray
+                        with pytest.raises(ValueError, match="finite"):
+                            flipped_determinants(A, block, scales)
+        assert (refused, kept) == (131, 149)
+        # one just below each grid point's edge passes, one just above refuses
+        for t in DEFAULT_GRID:
+            edge = big / t
+            below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
+            assert not products_overflow(np.array([[below]]), np.array([t]))
+            assert products_overflow(np.array([[above]]), np.array([t]))
+        # a scale that underflows an entry to zero keeps its row
+        A = X.copy()
+        A[i, j], A[j, i] = 1e-300, -1e-300
+        got = flipped_determinants(A, block, [1e-30])
+        assert got.tobytes() == flipped_determinants(A, block, [1e-30, 1.0])[:1].tobytes()
+        assert np.isfinite(got).all()
+        # an empty kept block has no entries to overflow, even at an
+        # infinite scale
+        zero = np.zeros((6, 6))
+        assert flipped_determinants(zero, zero_block(aiii(3, 3)), [np.inf]).tolist() == [[1.0] * 7]
 
     def test_one_row_outside_block_keeps_per_flip_products_bitwise(self):
         # with p = 1 a single product over the flips would be a matrix-vector
@@ -956,6 +1015,38 @@ class TestSharedTables:
                 assert det_shapes.count((k, k)) == 1, (spec.family, k)
             assert len(solves) == 1, spec.family
 
+    def test_cross_check_validates_each_matrix_once(self, monkeypatch):
+        # one finiteness pass over X and one over g = cayley(X), and one
+        # table of minor cutoffs for gauss and minor_ratio
+        passes, cutoffs = [], []
+        real_isfinite, real_cutoffs = np.isfinite, bruhat._minor_cutoffs
+
+        def counting_isfinite(a):
+            passes.append(np.shape(a))
+            return real_isfinite(a)
+
+        def counting_cutoffs(g):
+            cutoffs.append(np.shape(g))
+            return real_cutoffs(g)
+
+        rng = np.random.default_rng(74)
+        cases = [build_tangent(spec, random_coordinates(spec, rng)) for spec in
+                 FAMILY_CASES + LARGE_CASES]
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        monkeypatch.setattr(bruhat, "_minor_cutoffs", counting_cutoffs)
+        for spec, X in zip(FAMILY_CASES + LARGE_CASES, cases):
+            N = spec.ambient
+            passes.clear()
+            cutoffs.clear()
+            cross_check(X, spec)
+            assert passes == [(N, N), (N, N)], spec.family
+            assert cutoffs == [(N, N)], spec.family
+            # a checked draw: X in its rejection loop, g in the cross check
+            # and once more in verify_image
+            passes.clear()
+            check_draw(spec, np.random.default_rng(75))
+            assert passes.count((N, N)) == 3, spec.family
+
     def test_refusal_matches_first_refusing_route(self):
         # the CP^2 boundary |z|^2 = 1 fails at gauss; near-boundary AIII(1, 2)
         # draws and AIII(50, 50) draws may pass gauss and fail later routes
@@ -1006,6 +1097,56 @@ class TestSharedTables:
         with pytest.raises(NonGenericError) as err:
             cross_check(boundary, aiii(2, 2))
         assert err.value.route == "gauss"
+
+
+#: Each intermediate ``cross_check`` shares: the ``bruhat`` name that builds
+#: it, the entry perturbed, and the routes that read it.
+SHARED_INTERMEDIATES = {
+    "g": ("_cayley", (0, 0), {"gauss", "minor_ratio"}),
+    "leading minors": ("_leading_minors", 1, {"minor_ratio"}),
+    "flipped stack": ("_flipped_stack", 1, {"cayley_det", "coroot_product"}),
+    "minor expansion": ("_minor_expansion", 1, {"fredholm"}),
+    "exponent table": ("coroots", (0, 0), {"coroot_product"}),
+}
+
+
+class TestRouteIndependence:
+    """The routes are independent evidence only while each shared table
+    feeds exactly the routes that read it: perturb one entry of one table
+    by 1e-6 relative and exactly those routes move, far past ``--tol``."""
+
+    @pytest.mark.parametrize("name", list(SHARED_INTERMEDIATES))
+    def test_one_perturbed_table_moves_exactly_its_routes(self, monkeypatch, name):
+        attr, entry, readers = SHARED_INTERMEDIATES[name]
+        tol = cli._build_parser().parse_args(["verify"]).tol
+        build = getattr(bruhat, attr)
+        calls = []
+
+        def perturbed(*args):
+            table = build(*args)
+            # an integer exponent table is perturbed as floats, a real power
+            table = table.astype(np.result_type(table, float))
+            table[entry] *= 1 + 1e-6
+            calls.append(attr)
+            return table
+
+        rng = np.random.default_rng(76)
+        for spec in FAMILY_DEFAULTS + [aiii(5, 45)]:
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            reports = cross_check(X, spec)
+            assert max_cross_gap(reports) <= tol, spec
+            with monkeypatch.context() as patch:
+                patch.setattr(bruhat, attr, perturbed)
+                calls.clear()
+                moved_reports = cross_check(X, spec)
+            moved = {tag for tag, r in moved_reports.items()
+                     if r.entries.tobytes() != reports[tag].entries.tobytes()}
+            if name == "minor expansion" and spec.ambient > EXPANSION_CAP:
+                assert not calls and not moved, spec  # fredholm does not run
+                continue
+            assert calls == [attr], spec
+            assert moved == readers, (spec, moved)
+            assert max_cross_gap(moved_reports) > tol, spec
 
 
 class TestCheckDraw:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from bruhatdiag.bruhat import diagonal_via_cayley, diagonal_via_coroots
+from bruhatdiag.cayley import cayley, verify_image
 from bruhatdiag.components import _part_labels
 from bruhatdiag.linalg import antitranspose, leading_signature
 from bruhatdiag.spaces import (
+    _sp_twist,
     _tangent_plan,
     FAMILIES,
     FAMILY,
@@ -248,6 +250,45 @@ class TestInvolution:
         spec = SpaceSpec("BDI_oddodd", p=3, q=3)
         X = build_tangent(spec, random_coordinates(spec, rng))
         assert np.abs(involution_apply(spec, X) + X).max() <= 1e-12
+
+    def test_signed_permutation_equals_the_matrix_products(self):
+        # the involution and the sp reflection's I_{N/2} are signed
+        # permutations, applied without a matrix product
+        rng = np.random.default_rng(19)
+        for spec in GRID:
+            N = spec.ambient
+            I = involution_matrix(spec)
+            A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+            assert np.array_equal(involution_apply(spec, A), I @ A @ I), spec
+            if spec.sp_like:
+                E = leading_signature(N, N // 2)
+                assert np.array_equal(A * _sp_twist(N), E @ A @ E), spec
+
+    def test_violations_equal_the_matrix_product_form_bitwise(self):
+        def dense_violations(spec, X, g):
+            N = spec.ambient
+            I, E = involution_matrix(spec), leading_signature(N, N // 2)
+            ginv = np.linalg.inv(g)
+            tangent = np.abs(I @ X @ I + X).max()
+            image = np.abs(I @ g @ I - ginv).max()
+            if not spec.sp_like:
+                return tangent, image, None, None
+            return (tangent, image, np.abs(X + E @ antitranspose(X) @ E).max(),
+                    np.abs(E @ antitranspose(ginv) @ E - g).max())
+
+        rng = np.random.default_rng(23)
+        for spec in ALL_SPECS:
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            noise = rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
+            for Y in (X, X + 1e-3 * noise):
+                g = cayley(Y)
+                tangent, image = validate_tangent(spec, Y).violations, verify_image(spec, g).violations
+                want = dense_violations(spec, Y, g)
+                assert tangent["involution_anti_invariance"] == want[0], spec
+                assert image["involution_inverts"] == want[1], spec
+                if spec.sp_like:
+                    assert tangent["reflection"] == want[2], spec
+                    assert image["symplectic_structure"] == want[3], spec
 
 
 class TestCoroots:
