@@ -37,14 +37,14 @@ verify`` and the acceptance sweep make it: the rejection loop of
 flipped stack it accepted the draw on, and one ``g = cayley(X)`` serves
 the routes and the membership check, so a draw builds each once.
 
-Given a spec, the flipped stack is taken on the part of ``X`` that is not
-known to vanish: a tangent is zero on the block T of the involution's
-larger same-sign class (:func:`~bruhatdiag.spaces.zero_block`) and on its
-zero rows, so each ``det(1 + I_k X)`` is the ``p x p`` determinant of a
-Schur complement on the unit block ``(1 + I_k X)_TT`` (see
-:func:`~bruhatdiag.linalg.flipped_determinants`).  ``cayley_det`` and
-``coroot_product`` still read ``X`` alone, never ``g``; without a spec,
-or on a matrix that is not zero on T, the full N x N stack runs.
+The routes that read the flipped stack take the family spec of ``X``,
+since a tangent is zero on the block T of the involution's larger
+same-sign class (:func:`~bruhatdiag.spaces.zero_block`) and on its zero
+rows: each ``det(1 + I_k X)`` is the ``p x p`` determinant of a Schur
+complement on the unit block ``(1 + I_k X)_TT`` (see
+:func:`~bruhatdiag.linalg.flipped_determinants`), and a matrix that is not
+zero on T is refused with ``ValueError``.  ``cayley_det`` and
+``coroot_product`` still read ``X`` alone, never ``g``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import _cayley, verify_image
+from .cayley import _cayley, _verify_image
 from .linalg import (
     EXPANSION_CAP,
     _flipped_determinants,
@@ -167,12 +167,9 @@ def _check_ambient(X, spec: SpaceSpec) -> None:
         raise ValueError(f"matrix has shape {np.shape(X)}, ambient size is {spec.ambient}")
 
 
-def _flipped_stack(X: np.ndarray, spec: Optional[SpaceSpec]) -> np.ndarray:
-    """``det(1 + I_k X)``, k = 0..N, of an already validated matrix; with a
-    spec, ``X`` must have its ambient size and the stack is split on the
-    spec's zero block."""
-    if spec is None:
-        return _flipped_determinants(X)
+def _flipped_stack(X: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """``det(1 + I_k X)``, k = 0..N, of an already validated matrix of the
+    spec's ambient size, split on the spec's zero block."""
     _check_ambient(X, spec)
     return _flipped_determinants(X, zero_block(spec))
 
@@ -309,7 +306,7 @@ def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
     return _report("cayley_det", entries, lemma3_residual=residual)
 
 
-def diagonal_via_cayley(X, spec: Optional[SpaceSpec] = None) -> DiagonalReport:
+def diagonal_via_cayley(X, spec: SpaceSpec) -> DiagonalReport:
     """Diagonal of the Cayley image directly from ``det(1 + I_k X)`` ratios.
 
     Also evaluates, as a side diagnostic, the worst relative residual of
@@ -366,12 +363,11 @@ def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
     return _coroot_report(spec, dets)
 
 
-def cross_check(X, spec: Optional[SpaceSpec] = None) -> dict[str, DiagonalReport]:
+def cross_check(X, spec: SpaceSpec) -> dict[str, DiagonalReport]:
     """Run every applicable route on a tangent matrix.
 
     Returns a dict keyed by method tag.  The Fredholm route joins only
-    when the ambient size is within the expansion cap; the exponent
-    product route joins when a family spec is supplied.
+    when the ambient size is within the expansion cap.
 
     ``g = cayley(X)``, its leading minors and the flipped stack
     ``det(1 + I_k X)`` are built once here: ``gauss`` reads ``g``,
@@ -387,7 +383,7 @@ def cross_check(X, spec: Optional[SpaceSpec] = None) -> dict[str, DiagonalReport
     return _cross_check(X, spec, _cayley(X))
 
 
-def _cross_check(X: np.ndarray, spec: Optional[SpaceSpec], g: np.ndarray,
+def _cross_check(X: np.ndarray, spec: SpaceSpec, g: np.ndarray,
                  dets: Optional[np.ndarray] = None) -> dict[str, DiagonalReport]:
     """:func:`cross_check` on the validated ``X`` with its image ``g``, which
     is validated here, and, if already built, its flipped stack ``dets``;
@@ -406,8 +402,7 @@ def _cross_check(X: np.ndarray, spec: Optional[SpaceSpec], g: np.ndarray,
         dets, _flipped_ratios(dets, "cayley_det"), minors)
     if X.shape[0] <= EXPANSION_CAP:
         out["fredholm"] = _fredholm_report(_minor_expansion(X))
-    if spec is not None:
-        out["coroot_product"] = _coroot_report(spec, dets)
+    out["coroot_product"] = _coroot_report(spec, dets)
     return out
 
 
@@ -454,6 +449,6 @@ def check_draw(spec: SpaceSpec, rng: np.random.Generator, radius: float = 0.7) -
     """
     _, X, dets = _draw_tangent(spec, rng, radius)
     g = _cayley(X)  # the draw loop validated X
-    reports = _cross_check(X, spec, g, dets)
-    membership = max(verify_image(spec, g).violations.values())
+    reports = _cross_check(X, spec, g, dets)  # validates g
+    membership = max(_verify_image(spec, g).violations.values())
     return Draw(reports, max_cross_gap(reports), membership)

@@ -43,7 +43,11 @@ def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:
     involution with inversion, ``det g = 1``, and the orthogonal or
     symplectic reflection condition where the family has one.
     """
-    g = as_matrix(g)
+    return _verify_image(spec, as_matrix(g), tol)
+
+
+def _verify_image(spec: SpaceSpec, g: np.ndarray, tol: float = 1e-9) -> ViolationReport:
+    """:func:`verify_image` of an already validated matrix."""
     N = spec.ambient
     if g.shape != (N, N):
         raise ValueError(f"matrix has shape {g.shape}, ambient size is {N}")

@@ -221,10 +221,11 @@ def limit_check(rep: ComponentRep, X=None) -> LimitReport:
     call (:func:`~bruhatdiag.linalg.flipped_determinants` with the grid as
     ``scales``, one read-only float array built at import and checked on
     every call): one split plan from ``X`` itself, its kept block gathered
-    once and scaled per point, and one batched determinant call.  A scaled
-    entry that would overflow raises ``ValueError``; the bound that decides
-    it is the largest grid point times the largest real or imaginary part
-    of the kept block.  The check, the ratios and the deviations of all
+    once and scaled per point, and one batched determinant call.  An ``X``
+    that is not zero on the spec's zero block raises ``ValueError``, and so
+    does a scaled entry that would overflow; the bound that decides it is
+    the largest grid point times the largest real or imaginary part of the
+    kept block.  The check, the ratios and the deviations of all
     grid points are then one vectorized pass over the ``(grid, N + 1)``
     table, with one ``np.hypot`` of it for the magnitudes and the cutoffs
     alike; a refused point reads ``None``.  The Cayley image and the

@@ -1,5 +1,5 @@
-"""Closed-form fixtures for low-dimensional spaces, checked against the
-determinant route on seeded random payloads.
+"""Closed-form fixtures for low-dimensional spaces, checked against every
+route of :func:`~bruhatdiag.bruhat.cross_check` on seeded random payloads.
 
 Two layout-driven details are easy to get wrong and worth stating:
 
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bruhat import diagonal_via_cayley
+from .bruhat import cross_check
 from .spaces import (Coordinates, SpaceSpec, ViolationReport, _disc_sample, aiii,
                      build_tangent, cii, diii)
 
@@ -112,31 +112,35 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # Each case turns one draw ``zs`` (and, for rp_odd, a torus parameter drawn
-# after it) into the tangent and the closed form it must reproduce.
+# after it) into the spec, its tangent and the closed form it must reproduce.
 
 def _cpn_case(rng, zs):
-    X = build_tangent(aiii(1, zs.size), Coordinates(family="AIII", Z=zs.reshape(1, -1)))
-    return X, cpn_closed_form(zs)
+    spec = aiii(1, zs.size)
+    X = build_tangent(spec, Coordinates(family="AIII", Z=zs.reshape(1, -1)))
+    return spec, X, cpn_closed_form(zs)
 
 
 def _so6u3_case(rng, zs):
     z11, z12, z21 = zs
     Z = np.array([[z11, z12, 0.0], [z21, 0.0, -z12], [0.0, -z21, -z11]])
-    X = build_tangent(diii(3), Coordinates(family="DIII", Z=Z))
-    return X, so6u3_closed_form(z11, z12, z21)
+    spec = diii(3)
+    X = build_tangent(spec, Coordinates(family="DIII", Z=Z))
+    return spec, X, so6u3_closed_form(z11, z12, z21)
 
 
 def _hp1_case(rng, zs):
     z1, z2 = zs
     coords = Coordinates(family="CII", Z1=np.array([[z1]]), Z2=np.array([[z2]]))
-    return build_tangent(cii(1, 1), coords), hp1_closed_form(z1, z2)
+    spec = cii(1, 1)
+    return spec, build_tangent(spec, coords), hp1_closed_form(z1, z2)
 
 
 def _rp_even_case(rng, zs):
     n = zs.size
     Z = zs[::-1].reshape(n, 1)  # layout stores the coordinates bottom-up
-    X = build_tangent(SpaceSpec("BDI_even", p=2 * n, q=1), Coordinates(family="BDI_even", Z=Z))
-    return X, rp_even_closed_form(zs)
+    spec = SpaceSpec("BDI_even", p=2 * n, q=1)
+    X = build_tangent(spec, Coordinates(family="BDI_even", Z=Z))
+    return spec, X, rp_even_closed_form(zs)
 
 
 def _rp_odd_case(rng, zs):
@@ -147,8 +151,9 @@ def _rp_odd_case(rng, zs):
         Z1=np.zeros((n, 0)), Z2=np.zeros((n, 0)),
         w1=zs[::-1].copy(), w2=np.zeros(0), s=s,
     )
-    X = build_tangent(SpaceSpec("BDI_oddodd", p=2 * n + 1, q=1), coords)
-    return X, rp_odd_closed_form(zs, s)
+    spec = SpaceSpec("BDI_oddodd", p=2 * n + 1, q=1)
+    X = build_tangent(spec, coords)
+    return spec, X, rp_odd_closed_form(zs, s)
 
 
 #: Suite -> (number of coordinates drawn, in turn; the case they feed).
@@ -173,10 +178,10 @@ def suite_names() -> tuple[str, ...]:
 
 
 def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0) -> ViolationReport:
-    """Compare one suite's closed form against the determinant route.
+    """Compare one suite's closed form against every route.
 
-    Returns the worst relative deviation over every draw, keyed
-    ``max_deviation``, judged at the suite's own tolerance.
+    Returns the worst relative deviation of any route over every draw,
+    keyed ``max_deviation``, judged at the suite's own tolerance.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown golden suite {name!r}; choose from {suite_names()}")
@@ -185,6 +190,7 @@ def run_suite(name: str, draws: int = GOLDEN_DRAWS, seed: int = 0) -> ViolationR
     worst = 0.0
     for n in sizes:
         for _ in range(draws):
-            X, closed = case(rng, _disc_sample(rng, (n,), GOLDEN_RADIUS))
-            worst = max(worst, _rel(diagonal_via_cayley(X).entries, closed))
+            spec, X, closed = case(rng, _disc_sample(rng, (n,), GOLDEN_RADIUS))
+            for report in cross_check(X, spec).values():
+                worst = max(worst, _rel(report.entries, closed))
     return ViolationReport({"max_deviation": worst}, _SUITE_TOL[name])

@@ -8,17 +8,17 @@ principal-minor expansion is the independent combinatorial route to
 ``det(1 + A)`` for cross checks.
 
 Both routes are stacked over the leading sign flips ``det(1 + I_k A)``,
-k = 0..n: :func:`flipped_determinants` is one batched LU call on the
-flipped matrices.  Given a block T on which ``A`` vanishes, as every
-tangent does on its involution's larger same-sign class, it factors only
-what is left: a zero row of ``A`` is a unit row of every flip and drops
-out, and a Schur complement on the unit block ``(1 + I_k A)_TT = 1``
-turns each determinant into the ``p x p`` one of
-``1_P + S_P (A_PP - A_PT S_T A_TP)`` on the kept rows P outside T.  It
-also takes a ray, one matrix with positive scales, such as a witness
-walked to every grid point of a limit check: the matrix is validated and
-planned once, its kept block is gathered once and scaled per point, and
-the determinants of every point are still one LU call.
+k = 0..n.  :func:`flipped_determinants` takes a block T on which ``A``
+vanishes, as every tangent does on its involution's larger same-sign
+class, and factors only what is left: a zero row of ``A`` is a unit row of
+every flip and drops out, and a Schur complement on the unit block
+``(1 + I_k A)_TT = 1`` turns each determinant into the ``p x p`` one of
+``1_P + S_P (A_PP - A_PT S_T A_TP)`` on the kept rows P outside T, all in
+one batched LU call.  It also takes a ray, one matrix with positive
+scales, such as a witness walked to every grid point of a limit check:
+the matrix is validated and planned once, its kept block is gathered once
+and scaled per point, and the determinants of every point are still one
+LU call.
 :func:`flipped_minor_expansion` computes every principal minor of ``A``
 once (one gather and one batched ``det`` per subset size) and forms the
 n + 1 expansions as signed sums, since the minor of ``I_k A`` on
@@ -138,16 +138,28 @@ def _minor_expansion(A: np.ndarray) -> np.ndarray:
     return totals
 
 
-def flipped_determinants(A, zero_block=None, scales=None) -> np.ndarray:
+def flipped_determinants(A, zero_block, scales=None) -> np.ndarray:
     """``det(1 + I_k A)`` for k = 0..n from one stacked LU call.
 
     ``A`` is one ``n x n`` matrix; the result has shape ``(n + 1,)``.
     ``I_0`` is the identity; for n = 0 the single entry is the empty
-    determinant 1.  Row i of ``1 + I_k A`` is row i of ``1 - A`` when
-    i < k and of ``1 + A`` otherwise, so the stack is one selection
-    between those two matrices (the same values as ``1 + I_k @ A``, with a
-    single stack-sized allocation).  A batched ``det`` factorizes each
-    matrix on its own, so every value equals the one a per-flip loop gives.
+    determinant 1.
+
+    ``zero_block`` is the boolean mask of positions T on which ``A``
+    vanishes (``A[T, T] = 0``; see :func:`~bruhatdiag.spaces.zero_block`),
+    as every tangent of the mask's space does; a matrix that is nonzero
+    there raises ``ValueError``.  Two exact identities shrink every
+    determinant to the kept rows of the complement P:
+
+    * a zero row i of ``A`` makes row i of ``1 + I_k A`` the unit row, so
+      row and column i drop out, and flip k becomes flip
+      ``#{kept rows < k}`` of the kept matrix;
+    * with ``A_TT = 0`` the block ``(1 + I_k A)_TT`` is the identity, and
+      the Schur complement on it gives
+      ``det(1 + I_k A) = det(1_P + S_P (A_PP - A_PT S_T A_TP))``, where
+      ``S_P`` and ``S_T`` are the signs of ``I_k`` on P and on T.  No
+      inverse is taken, and for p > 1 the products ``A_PT S_T A_TP`` of
+      every flip are one matrix product.
 
     ``scales`` is an optional 1-D array of positive factors: the result
     then has shape ``(len(scales), n + 1)``, and row s holds the flipped
@@ -162,25 +174,6 @@ def flipped_determinants(A, zero_block=None, scales=None) -> np.ndarray:
     ``t * A`` does.  One bound decides that before any product is formed,
     so no numpy warning is raised: the largest scale times the largest
     real or imaginary part of the kept block (see :func:`_on_ray`).
-
-    ``zero_block`` is an optional boolean mask of positions T on which
-    ``A`` is expected to vanish (``A[T, T] = 0``; see
-    :func:`~bruhatdiag.spaces.zero_block`).  When ``A`` is zero there, two
-    exact identities shrink every determinant to the kept rows of the
-    complement P:
-
-    * a zero row i of ``A`` makes row i of ``1 + I_k A`` the unit row, so
-      row and column i drop out, and flip k becomes flip
-      ``#{kept rows < k}`` of the kept matrix;
-    * with ``A_TT = 0`` the block ``(1 + I_k A)_TT`` is the identity, and
-      the Schur complement on it gives
-      ``det(1 + I_k A) = det(1_P + S_P (A_PP - A_PT S_T A_TP))``, where
-      ``S_P`` and ``S_T`` are the signs of ``I_k`` on P and on T.  No
-      inverse is taken, and for p > 1 the products ``A_PT S_T A_TP`` of
-      every flip are one matrix product.
-
-    Otherwise, and when no block is passed, the full stack above runs, on
-    every scaled matrix of a ray.
     """
     A = as_matrix(A)
     if scales is not None:
@@ -191,34 +184,29 @@ def flipped_determinants(A, zero_block=None, scales=None) -> np.ndarray:
     return _flipped_determinants(A, zero_block, scales)
 
 
-def _flipped_determinants(A: np.ndarray, zero_block=None, scales=None) -> np.ndarray:
+def _flipped_determinants(A: np.ndarray, zero_block: np.ndarray, scales=None) -> np.ndarray:
     """:func:`flipped_determinants` of an already validated matrix and,
     if given, validated ``scales``."""
-    if zero_block is not None:
-        order, p, eye, sign_p, sign_t, remap = _split_plan(
-            A.any(axis=1).tobytes(), zero_block.tobytes())
-        B = A[order[:, None], order]
-        if not np.count_nonzero(B[p:, p:]):
-            B = _on_ray(B, scales)
-            lead = B.shape[:-2]
-            flips, t = sign_t.shape
-            left = B[..., None, :p, p:] * sign_t[:, None, :]
-            if p > 1:
-                schur = (left.reshape(*lead, flips * p, t)
-                         @ B[..., p:, :p]).reshape(*lead, flips, p, p)
-            else:  # per-flip dot products; a matrix-vector one sums in another order
-                schur = left @ B[..., None, p:, :p]
-            # 1_P + S_P (A_PP - schur), formed in place in schur
-            np.subtract(B[..., None, :p, :p], schur, out=schur)
-            schur *= sign_p[:, :, None]
-            schur += eye
-            dets = np.linalg.det(schur)
-            return dets if remap is None else dets[..., remap]
-    n = A.shape[0]
-    eye = np.eye(n)
-    flipped = np.arange(n) < np.arange(n + 1)[:, None]
-    A = _on_ray(A, scales)[..., None, :, :]
-    return np.linalg.det(np.where(flipped[:, :, None], eye - A, eye + A))
+    order, p, eye, sign_p, sign_t, remap = _split_plan(
+        A.any(axis=1).tobytes(), zero_block.tobytes())
+    B = A[order[:, None], order]
+    if np.count_nonzero(B[p:, p:]):
+        raise ValueError("matrix is nonzero on its zero block; a tangent vanishes there")
+    B = _on_ray(B, scales)
+    lead = B.shape[:-2]
+    flips, t = sign_t.shape
+    left = B[..., None, :p, p:] * sign_t[:, None, :]
+    if p > 1:
+        schur = (left.reshape(*lead, flips * p, t)
+                 @ B[..., p:, :p]).reshape(*lead, flips, p, p)
+    else:  # per-flip dot products; a matrix-vector one sums in another order
+        schur = left @ B[..., None, p:, :p]
+    # 1_P + S_P (A_PP - schur), formed in place in schur
+    np.subtract(B[..., None, :p, :p], schur, out=schur)
+    schur *= sign_p[:, :, None]
+    schur += eye
+    dets = np.linalg.det(schur)
+    return dets if remap is None else dets[..., remap]
 
 
 def _on_ray(A: np.ndarray, scales) -> np.ndarray:

@@ -101,22 +101,23 @@ def test_criterion_4_golden_closed_forms():
         ok &= result.ok
         if result.violations["max_deviation"] >= worst:
             worst_name, worst, tol = name, result.violations["max_deviation"], result.tolerance
-    detail = (f"closed forms vs determinant route, 50 draws each at each suite's "
+    detail = (f"closed forms vs every route, 50 draws each at each suite's "
               f"tolerance; worst suite {worst_name} at {worst:.3e} (tol {tol:.0e})")
     _report(4, ok, detail)
 
 
 def test_criterion_5_sphere_quantitative():
     z = np.sqrt(1.0 / 3.0)
-    X = build_tangent(aiii(1, 1), Coordinates(family="AIII", Z=np.array([[z]])))
-    d = diagonal_via_cayley(X).entries
+    spec = aiii(1, 1)
+    X = build_tangent(spec, Coordinates(family="AIII", Z=np.array([[z]])))
+    d = diagonal_via_cayley(X, spec).entries
     ok = abs(d[0] - 0.5) <= 1e-12 and abs(d[1] - 2.0) <= 1e-12
 
-    rep = enumerate_components(aiii(1, 1))[1]  # the all-negative representative
+    rep = enumerate_components(spec)[1]  # the all-negative representative
     W = construct_witness(rep)
     worst = 0.0
     for t in (10.0, 100.0, 1000.0):
-        dt = diagonal_via_cayley(t * W).entries
+        dt = diagonal_via_cayley(t * W, spec).entries
         # closed form d(t) = diag((1-t^2)/(1+t^2), its reciprocal):
         # scale-normalized deviation from the signs is exactly 2/(1+t^2)
         # for both entries; the raw offsets are 2/(1+t^2) and 2/(t^2-1)
@@ -219,7 +220,7 @@ def test_criterion_8_nongenericity_detection():
     g = cayley(X)
     indices = []
     for call in (lambda: diagonal_via_minors(g),
-                 lambda: diagonal_via_cayley(X),
+                 lambda: diagonal_via_cayley(X, spec),
                  lambda: diagonal_via_coroots(spec, X),
                  lambda: ldu(g)):
         try:

@@ -139,7 +139,7 @@ class TestDiagonalRoutes:
     def test_identity_all_ones(self):
         for report in (
             diagonal_via_minors(np.eye(4)),
-            diagonal_via_cayley(np.zeros((4, 4))),
+            diagonal_via_cayley(np.zeros((4, 4)), aiii(2, 2)),
             diagonal_via_fredholm(np.zeros((4, 4))),
         ):
             assert np.abs(report.entries - 1.0).max() == 0.0
@@ -154,7 +154,7 @@ class TestDiagonalRoutes:
         # |z|^2 = 1/3 gives diag(1/2, 2)
         X = _sphere_tangent(np.sqrt(1.0 / 3.0))
         for report in (
-            diagonal_via_cayley(X),
+            diagonal_via_cayley(X, aiii(1, 1)),
             diagonal_via_minors(cayley(X)),
             diagonal_via_fredholm(X),
         ):
@@ -197,7 +197,7 @@ class TestDiagonalRoutes:
                 continue
             N = spec.ambient
             X = build_tangent(spec, random_coordinates(spec, rng))
-            d = diagonal_via_cayley(X).entries
+            d = diagonal_via_cayley(X, spec).entries
             for k in range(N):
                 assert abs(abs(d[k] * d[N - 1 - k]) - 1.0) <= 1e-9
 
@@ -207,14 +207,14 @@ class TestDiagonalRoutes:
             if spec.family == "BDI_oddodd":
                 continue
             X = build_tangent(spec, random_coordinates(spec, rng))
-            d = diagonal_via_cayley(X).entries
+            d = diagonal_via_cayley(X, spec).entries
             assert np.abs(d.imag).max() <= 1e-9
 
     def test_oddodd_middle_entries_unimodular(self):
         rng = np.random.default_rng(16)
         spec = SpaceSpec("BDI_oddodd", p=3, q=3)
         X = build_tangent(spec, random_coordinates(spec, rng))
-        d = diagonal_via_cayley(X).entries
+        d = diagonal_via_cayley(X, spec).entries
         mid = spec.ambient // 2
         assert abs(abs(d[mid - 1]) - 1.0) <= 1e-9
         assert abs(abs(d[mid]) - 1.0) <= 1e-9
@@ -227,7 +227,7 @@ class TestMinorIdentity:
         for spec in FAMILY_CASES:
             for _ in range(10):
                 X = build_tangent(spec, random_coordinates(spec, rng))
-                report = diagonal_via_cayley(X)
+                report = diagonal_via_cayley(X, spec)
                 assert report.lemma3_residual <= 1e-9
 
     def test_lemma_on_general_skew_hermitian(self):
@@ -236,7 +236,7 @@ class TestMinorIdentity:
         A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         X = 0.3 * (A - A.conj().T)
         g = cayley(X)
-        dets = flipped_determinants(X)
+        dets = _flip_loop(X)
         for k in range(1, 6):
             lhs = det(g[:k, :k]) * dets[0]
             assert abs(lhs - dets[k]) <= 1e-10 * max(1.0, abs(dets[k]))
@@ -268,7 +268,7 @@ class TestSignRule:
                     sign = -1.0 if sum(1 for i in alpha if i <= k) % 2 else 1.0
                     assert abs(term - sign * base) <= 1e-10
                     total += term
-            assert abs(total - flipped_determinants(X)[k]) <= 1e-9
+            assert abs(total - _flip_loop(X)[k]) <= 1e-9
 
     def test_unbalanced_minors_vanish(self):
         # the diagonal blocks at the split m vanish, so a principal minor
@@ -294,7 +294,7 @@ class TestCorootRoute:
             for _ in range(10):
                 X = build_tangent(spec, random_coordinates(spec, rng))
                 a = diagonal_via_coroots(spec, X).entries
-                b = diagonal_via_cayley(X).entries
+                b = diagonal_via_cayley(X, spec).entries
                 assert max(relative_gap(x, y) for x, y in zip(a, b)) <= 1e-9
 
     def test_one_product_equals_a_loop_over_rows(self):
@@ -325,7 +325,7 @@ class TestCorootRoute:
                              w1=np.array([0.2 + 0.1j, -0.3j]), w2=np.zeros(0), s=0.4)
         X = build_tangent(spec, coords)
         a = diagonal_via_coroots(spec, X).entries
-        b = diagonal_via_cayley(X).entries
+        b = diagonal_via_cayley(X, spec).entries
         assert max(relative_gap(x, y) for x, y in zip(a, b)) <= 1e-10
         assert abs(a[2].imag) > 1e-3
 
@@ -355,14 +355,14 @@ def _outcome(route):
 
 class TestGenericity:
     def test_zero_tangent_fully_generic(self):
-        diagonal_via_cayley(np.zeros((4, 4)))
+        diagonal_via_cayley(np.zeros((4, 4)), aiii(2, 2))
 
     def test_all_routes_report_the_failing_index(self):
         X = _sphere_tangent(1.0)
         g = cayley(X)
         for call in (
             lambda: diagonal_via_minors(g),
-            lambda: diagonal_via_cayley(X),
+            lambda: diagonal_via_cayley(X, aiii(1, 1)),
             lambda: diagonal_via_fredholm(X),
             lambda: diagonal_via_coroots(aiii(1, 1), X),
             lambda: ldu(g),
@@ -377,7 +377,7 @@ class TestGenericity:
         spec = aiii(2, 3)
         for _ in range(50):
             X = build_tangent(spec, random_coordinates(spec, rng, radius=0.5))
-            diagonal_via_cayley(X)
+            diagonal_via_cayley(X, spec)
 
     def test_coroot_and_cayley_routes_refuse_alike_at_walls(self):
         # The 30th raw CII(1, 2) draw of seed 7, 1e-10 past its step-5 wall:
@@ -558,14 +558,6 @@ class TestSharedDeterminantCore:
         assert report.entries.shape == (0,)
         assert report.product == 1.0
 
-    def test_stacked_flips_bitwise_equal_to_per_flip_loop(self):
-        rng = np.random.default_rng(61)
-        for N in (0, 1, 5, 20, 50):
-            X = _random_skew_hermitian(rng, N)
-            eye = np.eye(N, dtype=complex)
-            loop = [det(eye + leading_signature(N, k) @ X) for k in range(N + 1)]
-            assert np.array_equal(flipped_determinants(X), np.array(loop)), N
-
     def test_max_cross_gap_equals_pairwise_loop(self):
         def loop(reports):
             tags = sorted(reports)
@@ -609,32 +601,17 @@ class TestSharedDeterminantCore:
             shapes = _count_det_calls(monkeypatch)
             cross_check(X, spec)
             assert 1 <= shapes.count((N + 1, p, p)) <= 2, spec.family
-            assert (N + 1, N, N) not in shapes, spec.family
 
 
 def _flip_loop(A):
-    """``det(1 + I_k A)`` for k = 0..n, one ``np.linalg.det`` per flip on the
-    same row selection the stack makes."""
+    """``det(1 + I_k A)`` for k = 0..n, one ``np.linalg.det`` of the full
+    ``n x n`` matrix per flip: a reference for any matrix, tangent or not."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     eye = np.eye(n)
     rows = np.arange(n)[:, None]
     return np.array([np.linalg.det(np.where(rows < k, eye - A, eye + A))
                      for k in range(n + 1)])
-
-
-def _small_layouts(max_ambient=8):
-    """Every valid spec with ambient size at most ``max_ambient``."""
-    specs = []
-    for family, fam in FAMILY.items():
-        for values in itertools.product(range(1, max_ambient + 1), repeat=len(fam.params)):
-            try:
-                spec = SpaceSpec(family, **dict(zip(fam.params, values)))
-            except ValueError:
-                continue
-            if spec.ambient <= max_ambient:
-                specs.append(spec)
-    return specs
 
 
 def _block_rep(n, negatives):
@@ -644,35 +621,15 @@ def _block_rep(n, negatives):
 
 
 class TestDistinctFlips:
-    def test_zero_rows_bitwise_equal_to_per_flip_loop(self):
-        rng = np.random.default_rng(80)
-        dense = _random_skew_hermitian(rng, 9) + 0.2 * np.eye(9)
-        for zero in ([0], [8], [1, 3, 4, 7], [0, 1, 2], list(range(1, 9))):
-            for value in (0.0, complex(-0.0, -0.0), complex(0.0, -0.0)):
-                A = dense.copy()
-                A[zero] = value
-                # a zero column with nonzero rows changes every flip
-                for M in (A, A.T.copy()):
-                    assert flipped_determinants(M).tobytes() == _flip_loop(M).tobytes()
-
     def test_degenerate_sizes(self):
         zero = np.zeros((6, 6), dtype=complex)
-        assert flipped_determinants(zero).tobytes() == _flip_loop(zero).tobytes()
-        assert np.array_equal(flipped_determinants(zero), np.ones(7))
+        block = zero_block(aiii(3, 3))
+        assert flipped_determinants(zero, block).tobytes() == _flip_loop(zero).tobytes()
+        assert np.array_equal(flipped_determinants(zero, block), np.ones(7))
         empty = np.zeros((0, 0))
-        assert flipped_determinants(empty).tobytes() == _flip_loop(empty).tobytes()
-        assert flipped_determinants(empty).tolist() == [1.0]
-
-    def test_witnesses_bitwise_equal_to_per_flip_loop(self):
-        reps = 0
-        for spec in _small_layouts():
-            for rep in enumerate_components(spec):
-                X = construct_witness(rep)
-                for t in (1.0, 1000.0):
-                    tX = t * X
-                    assert flipped_determinants(tX).tobytes() == _flip_loop(tX).tobytes(), rep
-                reps += 1
-        assert reps == 411
+        no_block = np.zeros(0, dtype=bool)
+        assert flipped_determinants(empty, no_block).tobytes() == _flip_loop(empty).tobytes()
+        assert flipped_determinants(empty, no_block).tolist() == [1.0]
 
     def test_only_distinct_flips_are_factorized(self, monkeypatch):
         # 8 nonzero rows, 4 of them outside the zero block: 9 flips of 4 x 4
@@ -681,26 +638,15 @@ class TestDistinctFlips:
         report = limit_check(rep)
         assert report.converged
         assert shapes == [(len(DEFAULT_GRID), 9, 4, 4)]
-        # without a block every flip is factorized, zero rows of -0.0 or not
-        A = np.arange(1.0, 37.0).reshape(6, 6) * (1 + 1j)
-        A[[1, 4]] = complex(-0.0, -0.0)
-        shapes.clear()
-        flipped_determinants(A)
-        assert shapes == [(7, 6, 6)]
-        # zero columns under nonzero rows: every flip is a different matrix
-        shapes.clear()
-        flipped_determinants(A.T.copy())
-        assert shapes == [(7, 6, 6)]
-        # a dense draw still stacks every flip, of p x p with its zero block
+        # a dense draw still stacks every flip, of p x p on its zero block
         rng = np.random.default_rng(81)
         for spec in FAMILY_CASES:
             X = build_tangent(spec, random_coordinates(spec, rng))
             N = spec.ambient
             p = N - np.count_nonzero(zero_block(spec))
             shapes.clear()
-            flipped_determinants(X)
             flipped_determinants(X, zero_block(spec))
-            assert shapes == [(N + 1, N, N), (N + 1, p, p)], spec.family
+            assert shapes == [(N + 1, p, p)], spec.family
 
     def test_limit_check_allocates_no_dense_grid_stack(self):
         # the AIII(60, 60) j = 4 witness keeps 8 of 120 rows: its ray scales
@@ -719,20 +665,31 @@ class TestDistinctFlips:
         assert report.converged
         assert peak < dense, peak
 
-    def test_non_tangent_with_block_equals_full_stack_bitwise(self):
+    def test_non_tangent_is_refused(self):
+        # a matrix nonzero on the zero block is no tangent of the spec: every
+        # route that reads the flipped stack refuses it
         rng = np.random.default_rng(83)
         for spec in FAMILY_CASES + [aiii(5, 45)]:
             block = zero_block(spec)
             X = build_tangent(spec, random_coordinates(spec, rng))
             i = np.flatnonzero(block)[-1]
+            rep = ComponentRep(spec, (1,) * spec.ambient)
+            non_tangents = []
             for value in (1e-300, 0.25j):
                 A = X.copy()
                 A[i, i] = value
-                assert (flipped_determinants(A, block).tobytes()
-                        == flipped_determinants(A).tobytes()), spec.family
-            # a dense non-tangent, and a block mask of the wrong size
-            A = _random_skew_hermitian(rng, spec.ambient)
-            assert flipped_determinants(A, block).tobytes() == flipped_determinants(A).tobytes()
+                non_tangents.append(A)
+            non_tangents.append(_random_skew_hermitian(rng, spec.ambient))
+            for A in non_tangents:
+                for call in (lambda: flipped_determinants(A, block),
+                             lambda: flipped_determinants(A, block, DEFAULT_GRID),
+                             lambda: cross_check(A, spec),
+                             lambda: diagonal_via_cayley(A, spec),
+                             lambda: diagonal_via_coroots(spec, A),
+                             lambda: limit_check(rep, A)):
+                    with pytest.raises(ValueError, match="nonzero on its zero block"):
+                        call()
+            # a block mask of the wrong size
             with pytest.raises(ValueError, match="zero_block has"):
                 flipped_determinants(X[1:, 1:], block)
 
@@ -745,7 +702,7 @@ class TestDistinctFlips:
                 A = X.copy()
                 A[drop] = 0.0
                 A[:, drop] = 0.0
-                split, full = flipped_determinants(A, block), flipped_determinants(A)
+                split, full = flipped_determinants(A, block), _flip_loop(A)
                 assert np.allclose(split, full, rtol=1e-13, atol=0), (spec.family, drop)
                 # a zero row leaves its flip's determinant equal to the previous one
                 assert all(split[k + 1] == split[k] for k in drop), (spec.family, drop)
@@ -760,23 +717,19 @@ class TestDistinctFlips:
             block = zero_block(spec)
             N = spec.ambient
             X = build_tangent(spec, random_coordinates(spec, rng))
-            no_p, no_t, rows, off_block = X.copy(), X.copy(), X.copy(), X.copy()
+            no_p, no_t, rows = X.copy(), X.copy(), X.copy()
             no_p[~block] = 0.0
             no_t[block] = 0.0
             rows[::3] = 0.0
-            off_block[np.flatnonzero(block)[0], np.flatnonzero(block)[-1]] = 0.25j
-            for A in (X, no_p, no_t, rows, off_block, np.zeros_like(X)):
-                for mask in (block, None):
-                    shapes.clear()
-                    got = flipped_determinants(A, mask, DEFAULT_GRID)
-                    assert got.shape == (len(DEFAULT_GRID), N + 1)
-                    stacked = shapes[0]
-                    for t, dets in zip(DEFAULT_GRID, got):
-                        assert dets.tobytes() == flipped_determinants(t * A, mask).tobytes(), spec
-                    if mask is None or A is off_block:
-                        assert stacked == (len(DEFAULT_GRID), N + 1, N, N), spec
-                    elif A is no_p:
-                        assert stacked[-1] == 0, spec
+            for A in (X, no_p, no_t, rows, np.zeros_like(X)):
+                shapes.clear()
+                got = flipped_determinants(A, block, DEFAULT_GRID)
+                assert got.shape == (len(DEFAULT_GRID), N + 1)
+                stacked = shapes[0]
+                for t, dets in zip(DEFAULT_GRID, got):
+                    assert dets.tobytes() == flipped_determinants(t * A, block).tobytes(), spec
+                if A is no_p:
+                    assert stacked[-1] == 0, spec
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ray_validates_its_matrix_scales_and_scaled_entries(self):
@@ -791,14 +744,12 @@ class TestDistinctFlips:
             flipped_determinants(np.full((5, 5), np.nan), block, [1.0])
         # an entry that overflows at one scale raises, as a call on t * X does
         big = 1e306 * X
-        for mask in (block, None):
-            with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-                flipped_determinants(1000.0 * big, mask)
-            with pytest.raises(ValueError, match="finite"):
-                flipped_determinants(big, mask, [1.0, 1000.0])
-        # an empty ray has no rows, on either path
-        for mask in (block, None):
-            assert flipped_determinants(X, mask, []).shape == (0, 6)
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            flipped_determinants(1000.0 * big, block)
+        with pytest.raises(ValueError, match="finite"):
+            flipped_determinants(big, block, [1.0, 1000.0])
+        # an empty ray has no rows
+        assert flipped_determinants(X, block, []).shape == (0, 6)
 
     def test_ray_bound_refuses_exactly_where_the_scaled_entries_overflow(self):
         # the ray decides overflow from max(scales) * max|Re, Im| before any
@@ -830,9 +781,8 @@ class TestDistinctFlips:
                     refused += 1
                     with pytest.raises(ValueError, match="finite"):
                         linalg._on_ray(A, scales)
-                    for mask in (block, None):  # no determinant is taken
-                        with pytest.raises(ValueError, match="finite"):
-                            flipped_determinants(A, mask, scales)
+                    with pytest.raises(ValueError, match="finite"):  # no determinant is taken
+                        flipped_determinants(A, block, scales)
                 else:
                     kept += 1
                     got = linalg._on_ray(A, scales)
@@ -1041,11 +991,11 @@ class TestSharedTables:
             cross_check(X, spec)
             assert passes == [(N, N), (N, N)], spec.family
             assert cutoffs == [(N, N)], spec.family
-            # a checked draw: X in its rejection loop, g in the cross check
-            # and once more in verify_image
+            # a checked draw: X in its rejection loop and g in the cross
+            # check, whose validated g the membership check reads
             passes.clear()
             check_draw(spec, np.random.default_rng(75))
-            assert passes.count((N, N)) == 3, spec.family
+            assert passes.count((N, N)) == 2, spec.family
 
     def test_refusal_matches_first_refusing_route(self):
         # the CP^2 boundary |z|^2 = 1 fails at gauss; near-boundary AIII(1, 2)
@@ -1109,17 +1059,22 @@ SHARED_INTERMEDIATES = {
     "exponent table": ("coroots", (0, 0), {"coroot_product"}),
 }
 
+#: The six ``verify`` defaults and one layout above the expansion cap.
+INDEPENDENCE_CASES = FAMILY_DEFAULTS + [aiii(5, 45)]
+
 
 class TestRouteIndependence:
     """The routes are independent evidence only while each shared table
     feeds exactly the routes that read it: perturb one entry of one table
     by 1e-6 relative and exactly those routes move, far past ``--tol``."""
 
-    @pytest.mark.parametrize("name", list(SHARED_INTERMEDIATES))
-    def test_one_perturbed_table_moves_exactly_its_routes(self, monkeypatch, name):
-        attr, entry, readers = SHARED_INTERMEDIATES[name]
+    @staticmethod
+    def _assert_moves_exactly_its_routes(monkeypatch, name, module, attr, check):
+        """Perturb table ``name`` where ``module.attr`` builds it; ``check(spec)``
+        returns the reports of one fixed tangent of ``spec``."""
+        _, entry, readers = SHARED_INTERMEDIATES[name]
         tol = cli._build_parser().parse_args(["verify"]).tol
-        build = getattr(bruhat, attr)
+        build = getattr(module, attr)
         calls = []
 
         def perturbed(*args):
@@ -1130,15 +1085,13 @@ class TestRouteIndependence:
             calls.append(attr)
             return table
 
-        rng = np.random.default_rng(76)
-        for spec in FAMILY_DEFAULTS + [aiii(5, 45)]:
-            X = build_tangent(spec, random_coordinates(spec, rng))
-            reports = cross_check(X, spec)
+        for spec in INDEPENDENCE_CASES:
+            reports = check(spec)
             assert max_cross_gap(reports) <= tol, spec
             with monkeypatch.context() as patch:
-                patch.setattr(bruhat, attr, perturbed)
+                patch.setattr(module, attr, perturbed)
                 calls.clear()
-                moved_reports = cross_check(X, spec)
+                moved_reports = check(spec)
             moved = {tag for tag, r in moved_reports.items()
                      if r.entries.tobytes() != reports[tag].entries.tobytes()}
             if name == "minor expansion" and spec.ambient > EXPANSION_CAP:
@@ -1147,6 +1100,26 @@ class TestRouteIndependence:
             assert calls == [attr], spec
             assert moved == readers, (spec, moved)
             assert max_cross_gap(moved_reports) > tol, spec
+
+    @pytest.mark.parametrize("name", list(SHARED_INTERMEDIATES))
+    def test_one_perturbed_table_moves_exactly_its_routes(self, monkeypatch, name):
+        rng = np.random.default_rng(76)
+        tangents = {spec: build_tangent(spec, random_coordinates(spec, rng))
+                    for spec in INDEPENDENCE_CASES}
+        self._assert_moves_exactly_its_routes(
+            monkeypatch, name, bruhat, SHARED_INTERMEDIATES[name][0],
+            lambda spec: cross_check(tangents[spec], spec))
+
+    @pytest.mark.parametrize("name", list(SHARED_INTERMEDIATES))
+    def test_check_draw_perturbed_table_moves_exactly_its_routes(self, monkeypatch, name):
+        # check_draw reads the stack its draw loop accepted; at this seed
+        # every layout accepts its first payload, so the loop builds one
+        module, attr = bruhat, SHARED_INTERMEDIATES[name][0]
+        if name == "flipped stack":
+            module, attr = spaces, "flipped_determinants"
+        self._assert_moves_exactly_its_routes(
+            monkeypatch, name, module, attr,
+            lambda spec: check_draw(spec, np.random.default_rng(77)).reports)
 
 
 class TestCheckDraw:

@@ -41,9 +41,9 @@ PINNED = {
     "verify": (("verify", "--format", "json"),
                "90af29faaa9ac6489d014b09de862dbe"),
     "golden": (("golden", "--suite", "all", "--format", "json"),
-               "c15d4c99ed16f0583ca84f6131931c9b"),
+               "05b97755da2551f22dd9fbea0274a919"),
     "golden_table": (("golden", "--suite", "all", "--format", "table"),
-                     "fb556c9e9cd92cf18078f9b5bff5c728"),
+                     "a7fcab29325f1b74511ed087f737ce43"),
     "enumerate_aiii_limits": (("enumerate", "--family", "AIII", "--m", "3", "--n", "3",
                                "--check-limits", "--format", "json"),
                               "61b22015edbc772b65f201922f72a9c4"),
