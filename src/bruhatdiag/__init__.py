@@ -20,7 +20,6 @@ from .bruhat import (
     diagonal_via_fredholm,
     diagonal_via_gauss,
     diagonal_via_minors,
-    flipped_determinants,
     ldu,
     max_cross_gap,
 )
@@ -36,6 +35,7 @@ from .linalg import (
     ExpansionLimitError,
     antitranspose,
     det,
+    flipped_determinants,
     matrix_from_json,
     matrix_to_json,
 )

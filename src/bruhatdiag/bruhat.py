@@ -37,12 +37,13 @@ verify`` and the acceptance sweep make it: the rejection loop of
 flipped stack it accepted the draw on, and one ``g = cayley(X)`` serves
 the routes and the membership check, so a draw builds each once.
 
-The routes that read the flipped stack take the family spec of ``X``,
-since a tangent is zero on the block T of the involution's larger
-same-sign class (:func:`~bruhatdiag.spaces.zero_block`) and on its zero
-rows: each ``det(1 + I_k X)`` is the ``p x p`` determinant of a Schur
-complement on the unit block ``(1 + I_k X)_TT`` (see
-:func:`~bruhatdiag.linalg.flipped_determinants`), and a matrix that is not
+The routes that read the flipped stack take the family spec of ``X`` and
+build it with :func:`~bruhatdiag.spaces._flipped_stack`, the one place a
+stack is split on the spec's zero block T, as the draw loop and the limit
+checks do.  A tangent is zero on ``T x T`` and on its zero rows, so each
+``det(1 + I_k X)`` is the ``p x p`` determinant of a Schur complement on
+the unit block ``(1 + I_k X)_TT`` (see
+:func:`~bruhatdiag.linalg.flipped_determinants`); a matrix that is not
 zero on T is refused with ``ValueError``.  ``cayley_det`` and
 ``coroot_product`` still read ``X`` alone, never ``g``.
 """
@@ -57,15 +58,13 @@ import numpy as np
 from .cayley import _cayley, _verify_image
 from .linalg import (
     EXPANSION_CAP,
-    _flipped_determinants,
     _minor_expansion,
     as_matrix,
     complex_to_pair,
-    flipped_determinants,
     flipped_minor_expansion,
     max_abs,
 )
-from .spaces import SpaceSpec, _draw_tangent, coroots, zero_block
+from .spaces import SpaceSpec, _draw_tangent, _flipped_stack, coroots
 
 #: Coefficient of the scale-aware genericity cutoffs: a leading minor of a
 #: matrix with max-norm M counts as vanishing when |minor| <= GENERIC_TOL * M**k,
@@ -160,18 +159,6 @@ def _flipped_cutoffs(mag: np.ndarray) -> np.ndarray:
 def _flipped_ratios(dets: np.ndarray, route: str) -> np.ndarray:
     """Checked ratios of the flipped determinants ``det(1 + I_k X)``, k = 0..n."""
     return _checked_ratios(dets, None, route)
-
-
-def _check_ambient(X, spec: SpaceSpec) -> None:
-    if np.shape(X)[-1:] != (spec.ambient,):
-        raise ValueError(f"matrix has shape {np.shape(X)}, ambient size is {spec.ambient}")
-
-
-def _flipped_stack(X: np.ndarray, spec: SpaceSpec) -> np.ndarray:
-    """``det(1 + I_k X)``, k = 0..N, of an already validated matrix of the
-    spec's ambient size, split on the spec's zero block."""
-    _check_ambient(X, spec)
-    return _flipped_determinants(X, zero_block(spec))
 
 
 @dataclass
@@ -317,7 +304,7 @@ def diagonal_via_cayley(X, spec: SpaceSpec) -> DiagonalReport:
     minors and flipped stack it shares with the other routes.
     """
     X = as_matrix(X)
-    dets = _flipped_stack(X, spec)
+    dets = _flipped_stack(spec, X)
     entries = _flipped_ratios(dets, "cayley_det")
     return _cayley_det_report(dets, entries, leading_minors(_cayley(X)))
 
@@ -358,7 +345,7 @@ def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
     checks it, so the two routes refuse the same inputs at the same step,
     even at indices no exponent reads.
     """
-    dets = _flipped_stack(as_matrix(X), spec)
+    dets = _flipped_stack(spec, as_matrix(X))
     _flipped_ratios(dets, "coroot_product")  # refuses as cayley_det does
     return _coroot_report(spec, dets)
 
@@ -367,7 +354,7 @@ def cross_check(X, spec: SpaceSpec) -> dict[str, DiagonalReport]:
     """Run every applicable route on a tangent matrix.
 
     Returns a dict keyed by method tag.  The Fredholm route joins only
-    when the ambient size is within the expansion cap.
+    when ``X`` is within the expansion cap.
 
     ``g = cayley(X)``, its leading minors and the flipped stack
     ``det(1 + I_k X)`` are built once here: ``gauss`` reads ``g``,
@@ -397,7 +384,7 @@ def _cross_check(X: np.ndarray, spec: SpaceSpec, g: np.ndarray,
         "minor_ratio": _minor_ratio_report(minors, cutoffs),
     }
     if dets is None:
-        dets = _flipped_stack(X, spec)
+        dets = _flipped_stack(spec, X)
     out["cayley_det"] = _cayley_det_report(
         dets, _flipped_ratios(dets, "cayley_det"), minors)
     if X.shape[0] <= EXPANSION_CAP:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import antitranspose, as_matrix, max_abs
-from .spaces import SpaceSpec, ViolationReport, _sp_twist, involution_apply
+from .spaces import SpaceSpec, ViolationReport, _check_ambient, _sp_twist, involution_apply
 
 
 def cayley(X) -> np.ndarray:
@@ -48,9 +48,8 @@ def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:
 
 def _verify_image(spec: SpaceSpec, g: np.ndarray, tol: float = 1e-9) -> ViolationReport:
     """:func:`verify_image` of an already validated matrix."""
+    _check_ambient(spec, g)
     N = spec.ambient
-    if g.shape != (N, N):
-        raise ValueError(f"matrix has shape {g.shape}, ambient size is {N}")
     eye = np.eye(N, dtype=complex)
     ginv = np.linalg.inv(g)
     v = {

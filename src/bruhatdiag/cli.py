@@ -210,11 +210,11 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}i"
 
 
-def _emit(obj, fmt: str, table_lines=None) -> None:
+def _emit(obj, fmt: str, table_lines: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True, indent=2))
     else:
-        for line in table_lines if table_lines is not None else [json.dumps(obj)]:
+        for line in table_lines:
             print(line)
 
 

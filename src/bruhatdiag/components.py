@@ -10,16 +10,15 @@ diagonal factor along that witness is checked numerically.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .bruhat import _check_ambient, _screened_ratios
-from .linalg import flipped_determinants
-from .spaces import FAMILY, SpaceSpec, _position_signs, zero_block
+from .bruhat import _screened_ratios
+from .linalg import as_matrix
+from .spaces import FAMILY, SpaceSpec, _flipped_stack, _position_signs, _sp_twist
 
 #: Geometric grid of scaling parameters for limit checks.
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
@@ -57,14 +56,6 @@ class ComponentRep:
 
     def label(self) -> str:
         return "".join("+" if s == 1 else "-" for s in self.signs)
-
-
-@functools.lru_cache(maxsize=64)
-def _part_labels(spec: SpaceSpec) -> tuple[Optional[int], ...]:
-    """Per-position label: the involution's sign, which tells apart the two
-    block families it exchanges, and None for the exempt middle positions.
-    Built once per spec, as a tuple because every caller shares it."""
-    return tuple(sign or None for sign in _position_signs(spec))
 
 
 def _signs_from_alpha(N: int, alpha: Iterable[int]) -> tuple[int, ...]:
@@ -138,10 +129,13 @@ def construct_witness(rep: ComponentRep) -> np.ndarray:
     """A tangent supported on the negative positions of ``rep``.
 
     Pairs the negative positions greedily (smallest open index with the
-    largest admissible partner), placing ``+1 / -1`` in the paired slots;
-    reflection-constrained families get the mirrored pair filled by the
-    family rule.  The resulting matrix passes :func:`validate_tangent`
-    and its principal block on the negative positions is invertible.
+    largest partner of opposite involution sign, so never the swapped
+    middle pair of sign 0, and for ``so`` never across the antidiagonal),
+    placing ``+1 / -1`` in the paired slots; with a reflection the mirrored
+    pair gets ``-1`` for ``so`` and the negated
+    :func:`~bruhatdiag.spaces._sp_twist` sign of the pair for ``sp``.  The
+    resulting matrix passes :func:`validate_tangent` and its principal
+    block on the negative positions is invertible.
     """
     spec = rep.spec
     N = spec.ambient
@@ -149,22 +143,14 @@ def construct_witness(rep: ComponentRep) -> np.ndarray:
     if rep.is_identity:
         return X
 
-    labels = _part_labels(spec)
-    so_like, sp_like = spec.so_like, spec.sp_like
-    half = N // 2
+    signs = _position_signs(spec)
+    so_like = spec.so_like
+    twist = _sp_twist(N) if spec.sp_like else None
     remaining = list(rep.alpha)
-
-    def admissible(i: int, j: int) -> bool:
-        li, lj = labels[i - 1], labels[j - 1]
-        if li is None or lj is None or li == lj:
-            return False
-        if so_like and j == N + 1 - i:
-            return False
-        return True
-
     while remaining:
         i = remaining[0]
-        partners = [j for j in remaining[1:] if admissible(i, j)]
+        partners = [j for j in remaining[1:] if signs[i - 1] * signs[j - 1] < 0
+                    and not (so_like and j == N + 1 - i)]
         if not partners:
             raise WitnessError(
                 f"no admissible partner for position {i} in {rep.label()}")
@@ -173,15 +159,10 @@ def construct_witness(rep: ComponentRep) -> np.ndarray:
         X[j - 1, i - 1] = -1.0
         remaining.remove(i)
         remaining.remove(j)
-        if so_like or sp_like:
+        if so_like or twist is not None:
             i2, j2 = N + 1 - j, N + 1 - i
             if {i2, j2} != {i, j}:
-                if so_like:
-                    s = -1.0
-                else:
-                    sgn_i = -1.0 if i <= half else 1.0
-                    sgn_j = -1.0 if j <= half else 1.0
-                    s = -sgn_i * sgn_j
+                s = -1.0 if so_like else -twist[i - 1, j - 1]
                 X[i2 - 1, j2 - 1] = s
                 X[j2 - 1, i2 - 1] = -s
                 remaining.remove(i2)
@@ -218,25 +199,24 @@ def limit_check(rep: ComponentRep, X=None) -> LimitReport:
     Each grid point needs only the ``cayley_det`` entries: the flipped
     stack ``det(1 + I_k tX)``, its cutoffs and its checked ratios.  ``X``
     is validated once and the stacks of every grid point come from one ray
-    call (:func:`~bruhatdiag.linalg.flipped_determinants` with the grid as
-    ``scales``, one read-only float array built at import and checked on
-    every call): one split plan from ``X`` itself, its kept block gathered
-    once and scaled per point, and one batched determinant call.  An ``X``
-    that is not zero on the spec's zero block raises ``ValueError``, and so
-    does a scaled entry that would overflow; the bound that decides it is
-    the largest grid point times the largest real or imaginary part of the
-    kept block.  The check, the ratios and the deviations of all
-    grid points are then one vectorized pass over the ``(grid, N + 1)``
-    table, with one ``np.hypot`` of it for the magnitudes and the cutoffs
-    alike; a refused point reads ``None``.  The Cayley image and the
-    minor-identity residual, which
+    call (:func:`~bruhatdiag.spaces._flipped_stack` with the grid as
+    ``scales``, a read-only float array of positive factors built at
+    import, which goes straight to the determinant core): one split plan
+    from ``X`` itself, its kept block gathered once and scaled per point,
+    and one batched determinant call.  An ``X`` that is not zero on the
+    spec's zero block raises ``ValueError``, and so does a scaled entry
+    that would overflow; the bound that decides it is the largest grid
+    point times the largest real or imaginary part of the kept block.  The
+    check, the ratios and the deviations of all grid points are then one
+    vectorized pass over the ``(grid, N + 1)`` table, with one ``np.hypot``
+    of it for the magnitudes and the cutoffs alike; a refused point reads
+    ``None``.  The Cayley image and the minor-identity residual, which
     :func:`~bruhatdiag.bruhat.diagonal_via_cayley` would also build, are
     not computed.
     """
     if X is None:
         X = construct_witness(rep)
-    _check_ambient(X, rep.spec)
-    dets = flipped_determinants(X, zero_block(rep.spec), _GRID)
+    dets = _flipped_stack(rep.spec, as_matrix(X), _GRID)
     refused, d = _screened_ratios(dets)
     deviations = (np.abs(d - np.array(rep.signs, dtype=float))
                   / np.maximum(1.0, np.abs(d))).max(axis=-1).tolist()

@@ -321,15 +321,15 @@ def matrix_from_json(obj) -> np.ndarray:
     return as_matrix(A)
 
 
-def rectangular_from_json(rows, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Parse a rectangular [[re, im]] grid; used for coordinate payloads."""
+def rectangular_from_json(rows, shape: tuple[int, int]) -> np.ndarray:
+    """Parse a rectangular [[re, im]] grid of ``shape``; used for coordinate payloads."""
     if not isinstance(rows, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) for row in rows):
         raise ValueError(f"payload block must be a list of rows of [re, im] pairs, got {rows!r}")
     A = np.array([[pair_to_complex(z) for z in row] for row in rows], dtype=complex)
     if A.size == 0:
-        A = A.reshape(shape if shape is not None else (0, 0))
-    if shape is not None and A.shape != tuple(shape):
+        A = A.reshape(shape)
+    if A.shape != tuple(shape):
         raise ValueError(f"payload block has shape {A.shape}, expected {tuple(shape)}")
     return A
 

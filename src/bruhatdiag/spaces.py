@@ -40,9 +40,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import (
+    _flipped_determinants,
     _json_number,
     antitranspose,
-    flipped_determinants,
+    as_matrix,
     max_abs,
     pair_to_complex,
     rectangular_from_json,
@@ -184,9 +185,7 @@ def involution_apply(spec: SpaceSpec, A) -> np.ndarray:
     involution_matrix(spec)`` (see :func:`_involution_plan`).
     """
     A = np.asarray(A, dtype=complex)
-    N = spec.ambient
-    if A.shape != (N, N):
-        raise ValueError(f"matrix has shape {A.shape}, ambient size is {N}")
+    _check_ambient(spec, A)
     perm, signs = _involution_plan(spec)
     return A[perm[:, None], perm] * signs
 
@@ -236,6 +235,20 @@ def zero_block(spec: SpaceSpec) -> np.ndarray:
     block = signs == max((1, -1), key=lambda sign: np.count_nonzero(signs == sign))
     block.flags.writeable = False
     return block
+
+
+def _check_ambient(spec: SpaceSpec, A: np.ndarray) -> None:
+    """Refuse a matrix that is not ``N x N`` for the spec's ambient size N."""
+    if A.shape != (spec.ambient,) * 2:
+        raise ValueError(f"matrix has shape {A.shape}, ambient size is {spec.ambient}")
+
+
+def _flipped_stack(spec: SpaceSpec, X: np.ndarray, scales=None) -> np.ndarray:
+    """``det(1 + I_k X)``, k = 0..N, of an already validated matrix, split
+    on the spec's :func:`zero_block`; with ``scales``, a float array of positive
+    factors, one row per scale (see :func:`~bruhatdiag.linalg.flipped_determinants`)."""
+    _check_ambient(spec, X)
+    return _flipped_determinants(X, zero_block(spec), scales)
 
 
 # --- coordinates -----------------------------------------------------------
@@ -319,12 +332,11 @@ def _draw_tangent(spec: SpaceSpec, rng: np.random.Generator,
     radius the stack overflows; it is built without floating-point
     warnings and a non-finite stack is redrawn like a near-boundary one.
     """
-    block = zero_block(spec)
     for _ in range(1000):
         coords = _sample_coordinates(spec, rng, radius)
         X = build_tangent(spec, coords)
         with np.errstate(over="ignore", invalid="ignore"):
-            dets = flipped_determinants(X, block)
+            dets = _flipped_stack(spec, as_matrix(X))
         mag = np.hypot(dets.real, dets.imag)
         # an infinite magnitude clears the floor, so finiteness is its own test
         if np.isfinite(mag).all() and mag[1:].min(initial=np.inf) > CONDITION_FLOOR:
@@ -569,9 +581,7 @@ def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
     matrix gets a report.
     """
     X = np.asarray(X, dtype=complex)
-    N = spec.ambient
-    if X.shape != (N, N):
-        raise ValueError(f"matrix has shape {X.shape}, ambient size is {N}")
+    _check_ambient(spec, X)
     v = {
         "skew_hermitian": max_abs(X + X.conj().T),
         "involution_anti_invariance": max_abs(involution_apply(spec, X) + X),
@@ -580,7 +590,7 @@ def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
     if spec.so_like:
         v["reflection"] = max_abs(X + antitranspose(X))
     elif spec.sp_like:
-        v["reflection"] = max_abs(X + antitranspose(X) * _sp_twist(N))
+        v["reflection"] = max_abs(X + antitranspose(X) * _sp_twist(spec.ambient))
     return ViolationReport(violations=v, tolerance=tol)
 
 

@@ -226,8 +226,8 @@ class TestVerifyCommands:
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(spaces, "_sample_coordinates", counting_sample)
         for module in (spaces, bruhat):
-            real = module.flipped_determinants
-            monkeypatch.setattr(module, "flipped_determinants",
+            real = module._flipped_stack
+            monkeypatch.setattr(module, "_flipped_stack",
                                 lambda *args, real=real: stacks.append(1) or real(*args))
         code, out, _ = run_cli(capsys, "verify", "--seed", "134", "--draws", "3")
         assert code == 0

@@ -12,7 +12,7 @@ from bruhatdiag.components import (
     limit_check,
 )
 from bruhatdiag.linalg import det
-from bruhatdiag.spaces import SpaceSpec, aiii, ci, cii, diii, validate_tangent
+from bruhatdiag.spaces import SpaceSpec, _position_signs, aiii, ci, cii, diii, validate_tangent
 
 SMALL_SPECS = [
     aiii(1, 1), aiii(1, 2), aiii(2, 2), aiii(2, 3), aiii(3, 3), aiii(1, 3),
@@ -205,17 +205,15 @@ class TestLimitCheck:
         # the greedy pairing is one choice among several; a reversed greedy
         # (largest open index with smallest admissible partner) must drive
         # the diagonal to the same representative
-        from bruhatdiag.components import _part_labels
-
         for spec in SMALL_SPECS:
             if spec.ambient > 6:
                 continue
-            labels = _part_labels(spec)
+            signs = _position_signs(spec)
             N = spec.ambient
             for rep in enumerate_components(spec):
                 if rep.is_identity:
                     continue
-                X = _witness_reversed(rep, labels)
+                X = _witness_reversed(rep, signs)
                 if X is None:
                     continue
                 if not validate_tangent(spec, X, tol=1e-12).ok:
@@ -273,8 +271,9 @@ class TestLimitCheck:
             limit_check(rep, X=np.zeros((3, 3)))
 
 
-def _witness_reversed(rep, labels):
-    """Pair from the top down instead of bottom up."""
+def _witness_reversed(rep, signs):
+    """Pair from the top down instead of bottom up; ``signs`` are the
+    involution's signs per position."""
     spec = rep.spec
     N = spec.ambient
     X = np.zeros((N, N), dtype=complex)
@@ -285,9 +284,7 @@ def _witness_reversed(rep, labels):
         i = remaining[0]
         partners = [
             j for j in remaining[1:]
-            if labels[j - 1] is not None and labels[i - 1] is not None
-            and labels[j - 1] != labels[i - 1]
-            and not (so_like and j == N + 1 - i)
+            if signs[i - 1] * signs[j - 1] < 0 and not (so_like and j == N + 1 - i)
         ]
         if not partners:
             return None

@@ -53,6 +53,19 @@ PINNED = {
     "enumerate_aiii_5_5_limits": (("enumerate", "--family", "AIII", "--m", "5", "--n", "5",
                                    "--check-limits", "--format", "json"),
                                   "f412649474737528617ed21a2c428b8f"),
+    # the four mirrored layouts, whose witnesses fill a mirrored pair
+    "enumerate_diii_4_limits": (("enumerate", "--family", "DIII", "--n", "4",
+                                 "--check-limits", "--format", "json"),
+                                "716c142d629b96c2c0f68d7fe373646e"),
+    "enumerate_cii_2_2_limits": (("enumerate", "--family", "CII", "--p", "2", "--q", "2",
+                                  "--check-limits", "--format", "json"),
+                                 "6a1ea6cf9a5fb99cbb5ec62dad36e6c9"),
+    "enumerate_bdi_even_limits": (("enumerate", "--family", "BDI_even", "--p", "4", "--q", "3",
+                                   "--check-limits", "--format", "json"),
+                                  "7d8615898cf8577818fdb22a8bb3836b"),
+    "enumerate_bdi_oddodd_limits": (("enumerate", "--family", "BDI_oddodd", "--p", "3",
+                                     "--q", "5", "--check-limits", "--format", "json"),
+                                    "d7785fec91c9b988e8c381181655edee"),
     "enumerate_bdi_oddodd": (("enumerate", "--family", "BDI_oddodd", "--p", "3", "--q", "5",
                               "--format", "json"),
                              "708819b070cc409a9d4fa5cbd66dcf74"),

@@ -6,9 +6,9 @@ import pytest
 
 from bruhatdiag.bruhat import diagonal_via_cayley, diagonal_via_coroots
 from bruhatdiag.cayley import cayley, verify_image
-from bruhatdiag.components import _part_labels
 from bruhatdiag.linalg import antitranspose, leading_signature
 from bruhatdiag.spaces import (
+    _position_signs,
     _sp_twist,
     _tangent_plan,
     FAMILIES,
@@ -399,8 +399,8 @@ class TestCoordinateJson:
         from bruhatdiag import spaces
 
         for value in (np.inf, complex(np.inf, np.nan), np.nan):
-            monkeypatch.setattr(spaces, "flipped_determinants",
-                                lambda X, block, value=value: np.full(X.shape[0] + 1, value))
+            monkeypatch.setattr(spaces, "_flipped_stack",
+                                lambda spec, X, value=value: np.full(X.shape[0] + 1, value))
             with pytest.raises(ValueError, match="could not draw a well-conditioned payload"):
                 random_coordinates(aiii(1, 2), np.random.default_rng(38))
 
@@ -619,10 +619,11 @@ class TestFamilyRegistry:
             assert _same_bits(support_mask(spec), _ref_support_mask(spec)), spec
 
     def test_part_labels_partition(self, family):
-        # labels are compared by equality and None only, so the relation is what counts
+        # the witness pairs positions by their involution signs, compared by
+        # equality and 0 (the label None) only, so the relation is what counts
         for spec in _grid(family):
-            labels, ref = _part_labels(spec), _ref_part_labels(spec)
-            assert [a is None for a in labels] == [r is None for r in ref], spec
+            labels, ref = _position_signs(spec), _ref_part_labels(spec)
+            assert [a == 0 for a in labels] == [r is None for r in ref], spec
             assert ([[a == b for b in labels] for a in labels]
                     == [[a == b for b in ref] for a in ref]), spec
 
