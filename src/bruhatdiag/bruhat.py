@@ -198,7 +198,7 @@ class DiagonalReport:
 def _report(method: str, entries: np.ndarray, **extra) -> DiagonalReport:
     entries = np.asarray(entries, dtype=complex)
     return DiagonalReport(method=method, entries=entries,
-                          product=complex(np.prod(entries)), **extra)
+                          product=complex(entries.prod()), **extra)
 
 
 def _eliminate(A: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ inverse, ``X = (1 - g)(1 + g)^{-1}``, so no separate inverse is provided.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .linalg import antitranspose, as_matrix, max_abs
@@ -27,13 +29,20 @@ def cayley(X) -> np.ndarray:
 
 def _cayley(X: np.ndarray) -> np.ndarray:
     """:func:`cayley` of an already validated matrix."""
-    n = X.shape[0]
-    eye = np.eye(n, dtype=complex)
+    eye = _identity(X.shape[0])
     try:
         g = np.linalg.solve(eye + X, eye - X)
     except np.linalg.LinAlgError as exc:
         raise ValueError("1 + X is numerically singular; input is not skew-Hermitian") from exc
     return g
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The complex ``n x n`` identity, read-only because every caller shares it."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:
@@ -50,7 +59,7 @@ def _verify_image(spec: SpaceSpec, g: np.ndarray, tol: float = 1e-9) -> Violatio
     """:func:`verify_image` of an already validated matrix."""
     _check_ambient(spec, g)
     N = spec.ambient
-    eye = np.eye(N, dtype=complex)
+    eye = _identity(N)
     ginv = np.linalg.inv(g)
     v = {
         "unitary": max_abs(g.conj().T @ g - eye),

@@ -20,10 +20,11 @@ the matrix is validated and planned once, its kept block is gathered once
 and scaled per point, and the determinants of every point are still one
 LU call.
 :func:`flipped_minor_expansion` computes every principal minor of ``A``
-once (one gather and one batched ``det`` per subset size) and forms the
-n + 1 expansions as signed sums, since the minor of ``I_k A`` on
-``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.  Its k = 0
-row is ``det(1 + A)`` as the sum of all principal minors.
+once, one gather and one batched ``det`` per subset size, and forms all
+n + 1 expansions in one signed reduction: a cached ``(n + 1, 2**n - 1)``
+sign table times the minors, summed along each row, since the minor of
+``I_k A`` on ``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.
+Its k = 0 row is ``det(1 + A)`` as the sum of all principal minors.
 
 The JSON matrix form is parsed here as well; :func:`_json_number` is the
 one parser of JSON numbers, for matrix entries, sizes, coordinate
@@ -89,36 +90,43 @@ def det(A) -> complex:
     return complex(np.linalg.det(A))
 
 
-@functools.lru_cache(maxsize=EXPANSION_CAP * (EXPANSION_CAP + 1) // 2)
-def _subset_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index sets of one size and their sign under every leading flip.
+@functools.lru_cache(maxsize=EXPANSION_CAP + 1)
+def _subset_table(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Gather indices of every principal minor of an ``n x n`` matrix,
+    n >= 1, and the sign of each minor under every leading flip.
 
-    Returns the ``(S, size)`` 0-based subsets of ``range(n)`` in
-    lexicographic order and the ``(n + 1, S)`` matrix whose entry
-    ``(k, t)`` is ``(-1)**|subset_t & range(k)|``.  The cache holds every
-    table up to :data:`EXPANSION_CAP`; both arrays are read-only because
-    every caller shares them.
+    Returns one ``(S, size, size)`` array of flat indices into the
+    raveled matrix per subset size, size = 1..n, each over the 0-based
+    subsets of that size in lexicographic order, and the ``(n + 1,
+    2**n - 1)`` matrix whose entry ``(k, t)`` is
+    ``(-1)**|subset_t & range(k)|`` over those subsets in the same order.
+    The cache holds every table up to :data:`EXPANSION_CAP`; every array
+    is read-only because every caller shares them.
     """
-    subsets = np.array(list(itertools.combinations(range(n), size)),
-                       dtype=np.intp).reshape(-1, size)
-    below = np.arange(n + 1)[:, None, None] > subsets
-    # C order keeps each flip's row contiguous, so the row sums taken in
-    # flipped_minor_expansion add in the order a 1-D sum would.
-    signs = np.ascontiguousarray(np.where(below.sum(axis=2) % 2, -1.0, 1.0))
-    subsets.flags.writeable = False
-    signs.flags.writeable = False
-    return subsets, signs
+    gathers, columns = [], []
+    for size in range(1, n + 1):
+        subsets = np.array(list(itertools.combinations(range(n), size)),
+                           dtype=np.intp).reshape(-1, size)
+        gathers.append(subsets[:, :, None] * n + subsets[:, None, :])
+        below = np.arange(n + 1)[:, None, None] > subsets
+        columns.append(np.where(below.sum(axis=2) % 2, -1.0, 1.0))
+    # C order keeps each flip's row contiguous for the row sum
+    signs = np.ascontiguousarray(np.concatenate(columns, axis=1))
+    for a in (*gathers, signs):
+        a.flags.writeable = False
+    return tuple(gathers), signs
 
 
 def flipped_minor_expansion(A) -> np.ndarray:
     """``det(1 + I_k A)`` for k = 0..n, each as a sum of principal minors.
 
-    Every principal minor of ``A`` is computed once; the expansion for
-    flip k is the sum of those minors signed by ``(-1)**|alpha & {1..k}|``.
-    Sizes are accumulated in ascending order starting from the empty
-    set's 1, and no LU of ``1 + I_k A`` is ever formed, so this stays an
-    independent oracle for :func:`flipped_determinants`.  There are 2**n
-    minors, so the side length is capped at :data:`EXPANSION_CAP`.
+    Every principal minor of ``A`` is computed once, one gather and one
+    batched ``det`` per subset size; the expansion for flip k is 1 (the
+    empty set's minor) plus the sum of all the others signed by
+    ``(-1)**|alpha & {1..k}|``, one product and row sum over every flip.
+    No LU of ``1 + I_k A`` is ever formed, so this stays an independent
+    oracle for :func:`flipped_determinants`.  There are 2**n minors, so
+    the side length is capped at :data:`EXPANSION_CAP`.
     """
     return _minor_expansion(as_matrix(A))
 
@@ -130,12 +138,12 @@ def _minor_expansion(A: np.ndarray) -> np.ndarray:
         raise ExpansionLimitError(
             f"matrix size {n} exceeds the expansion cap {EXPANSION_CAP}; "
             f"use det(1 + A) directly")
-    totals = np.ones(n + 1, dtype=complex)
-    for size in range(1, n + 1):
-        subsets, signs = _subset_table(n, size)
-        minors = np.linalg.det(A[subsets[:, :, None], subsets[:, None, :]])
-        totals += (signs * minors).sum(axis=1)
-    return totals
+    if n == 0:  # the empty minor alone
+        return np.ones(1, dtype=complex)
+    gathers, signs = _subset_table(n)
+    flat = A.ravel()
+    minors = np.concatenate([np.linalg.det(flat.take(ix)) for ix in gathers])
+    return 1 + (signs * minors).sum(axis=1)
 
 
 def flipped_determinants(A, zero_block, scales=None) -> np.ndarray:
@@ -313,12 +321,15 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise ValueError('matrix JSON must carry fields "n" and "entries"')
     n = _json_number(obj["n"], int, 'matrix JSON field "n" must be an integer')
+    if n < 0:
+        raise ValueError(f'matrix JSON field "n" must be non-negative, got {n}')
     rows = obj["entries"]
     if (not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise ValueError(f'field "entries" must be an {n} x {n} grid')
+    # n = 0 reads "entries": [], which numpy builds with shape (0,)
     A = np.array([[pair_to_complex(z) for z in row] for row in rows], dtype=complex)
-    return as_matrix(A)
+    return as_matrix(A.reshape(n, n))
 
 
 def rectangular_from_json(rows, shape: tuple[int, int]) -> np.ndarray:
@@ -327,7 +338,7 @@ def rectangular_from_json(rows, shape: tuple[int, int]) -> np.ndarray:
             isinstance(row, (list, tuple)) for row in rows):
         raise ValueError(f"payload block must be a list of rows of [re, im] pairs, got {rows!r}")
     A = np.array([[pair_to_complex(z) for z in row] for row in rows], dtype=complex)
-    if A.size == 0:
+    if A.shape == (0,) and 0 in shape:  # [] is the JSON form of every empty block
         A = A.reshape(shape)
     if A.shape != tuple(shape):
         raise ValueError(f"payload block has shape {A.shape}, expected {tuple(shape)}")

@@ -93,9 +93,9 @@ class SpaceSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         FAMILY[self.family].validate(self)
 
-    @property
+    @functools.cached_property
     def ambient(self) -> int:
-        """Side length of the ambient matrices."""
+        """Side length of the ambient matrices, computed once per spec."""
         return sum(FAMILY[self.family].sizes(self))
 
     @property

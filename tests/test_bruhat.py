@@ -49,6 +49,7 @@ from bruhatdiag.spaces import (
     spec_from_family,
     zero_block,
 )
+from walls import wall_scales
 
 FAMILY_CASES = [
     aiii(2, 3), diii(3), ci(3), cii(2, 2),
@@ -330,19 +331,6 @@ class TestCorootRoute:
         assert abs(a[2].imag) > 1e-3
 
 
-def _wall_scales(X, deltas):
-    """``(k, t)`` placing ``t X`` at relative distance δ from each wall of
-    ``X``'s ray, past it for δ > 0: ``det(1 + t I_k X) = prod(1 + t λ)`` over the eigenvalues
-    λ of ``I_k X``, so every real negative λ puts a wall at ``t = -1/λ``."""
-    N = X.shape[0]
-    for k in range(1, N + 1):
-        flip = np.where(np.arange(N) < k, -1.0, 1.0)
-        for lam in np.linalg.eigvals(flip[:, None] * X):
-            if lam.real < 0 and abs(lam.imag) <= 1e-9 * abs(lam):
-                for delta in deltas:
-                    yield k, -(1.0 + delta) / lam.real
-
-
 def _outcome(route):
     """``None`` when ``route()`` returns, else the ``(index, magnitude)`` it
     refused with."""
@@ -396,7 +384,7 @@ class TestGenericity:
             rng = np.random.default_rng(seed)
             for _ in range(20):
                 X = build_tangent(spec, random_coordinates(spec, rng))
-                for k, t in _wall_scales(X, (0.0, 1e-12, -1e-12, 1e-10)):
+                for k, t in wall_scales(X, (0.0, 1e-12, -1e-12, 1e-10)):
                     tX = t * X
                     a = _outcome(lambda: diagonal_via_cayley(tX, spec))
                     b = _outcome(lambda: diagonal_via_coroots(spec, tX))
@@ -512,21 +500,6 @@ class TestVectorizedCheck:
                 assert got.tobytes() == want.tobytes()
 
 
-def _expansion_reference(A):
-    """det(1 + A) as the size-by-size sum of principal minors, one gather
-    per index set: the loop the batched expansion replaced."""
-    n = A.shape[0]
-    total = 1.0 + 0.0j
-    for size in range(1, n + 1):
-        subsets = list(itertools.combinations(range(n), size))
-        stack = np.empty((len(subsets), size, size), dtype=complex)
-        for t, alpha in enumerate(subsets):
-            ix = np.array(alpha)
-            stack[t] = A[np.ix_(ix, ix)]
-        total += complex(np.linalg.det(stack).sum())
-    return total
-
-
 def _random_skew_hermitian(rng, n):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.3 * (A - A.conj().T)
@@ -546,15 +519,6 @@ def _count_det_calls(monkeypatch):
 
 
 class TestSharedDeterminantCore:
-    def test_fredholm_bitwise_equal_to_per_flip_expansion(self):
-        rng = np.random.default_rng(60)
-        for n in range(1, 11):
-            X = _random_skew_hermitian(rng, n)
-            dets = np.array([_expansion_reference(leading_signature(n, k) @ X)
-                             for k in range(n + 1)])
-            report = diagonal_via_fredholm(X)
-            assert np.array_equal(report.entries, dets[1:] / dets[:-1]), n
-
     def test_fredholm_empty_matrix(self):
         report = diagonal_via_fredholm(np.zeros((0, 0)))
         assert report.entries.shape == (0,)

@@ -128,6 +128,12 @@ class TestBuildAndFactorize:
         U = matrix_from_json(obj["U"])
         assert np.abs(L @ D @ U - g).max() <= 1e-9
 
+    def test_factorize_empty_matrix(self, capsys):
+        code, out, _ = run_cli(capsys, "factorize", "--matrix", '{"n": 0, "entries": []}')
+        assert code == 0
+        obj = json.loads(out)
+        assert [obj[f] for f in "DLU"] == [{"n": 0, "entries": []}] * 3
+
     def test_factorize_rotation_exits_two(self, capsys):
         code, out, _ = run_cli(
             capsys, "factorize", "--matrix",
@@ -345,16 +351,34 @@ class TestErrorHandling:
          'family AIII has no payload field "W"'),
         ('{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": {"Z": [[[0.5, 0]]], "s": 0.3}}',
          'family AIII has no payload field "s"'),
+        ('{"family": "BDI_oddodd", "params": {"p": 1, "q": 3}, "payload": '
+         '{"Z1": [[], [], []], "Z2": [], "w1": [], "w2": [[0.1, 0.2]], "s": 0.3}}',
+         "payload block has shape (3, 0), expected (0, 1)"),
     ], ids=["null_parameter", "payload_not_an_object", "block_not_a_grid",
             "family_not_a_string", "null_entry", "vector_not_a_list", "null_scalar",
             "fractional_parameter", "boolean_parameter", "string_parameter",
             "string_and_boolean_entry", "string_scalar", "non_finite_scalar",
-            "foreign_parameter", "foreign_payload_field", "foreign_torus_field"])
+            "foreign_parameter", "foreign_payload_field", "foreign_torus_field",
+            "empty_grid_of_other_shape"])
     def test_malformed_coordinates_json_exits_one(self, capsys, payload, message):
         code, out, err = run_cli(capsys, "d", "--payload", payload)
         assert code == 1
         assert out == ""
         assert err == f"bruhatdiag: error: {message}\n"
+
+    def test_empty_block_for_a_non_empty_slot_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "d", "--family", "AIII", "--m", "2", "--n", "3",
+                                 "--payload", '{"Z": []}')
+        assert code == 1
+        assert out == ""
+        assert err == "bruhatdiag: error: payload block has shape (0,), expected (2, 3)\n"
+
+    def test_empty_block_for_an_empty_slot_reads(self, capsys):
+        # BDI_oddodd(3, 1) has an empty (1, 0) block Z1
+        code, _, _ = run_cli(capsys, "d", "--payload",
+                             '{"family": "BDI_oddodd", "params": {"p": 3, "q": 1}, "payload": '
+                             '{"Z1": [], "Z2": [[]], "w1": [[0.1, 0.2]], "w2": [], "s": 0.3}}')
+        assert code == 0
 
     @pytest.mark.parametrize("argv,message", [
         (("d", "--family", "DIII", "--n", "2", "--m", "9", "--payload",
@@ -387,8 +411,10 @@ class TestErrorHandling:
          'matrix JSON field "n" must be an integer, got 1.9'),
         ("cayley", '{"n": 1, "entries": [[["0", "0.5"]]]}',
          "complex entries must be [re, im] pairs of numbers, got ['0', '0.5']"),
+        ("factorize", '{"n": -1, "entries": []}',
+         'matrix JSON field "n" must be non-negative, got -1'),
     ], ids=["null_size", "entries_not_a_list", "row_not_a_list", "fractional_size",
-            "string_entry"])
+            "string_entry", "negative_size"])
     def test_malformed_matrix_json_exits_one(self, capsys, verb, matrix, message):
         code, out, err = run_cli(capsys, verb, "--matrix", matrix)
         assert code == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from bruhatdiag.linalg import (
     ExpansionLimitError,
+    _subset_table,
     antitranspose,
     as_matrix,
     det,
@@ -141,6 +144,20 @@ class TestPrincipalMinorExpansion:
         total = flipped_minor_expansion(np.diag([a, b]))[0]
         assert total == pytest.approx(1 + a + b + a * b)
 
+    def test_empty_matrix(self):
+        assert np.array_equal(flipped_minor_expansion(np.zeros((0, 0))), [1.0])
+
+    def test_plan_gathers_every_principal_minor(self):
+        rng = np.random.default_rng(9)
+        A = _random_complex(rng, (5, 5))
+        gathers, signs = _subset_table(5)
+        assert signs.shape == (6, 2**5 - 1) and signs.flags.c_contiguous
+        assert not any(a.flags.writeable for a in (*gathers, signs))
+        for size, ix in enumerate(gathers, start=1):
+            subsets = np.array(list(itertools.combinations(range(5), size)))
+            assert np.array_equal(A.ravel().take(ix),
+                                  A[subsets[:, :, None], subsets[:, None, :]])
+
     def test_cap_enforced(self):
         with pytest.raises(ExpansionLimitError):
             flipped_minor_expansion(np.zeros((11, 11)))
@@ -195,8 +212,16 @@ def test_matrix_json_round_trip():
     assert np.array_equal(A, B)
 
 
+def test_matrix_json_round_trip_of_the_empty_matrix():
+    obj = matrix_to_json(np.zeros((0, 0)))
+    assert obj == {"n": 0, "entries": []}
+    assert matrix_from_json(obj).shape == (0, 0)
+
+
 def test_matrix_json_rejects_bad_shapes():
     with pytest.raises(ValueError, match="entries"):
         matrix_from_json({"n": 2, "entries": [[[1, 0]]]})
     with pytest.raises(ValueError, match='"n"'):
         matrix_from_json({"entries": []})
+    with pytest.raises(ValueError, match='field "n" must be non-negative, got -1'):
+        matrix_from_json({"n": -1, "entries": []})

@@ -7,8 +7,8 @@ product of its blocks' determinants); for dense tangents, where mpmath
 would take seconds per matrix, by a batched double-double LU with partial
 pivoting (about 32 digits), itself checked against mpmath on the
 ``bruhatdiag verify`` default layouts.  The split stack on a spec's
-:func:`~bruhatdiag.spaces.zero_block` must stay within ``REL_TOL`` of the
-reference.
+:func:`~bruhatdiag.spaces.zero_block`, and up to its size cap the
+principal-minor expansion, must stay within ``REL_TOL`` of the reference.
 """
 
 import itertools
@@ -30,7 +30,7 @@ from bruhatdiag import (
     random_coordinates,
 )
 from bruhatdiag.components import DEFAULT_GRID
-from bruhatdiag.linalg import flipped_determinants
+from bruhatdiag.linalg import EXPANSION_CAP, flipped_determinants, flipped_minor_expansion
 from bruhatdiag.spaces import zero_block
 
 mpmath.mp.dps = 30
@@ -200,6 +200,18 @@ def test_split_and_full_stack_match_reference(spec):
         X = build_tangent(spec, random_coordinates(spec, rng))
         ref = _dd_flipped(X)
         assert _rel_err(flipped_determinants(X, zero_block(spec)), ref) <= REL_TOL
+
+
+#: The ``SMALL`` layouts up to the expansion cap, and dense N = 9 and 10 draws.
+EXPANSION_CASES = [spec for spec in SMALL if spec.ambient <= EXPANSION_CAP] + [aiii(4, 5), aiii(5, 5)]
+
+
+@pytest.mark.parametrize("spec", EXPANSION_CASES, ids=_label)
+def test_minor_expansion_matches_reference(spec):
+    rng = np.random.default_rng(92)
+    for _ in range(3):
+        X = build_tangent(spec, random_coordinates(spec, rng))
+        assert _rel_err(flipped_minor_expansion(X), _dd_flipped(X)) <= REL_TOL
 
 
 @pytest.mark.parametrize("j", (4, 12, 20, 28, 36, 44))

@@ -39,11 +39,11 @@ MATRIX = ('{"n": 3, "entries": [[[2, 0.5], [1, -1], [0.5, 0]], [[-1, 0.25], [3, 
 
 PINNED = {
     "verify": (("verify", "--format", "json"),
-               "90af29faaa9ac6489d014b09de862dbe"),
+               "8ebabdc5f222bb01a5e536d9232a42a3"),
     "golden": (("golden", "--suite", "all", "--format", "json"),
-               "05b97755da2551f22dd9fbea0274a919"),
+               "68d62e255549fc8dcef3f1379002344c"),
     "golden_table": (("golden", "--suite", "all", "--format", "table"),
-                     "a7fcab29325f1b74511ed087f737ce43"),
+                     "d9730910797e7bcfe5b09e74fa927f85"),
     "enumerate_aiii_limits": (("enumerate", "--family", "AIII", "--m", "3", "--n", "3",
                                "--check-limits", "--format", "json"),
                               "61b22015edbc772b65f201922f72a9c4"),
@@ -73,9 +73,9 @@ PINNED = {
                           "--draws", "20", "--format", "json"),
                          "dfd5bdc925ebcc6c88324a7c1c507c83"),
     "d_all_cii": (("d", "--method", "all", "--payload", CII_PAYLOAD),
-                  "f396f872a26561122554d6ea461db006"),
+                  "8eb35346c4f9534ce64928be2bb88f69"),
     "d_all_bdi_oddodd": (("d", "--method", "all", "--payload", BDI_ODDODD_PAYLOAD),
-                         "9a2aaad55d25bb9ec2f60597be7f145d"),
+                         "cf47634322061a27899f6c3b800654c0"),
     "d_coroot_product": (("d", "--method", "coroot_product", "--payload", AIII_PAYLOAD),
                          "c273f2fbb60f1a4e7d178cdf9115ddb2"),
     "d_coroot_product_ci": (("d", "--method", "coroot_product", "--payload", CI_PAYLOAD),
