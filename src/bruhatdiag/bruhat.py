@@ -59,8 +59,8 @@ from .cayley import _cayley, _verify_image
 from .linalg import (
     EXPANSION_CAP,
     _minor_expansion,
+    array_to_json,
     as_matrix,
-    complex_to_pair,
     flipped_minor_expansion,
     max_abs,
 )
@@ -190,8 +190,8 @@ class DiagonalReport:
     def to_json_dict(self) -> dict:
         return {
             "method": self.method,
-            "entries": [complex_to_pair(z) for z in self.entries],
-            "product": complex_to_pair(self.product),
+            "entries": array_to_json(self.entries),
+            "product": array_to_json(self.product),
         }
 
 
@@ -285,11 +285,8 @@ def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
                        minors: np.ndarray) -> DiagonalReport:
     """Report of the checked ``dets`` ratios ``entries``, with the minor-identity
     residual taken against the leading ``minors`` of ``g = cayley(X)``."""
-    if len(dets) > 1:
-        scale = np.maximum(1.0, np.abs(dets[1:]))
-        residual = float((np.abs(minors[1:] * dets[0] - dets[1:]) / scale).max())
-    else:
-        residual = 0.0
+    scale = np.maximum(1.0, np.abs(dets[1:]))
+    residual = float((np.abs(minors[1:] * dets[0] - dets[1:]) / scale).max(initial=0.0))
     return _report("cayley_det", entries, lemma3_residual=residual)
 
 
@@ -399,9 +396,10 @@ def max_cross_gap(reports: dict[str, DiagonalReport]) -> float:
     All ordered pairs are compared at once; the gap is symmetric and a
     report against itself gives 0, so the maximum is the pairwise one.
     Magnitudes use ``np.hypot`` because it rounds as Python's
-    ``abs(complex)`` does (``np.abs`` can differ in the last bit), and
-    ``np.fmax`` skips NaN gaps as the scalar ``max`` does, so the result
-    equals a scalar loop over the pairs exactly.
+    ``abs(complex)`` does (``np.abs`` can differ in the last bit), so a
+    finite result equals a scalar loop over the pairs exactly.  A NaN gap
+    makes the result NaN, so a route that returned NaN never reads as
+    agreement.
     """
     if not reports:
         return 0.0
@@ -411,7 +409,7 @@ def max_cross_gap(reports: dict[str, DiagonalReport]) -> float:
     diff = E[:, None] - E[None]
     scale = np.fmax(np.fmax(1.0, mag[:, None]), mag[None])
     gaps = np.hypot(diff.real, diff.imag) / scale
-    return float(np.fmax.reduce(gaps, axis=None, initial=0.0))
+    return float(gaps.max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,11 @@ sign table times the minors, summed along each row, since the minor of
 ``I_k A`` on ``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.
 Its k = 0 row is ``det(1 + A)`` as the sum of all principal minors.
 
-The JSON matrix form is parsed here as well; :func:`_json_number` is the
-one parser of JSON numbers, for matrix entries, sizes, coordinate
-parameters and payload fields alike.
+The JSON array form lives here as well: :func:`array_to_json` and
+:func:`array_from_json` are the one writer and reader of complex arrays,
+for matrices, coordinate payloads and route reports alike, and
+:func:`_json_number` is the one parser of JSON numbers, for entries,
+sizes, coordinate parameters and payload fields.
 """
 
 from __future__ import annotations
@@ -84,10 +86,7 @@ def leading_signature(n: int, k: int) -> np.ndarray:
 
 def det(A) -> complex:
     """Determinant through partially pivoted LU, as a Python complex."""
-    A = as_matrix(A)
-    if A.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(A))
+    return complex(np.linalg.det(as_matrix(A)))
 
 
 @functools.lru_cache(maxsize=EXPANSION_CAP + 1)
@@ -271,20 +270,38 @@ def _split_plan(kept: bytes, block: bytes):
 
 
 def max_abs(A) -> float:
-    A = np.asarray(A)
-    return float(np.abs(A).max()) if A.size else 0.0
+    return float(np.abs(np.asarray(A)).max(initial=0.0))
 
 
-# --- JSON form ------------------------------------------------------------
+# --- JSON array form ------------------------------------------------------
 #
-# Matrices travel as {"n": int, "entries": [[[re, im], ...], ...]} row-major.
+# Every complex array travels as nested lists, one level per axis, of
+# [re, im] pairs, and [] stands for any empty array.  A matrix is
+# {"n": int, "entries": <its array form>}.
 
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def array_to_json(A) -> list:
+    """The JSON array form of a complex array of any shape."""
+    A = np.asarray(A, dtype=complex)
+    return np.stack([A.real, A.imag], -1).tolist()
 
 
-def pair_to_complex(pair) -> complex:
+def array_from_json(value, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """Read the JSON array form of a complex array of ``shape``.
+
+    Each axis must be a list (or tuple) of its length, down to the
+    ``[re, im]`` pairs; ``[]`` is also read as any empty array.  A value of
+    another shape raises ``ValueError`` naming ``field`` and ``shape``.
+    """
+    leaves = [] if 0 in shape and isinstance(value, (list, tuple)) and not value else [value]
+    for size in shape:
+        if any(not isinstance(v, (list, tuple)) or len(v) != size for v in leaves):
+            text = f"length-{size}" if len(shape) == 1 else " x ".join(map(str, shape))
+            raise ValueError(f"{field} must be a {text} array of [re, im] pairs")
+        leaves = [x for v in leaves for x in v]
+    return np.array([_json_pair(z) for z in leaves], dtype=complex).reshape(shape)
+
+
+def _json_pair(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"complex entries must be [re, im] pairs, got {pair!r}")
     try:
@@ -311,10 +328,7 @@ def _json_number(value, kind: type, message: str):
 
 def matrix_to_json(A) -> dict:
     A = as_matrix(A)
-    return {
-        "n": A.shape[0],
-        "entries": [[complex_to_pair(z) for z in row] for row in A],
-    }
+    return {"n": A.shape[0], "entries": array_to_json(A)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -323,28 +337,4 @@ def matrix_from_json(obj) -> np.ndarray:
     n = _json_number(obj["n"], int, 'matrix JSON field "n" must be an integer')
     if n < 0:
         raise ValueError(f'matrix JSON field "n" must be non-negative, got {n}')
-    rows = obj["entries"]
-    if (not isinstance(rows, list) or len(rows) != n
-            or any(not isinstance(r, list) or len(r) != n for r in rows)):
-        raise ValueError(f'field "entries" must be an {n} x {n} grid')
-    # n = 0 reads "entries": [], which numpy builds with shape (0,)
-    A = np.array([[pair_to_complex(z) for z in row] for row in rows], dtype=complex)
-    return as_matrix(A.reshape(n, n))
-
-
-def rectangular_from_json(rows, shape: tuple[int, int]) -> np.ndarray:
-    """Parse a rectangular [[re, im]] grid of ``shape``; used for coordinate payloads."""
-    if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in rows):
-        raise ValueError(f"payload block must be a list of rows of [re, im] pairs, got {rows!r}")
-    A = np.array([[pair_to_complex(z) for z in row] for row in rows], dtype=complex)
-    if A.shape == (0,) and 0 in shape:  # [] is the JSON form of every empty block
-        A = A.reshape(shape)
-    if A.shape != tuple(shape):
-        raise ValueError(f"payload block has shape {A.shape}, expected {tuple(shape)}")
-    return A
-
-
-def rectangular_to_json(A) -> list:
-    A = np.asarray(A, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in A]
+    return as_matrix(array_from_json(obj["entries"], (n, n), 'matrix JSON field "entries"'))

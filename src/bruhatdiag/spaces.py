@@ -43,11 +43,10 @@ from .linalg import (
     _flipped_determinants,
     _json_number,
     antitranspose,
+    array_from_json,
+    array_to_json,
     as_matrix,
     max_abs,
-    pair_to_complex,
-    rectangular_from_json,
-    rectangular_to_json,
 )
 
 
@@ -284,14 +283,9 @@ def _payload_shapes(spec: SpaceSpec) -> dict[str, tuple[int, ...]]:
 
 
 def zero_coordinates(spec: SpaceSpec) -> Coordinates:
-    shapes = _payload_shapes(spec)
-    fields = {}
-    for name, shape in shapes.items():
-        if name == "s":
-            fields["s"] = 0.0
-        else:
-            fields[name] = np.zeros(shape, dtype=complex)
-    return Coordinates(family=spec.family, **fields)
+    return Coordinates(family=spec.family, **{
+        name: 0.0 if name == "s" else np.zeros(shape, dtype=complex)
+        for name, shape in _payload_shapes(spec).items()})
 
 
 def _disc_sample(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
@@ -375,15 +369,8 @@ def _sample_coordinates(spec: SpaceSpec, rng: np.random.Generator,
 
 
 def coordinates_to_json(spec: SpaceSpec, coords: Coordinates) -> dict:
-    payload = {}
-    for name in _payload_shapes(spec):
-        if name == "s":
-            payload["s"] = float(coords.s)
-        elif name.startswith("w"):
-            vec = np.asarray(getattr(coords, name), dtype=complex)
-            payload[name] = [[z.real, z.imag] for z in vec]
-        else:
-            payload[name] = rectangular_to_json(getattr(coords, name))
+    payload = {name: float(coords.s) if name == "s" else array_to_json(getattr(coords, name))
+               for name in _payload_shapes(spec)}
     return {"family": spec.family, "params": spec.params_dict(), "payload": payload}
 
 
@@ -405,16 +392,7 @@ def coordinates_from_payload(spec: SpaceSpec, payload: dict) -> Coordinates:
             continue
         if name not in payload:
             raise ValueError(f'payload is missing field "{name}" for family {spec.family}')
-        raw = payload[name]
-        if name.startswith("w"):
-            if not isinstance(raw, (list, tuple)):
-                raise ValueError(f'payload field "{name}" must be a list of [re, im] pairs')
-            vec = np.array([pair_to_complex(z) for z in raw], dtype=complex)
-            if vec.shape != shape:
-                raise ValueError(f'payload field "{name}" has length {vec.shape}, expected {shape}')
-            fields[name] = vec
-        else:
-            fields[name] = rectangular_from_json(raw, shape)
+        fields[name] = array_from_json(payload[name], shape, f'payload field "{name}"')
     return Coordinates(family=spec.family, **fields)
 
 

@@ -14,10 +14,24 @@ differently and fail here without any change to the program.
 import contextlib
 import hashlib
 import io
+import json
 
+import numpy as np
 import pytest
 
 from bruhatdiag import cli
+from bruhatdiag.bruhat import cross_check
+from bruhatdiag.linalg import matrix_to_json
+from bruhatdiag.spaces import (
+    FAMILIES,
+    FAMILY,
+    SpaceSpec,
+    build_tangent,
+    coordinates_from_json,
+    coordinates_to_json,
+    random_coordinates,
+    spec_from_family,
+)
 
 CII_PAYLOAD = ('{"family": "CII", "params": {"p": 2, "q": 1}, "payload": '
                '{"Z1": [[[0.3, -0.1]], [[-0.2, 0.25]]], "Z2": [[[0.15, 0.4]], [[0.05, -0.35]]]}}')
@@ -30,6 +44,10 @@ BDI_ODDODD_ZEROS_PAYLOAD = (
     '{"family": "BDI_oddodd", "params": {"p": 3, "q": 5}, "payload": '
     '{"Z1": [[[0.2, 0.0], [-0.0, 0.05]]], "Z2": [[[0.0, -0.25], [0.4, -0.0]]], '
     '"w1": [[-0.0, 0.0]], "w2": [[-0.1, 0.0], [0.0, -0.3]], "s": -0.35}}')
+#: BDI_oddodd(3, 1): Z1 (1 x 0) and w2 (length 0) are empty blocks written
+#: ``[]``, and Z2 (1 x 0) is written in its nested form ``[[]]``.
+BDI_ODDODD_EMPTY_PAYLOAD = ('{"family": "BDI_oddodd", "params": {"p": 3, "q": 1}, "payload": '
+                            '{"Z1": [], "Z2": [[]], "w1": [[0.1, 0.2]], "w2": [], "s": 0.3}}')
 AIII_PAYLOAD = ('{"family": "AIII", "params": {"m": 2, "n": 3}, "payload": {"Z": '
                 '[[[0.3, 0.1], [-0.2, 0.4], [0.1, -0.3]], [[0.25, -0.15], [0.05, 0.2], [-0.35, 0.1]]]}}')
 CI_PAYLOAD = ('{"family": "CI", "params": {"n": 2}, "payload": '
@@ -76,6 +94,9 @@ PINNED = {
                   "8eb35346c4f9534ce64928be2bb88f69"),
     "d_all_bdi_oddodd": (("d", "--method", "all", "--payload", BDI_ODDODD_PAYLOAD),
                          "cf47634322061a27899f6c3b800654c0"),
+    "d_all_bdi_oddodd_empty_blocks": (("d", "--method", "all", "--payload",
+                                       BDI_ODDODD_EMPTY_PAYLOAD),
+                                      "17e786d3ce6ef9055e1a2da4df17efd7"),
     "d_coroot_product": (("d", "--method", "coroot_product", "--payload", AIII_PAYLOAD),
                          "c273f2fbb60f1a4e7d178cdf9115ddb2"),
     "d_coroot_product_ci": (("d", "--method", "coroot_product", "--payload", CI_PAYLOAD),
@@ -97,3 +118,27 @@ def test_seeded_output_is_pinned(argv, digest):
         code = cli.main(list(argv))
     assert code == 0
     assert hashlib.md5(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_json_array_form_is_pinned():
+    """The JSON array form of coordinates, tangents and route reports stays
+    byte-identical, and reading coordinates back writes the same bytes.
+
+    Five seeded draws of each ``verify`` default, of AIII(1, 1) and of the
+    BDI_oddodd layouts with empty blocks, (1, 1), (3, 1) and (1, 3).
+    """
+    specs = [spec_from_family(f, **FAMILY[f].defaults) for f in FAMILIES]
+    specs += [SpaceSpec("AIII", m=1, n=1)] + [
+        SpaceSpec("BDI_oddodd", p=p, q=q) for p, q in ((1, 1), (3, 1), (1, 3))]
+    digest = hashlib.md5()
+    for spec in specs:
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            coords = random_coordinates(spec, rng)
+            obj = coordinates_to_json(spec, coords)
+            X = build_tangent(spec, coords)
+            report = cross_check(X, spec)["cayley_det"]
+            text = json.dumps([obj, matrix_to_json(X), report.to_json_dict()], sort_keys=True)
+            digest.update(text.encode())
+            assert json.dumps(coordinates_to_json(*coordinates_from_json(obj))) == json.dumps(obj)
+    assert digest.hexdigest() == "86522977e5656bdd6675d6de2baf5a8c"
