@@ -311,7 +311,12 @@ def diagonal_via_fredholm(X) -> DiagonalReport:
 
     The 2**n principal minors of ``X`` are computed once and each
     ``det(1 + I_k X)`` is their sum with the signs of flip k (see
-    :func:`~bruhatdiag.linalg.flipped_minor_expansion`).  Only principal
+    :func:`~bruhatdiag.linalg.flipped_minor_expansion`).  A minor is
+    factored only if the nonzero pattern of ``X`` itself allows it to be
+    nonzero: on a bipartite pattern, such as a tangent of AIII, DIII, CI,
+    CII or BDI_even, the minors on subsets with unequal counts of the two
+    colours are identically 0 (Frobenius-König) and are skipped, which
+    changes no bit of the output.  Only principal
     submatrices of ``X`` are factorized, never ``1 + I_k X``, so this
     route is capped at :data:`~bruhatdiag.linalg.EXPANSION_CAP` and serves
     as the independent combinatorial oracle for :func:`diagonal_via_cayley`.

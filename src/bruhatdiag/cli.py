@@ -207,7 +207,7 @@ def _fmt_complex(z: complex) -> str:
     z = complex(z)
     if z.imag == 0.0:
         return _fmt(z.real)
-    return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}i"
+    return f"{_fmt(z.real)}{'-' if z.imag < 0 else '+'}{_fmt(abs(z.imag))}i"
 
 
 def _emit(obj, fmt: str, table_lines: list[str]) -> None:

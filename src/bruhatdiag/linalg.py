@@ -25,6 +25,12 @@ n + 1 expansions in one signed reduction: a cached ``(n + 1, 2**n - 1)``
 sign table times the minors, summed along each row, since the minor of
 ``I_k A`` on ``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.
 Its k = 0 row is ``det(1 + A)`` as the sum of all principal minors.
+Only the minors that ``A``'s own nonzero pattern allows are factored
+(:func:`_minor_plan`): when the pattern graph is bipartite, as on the
+tangents of AIII, DIII, CI, CII and BDI_even, a minor whose subset has
+unequal counts of the two colours is identically 0 by Frobenius-König
+and is left an exact 0 in its column.  LAPACK returns exactly 0 for such
+a minor too, so the expansion is unchanged bit for bit.
 
 The JSON array form lives here as well: :func:`array_to_json` and
 :func:`array_from_json` are the one writer and reader of complex arrays,
@@ -123,6 +129,8 @@ def flipped_minor_expansion(A) -> np.ndarray:
     batched ``det`` per subset size; the expansion for flip k is 1 (the
     empty set's minor) plus the sum of all the others signed by
     ``(-1)**|alpha & {1..k}|``, one product and row sum over every flip.
+    A minor that the nonzero pattern of ``A`` forces to 0 is not factored
+    but left an exact 0 (see :func:`_minor_plan`), which changes no bit.
     No LU of ``1 + I_k A`` is ever formed, so this stays an independent
     oracle for :func:`flipped_determinants`.  There are 2**n minors, so
     the side length is capped at :data:`EXPANSION_CAP`.
@@ -139,10 +147,71 @@ def _minor_expansion(A: np.ndarray) -> np.ndarray:
             f"use det(1 + A) directly")
     if n == 0:  # the empty minor alone
         return np.ones(1, dtype=complex)
-    gathers, signs = _subset_table(n)
+    _, signs = _subset_table(n)
     flat = A.ravel()
-    minors = np.concatenate([np.linalg.det(flat.take(ix)) for ix in gathers])
+    minors = np.zeros(signs.shape[1], dtype=complex)
+    for ix, at in _minor_plan((A != 0).tobytes()):
+        minors[at] = np.linalg.det(flat.take(ix))
     return 1 + (signs * minors).sum(axis=1)
+
+
+# One plan per nonzero pattern: a layout's tangents share one, as they
+# share their split plan.
+@functools.lru_cache(maxsize=64)
+def _minor_plan(pattern: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The principal minors that the nonzero pattern of an ``n x n`` matrix,
+    n >= 1, leaves free to be nonzero; ``pattern`` is the bytes of its
+    boolean mask.
+
+    Returns one pair per subset size that keeps any minor: the gather
+    indices of the kept minors (rows of that size's :func:`_subset_table`
+    gather) and their positions among the ``2**n - 1`` minors in table
+    order.  The pattern graph joins i and j when entry ``(i, j)`` or
+    ``(j, i)`` is nonzero.  If it is bipartite, every term of the minor on
+    alpha maps each index of alpha to one of the other colour, so by
+    Frobenius-König the minor is identically 0 unless alpha has as many
+    indices of each colour, and only those minors are kept.  A nonzero
+    diagonal entry or an odd cycle keeps every minor.  Every array is
+    read-only, because one plan serves every matrix with the pattern.
+    """
+    nonzero = np.frombuffer(pattern, dtype=bool)
+    n = math.isqrt(nonzero.size)
+    nonzero = nonzero.reshape(n, n)
+    colour = _two_colouring(nonzero | nonzero.T)
+    gathers, _ = _subset_table(n)
+    plan, start = [], 0
+    for ix in gathers:
+        # the diagonal of a gather holds i * (n + 1) for each index i
+        subsets = ix.diagonal(axis1=1, axis2=2) // (n + 1)
+        keep = np.flatnonzero(colour[subsets].sum(axis=1) == 0)
+        if keep.size:
+            # a size kept whole shares the table's own gather, not a copy
+            plan.append((ix if keep.size == len(ix) else ix[keep], start + keep))
+        start += len(ix)
+    for a in itertools.chain.from_iterable(plan):
+        a.flags.writeable = False
+    return tuple(plan)
+
+
+def _two_colouring(adjacent: np.ndarray) -> np.ndarray:
+    """Colours +1 and -1 of the graph with symmetric boolean adjacency
+    ``adjacent`` such that every edge joins two colours.  When a loop or an
+    odd cycle leaves no such colouring, every colour is 0, so every subset
+    has equal counts and :func:`_minor_plan` keeps every minor."""
+    colour = np.zeros(len(adjacent), dtype=np.intp)
+    for root in range(len(adjacent)):
+        if colour[root]:
+            continue
+        colour[root], stack = 1, [root]
+        while stack:
+            i = stack.pop()
+            for j in np.flatnonzero(adjacent[i]):
+                if not colour[j]:
+                    colour[j] = -colour[i]
+                    stack.append(j)
+                elif colour[j] == colour[i]:
+                    return np.zeros_like(colour)
+    return colour
 
 
 def flipped_determinants(A, zero_block, scales=None) -> np.ndarray:

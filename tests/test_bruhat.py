@@ -920,14 +920,20 @@ class TestSharedTables:
                     assert r.lemma3_residual == a.lemma3_residual, (spec, tag)
 
     def test_cross_check_builds_each_table_once(self, monkeypatch):
+        # the flipped stack is counted at its builder: a batched fredholm
+        # minor stack can have the stack's (N + 1, p, p) shape
+        stacks = []
+        real_stack = spaces._flipped_determinants
+        monkeypatch.setattr(spaces, "_flipped_determinants",
+                            lambda *args: stacks.append(1) or real_stack(*args))
         rng = np.random.default_rng(71)
         for spec in FAMILY_CASES + LARGE_CASES:
             X = build_tangent(spec, random_coordinates(spec, rng))
             N = spec.ambient
-            p = N - np.count_nonzero(zero_block(spec))
+            stacks.clear()
             det_shapes, solves = _count_linalg_calls(monkeypatch)
             cross_check(X, spec)
-            assert det_shapes.count((N + 1, p, p)) == 1, spec.family
+            assert len(stacks) == 1, spec.family
             for k in range(1, N + 1):
                 assert det_shapes.count((k, k)) == 1, (spec.family, k)
             assert len(solves) == 1, spec.family

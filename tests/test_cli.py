@@ -69,9 +69,18 @@ class TestDiagonalCommand:
         code, out, _ = run_cli(capsys, *argv, "--format", "table")
         assert code == 2
         assert out.splitlines()[-1] == "max gap nan  (FAIL)"
+        assert "cayley_det: nan+nani  nan+nani" in out.splitlines()
+        assert not [line for line in out.splitlines() if "nan-nani" in line]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert '"max_gap": NaN' in out and '"ok": false' in out
+
+    @pytest.mark.parametrize("z, text", [
+        (complex(np.nan, np.nan), "nan+nani"), (complex(0.5, np.nan), "0.5+nani"),
+        (complex(np.nan, -2.0), "nan-2i"), (complex(1.0, -0.0), "1"),
+    ])
+    def test_complex_table_entry_signs(self, z, text):
+        assert cli._fmt_complex(z) == text
 
     def test_nongeneric_failure_report(self, capsys):
         code, out, _ = run_cli(

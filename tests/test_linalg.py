@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bruhatdiag.linalg import (
     ExpansionLimitError,
+    _minor_plan,
     _subset_table,
     antitranspose,
     as_matrix,
@@ -17,10 +18,34 @@ from bruhatdiag.linalg import (
     matrix_from_json,
     matrix_to_json,
 )
+from bruhatdiag.spaces import SpaceSpec, aiii, build_tangent, ci, cii, diii, random_coordinates
 
 
 def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _full_expansion(A):
+    """Every principal minor factored, as the expansion did before it read
+    the pattern of ``A``."""
+    gathers, signs = _subset_table(A.shape[0])
+    minors = np.concatenate([np.linalg.det(A.ravel().take(ix)) for ix in gathers])
+    return 1 + (signs * minors).sum(axis=1)
+
+
+def _kept_minors(A):
+    """The plan's mask over the ``2**n - 1`` minors of ``A`` and its number
+    of subset sizes."""
+    plan = _minor_plan((A != 0).tobytes())
+    assert not any(a.flags.writeable for pair in plan for a in pair)
+    kept = np.zeros(2**A.shape[0] - 1, dtype=bool)
+    for _, at in plan:
+        kept[at] = True
+    return kept, len(plan)
+
+
+def _tangent(spec, seed):
+    return build_tangent(spec, random_coordinates(spec, np.random.default_rng(seed)))
 
 
 class TestDet:
@@ -157,6 +182,45 @@ class TestPrincipalMinorExpansion:
             subsets = np.array(list(itertools.combinations(range(5), size)))
             assert np.array_equal(A.ravel().take(ix),
                                   A[subsets[:, :, None], subsets[:, None, :]])
+
+    # layout, minors factored (of 2**N - 1), batched det calls (of N)
+    @pytest.mark.parametrize("spec, factored, calls", [
+        (aiii(2, 3), 9, 2), (diii(3), 19, 3), (ci(3), 19, 3), (cii(2, 2), 69, 4),
+        (SpaceSpec("BDI_even", p=4, q=3), 34, 3), (aiii(5, 5), 251, 5),
+    ], ids=["aiii_2_3", "diii_3", "ci_3", "cii_2_2", "bdi_even_4_3", "aiii_5_5"])
+    def test_bipartite_tangent_factors_only_balanced_minors(self, spec, factored, calls,
+                                                             monkeypatch):
+        gathers, _ = _subset_table(spec.ambient)
+        for seed in range(20):
+            X = _tangent(spec, seed)
+            kept, sizes = _kept_minors(X)
+            assert (np.count_nonzero(kept), sizes) == (factored, calls)
+            # every skipped minor is exactly 0 when factored all the same
+            skipped = np.split(~kept, np.cumsum([len(ix) for ix in gathers])[:-1])
+            for ix, off in zip(gathers, skipped):
+                assert not np.linalg.det(X.ravel().take(ix[off])).any(), (spec, seed)
+            assert flipped_minor_expansion(X).tobytes() == _full_expansion(X).tobytes()
+        dets = []
+        real_det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(len(a)) or real_det(a))
+        flipped_minor_expansion(X)
+        assert len(dets) == calls and sum(dets) == factored
+
+    @pytest.mark.parametrize("make", [
+        lambda: _tangent(SpaceSpec("BDI_oddodd", p=3, q=3), 0),
+        lambda: _random_complex(np.random.default_rng(3), (6, 6)),
+        lambda: _tangent(aiii(2, 3), 0) + np.diag([0, 0.25j, 0, 0, 0]),
+        lambda: np.array([[0, 1, 0], [0, 0, 2], [3j, 0, 0]]),
+    ], ids=["bdi_oddodd_torus", "dense", "one_diagonal_entry", "odd_cycle"])
+    def test_pattern_that_is_not_bipartite_keeps_every_minor(self, make):
+        X = as_matrix(make())
+        n = X.shape[0]
+        kept, sizes = _kept_minors(X)
+        assert kept.all() and sizes == n
+        # a size kept whole gathers with the shared table, not a copy
+        gathers, _ = _subset_table(n)
+        assert all(ix is g for (ix, _), g in zip(_minor_plan((X != 0).tobytes()), gathers))
+        assert flipped_minor_expansion(X).tobytes() == _full_expansion(X).tobytes()
 
     def test_cap_enforced(self):
         with pytest.raises(ExpansionLimitError):
