@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .linalg import antitranspose, as_matrix, max_abs
-from .spaces import SpaceSpec, ViolationReport, _check_ambient, _sp_twist, involution_apply
+from .spaces import SpaceSpec, ViolationReport, _check_ambient, involution_apply, layout
 
 
 def cayley(X) -> np.ndarray:
@@ -58,8 +58,7 @@ def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:
 def _verify_image(spec: SpaceSpec, g: np.ndarray, tol: float = 1e-9) -> ViolationReport:
     """:func:`verify_image` of an already validated matrix."""
     _check_ambient(spec, g)
-    N = spec.ambient
-    eye = _identity(N)
+    eye = _identity(spec.ambient)
     ginv = np.linalg.inv(g)
     v = {
         "unitary": max_abs(g.conj().T @ g - eye),
@@ -69,5 +68,5 @@ def _verify_image(spec: SpaceSpec, g: np.ndarray, tol: float = 1e-9) -> Violatio
     if spec.so_like:
         v["orthogonal_structure"] = max_abs(antitranspose(g) - ginv)
     elif spec.sp_like:
-        v["symplectic_structure"] = max_abs(antitranspose(ginv) * _sp_twist(N) - g)
+        v["symplectic_structure"] = max_abs(antitranspose(ginv) * layout(spec).twist - g)
     return ViolationReport(violations=v, tolerance=tol)

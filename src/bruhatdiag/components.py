@@ -18,7 +18,7 @@ import numpy as np
 
 from .bruhat import _screened_ratios
 from .linalg import as_matrix
-from .spaces import FAMILY, SpaceSpec, _flipped_stack, _position_signs, _sp_twist
+from .spaces import FAMILY, SpaceSpec, _flipped_stack, layout
 
 #: Geometric grid of scaling parameters for limit checks.
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
@@ -88,18 +88,18 @@ def enumerate_components(spec: SpaceSpec) -> list[ComponentRep]:
     """
     N = spec.ambient
     fam = FAMILY[spec.family]
-    sizes = fam.sizes(spec)
-    outer = range(1, sizes[0] + 1)
+    lay = layout(spec)
+    b, signs = lay.bounds, lay.signs
+    outer = range(1, b[1] + 1)
     alphas: list[set[int]] = []
 
-    if len(sizes) == 2 and fam.reflection:
+    if len(b) == 3 and fam.reflection:
         for sub in _subsets(outer):
             if fam.reflection == "sp" or len(sub) % 2 == 0:
                 alphas.append(_mirrored(N, sub))
     else:
-        signs = _position_signs(spec)
         last = N // 2 if fam.reflection else N
-        inner = [i for i in range(sizes[0] + 1, last + 1) if signs[i - 1]]
+        inner = [i for i in range(b[1] + 1, last + 1) if signs[i - 1]]
         for j in range(min(len(outer), len(inner)) + 1):
             for out_part in itertools.combinations(outer, j):
                 for in_part in itertools.combinations(inner, j):
@@ -132,8 +132,8 @@ def construct_witness(rep: ComponentRep) -> np.ndarray:
     largest partner of opposite involution sign, so never the swapped
     middle pair of sign 0, and for ``so`` never across the antidiagonal),
     placing ``+1 / -1`` in the paired slots; with a reflection the mirrored
-    pair gets ``-1`` for ``so`` and the negated
-    :func:`~bruhatdiag.spaces._sp_twist` sign of the pair for ``sp``.  The
+    pair gets the pair's negated reflection sign, ``-twist[i, j]`` of the
+    spec's :func:`~bruhatdiag.spaces.layout` (``-1`` for ``so``).  The
     resulting matrix passes :func:`validate_tangent` and its principal
     block on the negative positions is invertible.
     """
@@ -143,9 +143,9 @@ def construct_witness(rep: ComponentRep) -> np.ndarray:
     if rep.is_identity:
         return X
 
-    signs = _position_signs(spec)
+    lay = layout(spec)
+    signs, twist = lay.signs, lay.twist
     so_like = spec.so_like
-    twist = _sp_twist(N) if spec.sp_like else None
     remaining = list(rep.alpha)
     while remaining:
         i = remaining[0]
@@ -159,10 +159,10 @@ def construct_witness(rep: ComponentRep) -> np.ndarray:
         X[j - 1, i - 1] = -1.0
         remaining.remove(i)
         remaining.remove(j)
-        if so_like or twist is not None:
+        if twist is not None:
             i2, j2 = N + 1 - j, N + 1 - i
             if {i2, j2} != {i, j}:
-                s = -1.0 if so_like else -twist[i - 1, j - 1]
+                s = -twist[i - 1, j - 1]
                 X[i2 - 1, j2 - 1] = s
                 X[j2 - 1, i2 - 1] = -s
                 remaining.remove(i2)

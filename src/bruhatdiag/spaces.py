@@ -20,11 +20,11 @@ BDI_oddodd  p odd, q odd            p + q
 ========== ======================= ==================
 
 The :data:`FAMILY` registry at the end of this module is the one place a
-family is described; everything else, here, in ``components`` and in
-``cli``, derives from its :class:`Family` record, so a new layout is one
-record plus its tests.  A record is data: block ``sizes``, the
-involution's ``signs`` per block, the ``reflection`` type, and the
-``slots`` naming the block each payload field fills.  One builder,
+family is described, so a new layout is one record plus its tests.  A
+record is data: block ``sizes``, the involution's ``signs`` per block, the
+``reflection`` type, and the ``slots`` naming the block each payload field
+fills.  :func:`layout` derives, once per spec, every table the record
+determines, and every module reads them there.  One builder,
 :func:`build_tangent`, places the payload and derives every other entry
 from the tangent-space equations (see :func:`_tangent_plan`).
 """
@@ -34,8 +34,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -79,6 +81,7 @@ class SpaceSpec:
 
     Unused parameters stay at zero; use the module-level constructors
     (:func:`aiii`, :func:`diii`, ...) rather than filling fields by hand.
+    Parameters are stored as Python ``int``; a float or bool raises ``ValueError``.
     """
 
     family: str
@@ -90,6 +93,15 @@ class SpaceSpec:
     def __post_init__(self):
         if self.family not in FAMILY:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("m", "n", "p", "q"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):  # an int to operator.index
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{self.family} parameter {name} must be an integer, "
+                                 f"got {value!r}") from None
         FAMILY[self.family].validate(self)
 
     @functools.cached_property
@@ -151,13 +163,65 @@ def spec_from_family(family: str, **params) -> SpaceSpec:
 
 # --- block layout ----------------------------------------------------------
 
-def _position_signs(spec: SpaceSpec) -> list[int]:
-    """The involution's sign at each position (0 on the swapped middle pair)."""
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Every table a spec's :class:`Family` record determines, shared, so
+    its arrays are read-only.  ``bounds``: block starts, then N; ``signs``:
+    the involution's sign per position (0 on the swapped middle pair);
+    ``perm``, ``flips``: the involution as a signed permutation, ``(I A
+    I)[i, j] = flips[i, j] * A[perm[i], perm[j]]``; ``shapes``: each payload
+    field's shape, in draw order; ``twist``: the reflection's signs, ``E
+    antitranspose(A) E = antitranspose(A) * twist`` (E = 1 for ``so``, the
+    leading signature ``I_{N/2}`` for ``sp``; None without a reflection).
+    """
+
+    bounds: tuple[int, ...]
+    signs: tuple[int, ...]
+    perm: np.ndarray
+    flips: np.ndarray
+    zero_block: np.ndarray
+    support: np.ndarray
+    shapes: Mapping[str, tuple[int, ...]]
+    twist: Optional[np.ndarray]
+    plan: tuple[np.ndarray, np.ndarray, np.ndarray]
+    coroots: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def layout(spec: SpaceSpec) -> Layout:
+    """The :class:`Layout` of ``spec``, built once: equal specs share one."""
     fam = FAMILY[spec.family]
-    signs: list[int] = []
-    for size, sign in zip(fam.sizes(spec), fam.signs):
-        signs += [sign] * size
-    return signs
+    sizes = fam.sizes(spec)
+    bounds = tuple(itertools.accumulate(sizes, initial=0))
+    N = bounds[-1]
+    signs = np.repeat(fam.signs, sizes)
+    middle = signs == 0
+    perm = np.arange(N)
+    perm[middle] = perm[middle][::-1]
+    row_sign = np.where(middle, 1.0, signs)
+    flips = np.multiply.outer(row_sign, row_sign)
+    eye = np.eye(N, dtype=np.int64)
+    coroots, twist = eye[:-1] - eye[1:], None
+    if fam.reflection:
+        E = np.where(np.arange(N) < N // 2, -1.0, 1.0) if fam.reflection == "sp" else np.ones(N)
+        twist = np.multiply.outer(E, E)
+        r = N // 2
+        coroots = np.vstack([(coroots + coroots[::-1])[:r - 1], eye[r - 1] - eye[N - r]])
+    # the larger same-sign class, the +1 class on a tie
+    larger = max((1, -1), key=lambda sign: np.count_nonzero(signs == sign))
+    record = Layout(
+        bounds=bounds, signs=tuple(signs.tolist()), perm=perm, flips=flips,
+        zero_block=signs == larger,
+        support=(np.multiply.outer(signs, signs) < 0) | (middle[:, None] != middle)
+        | np.diag(middle),
+        shapes=MappingProxyType({
+            name: () if name == "s" else (sizes[r],) if name.startswith("w")
+            else (sizes[r], sizes[c]) for name, (r, c) in fam.slots.items()}),
+        twist=twist, plan=_tangent_plan(fam, bounds, perm, flips, twist), coroots=coroots)
+    for table in (*vars(record).values(), *record.plan):
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return record
 
 
 def involution_matrix(spec: SpaceSpec) -> np.ndarray:
@@ -165,8 +229,9 @@ def involution_matrix(spec: SpaceSpec) -> np.ndarray:
 
     Diagonal +/-1 for the inner families; for BDI with both parameters odd
     the fixed matrix swaps the middle two coordinates and is not diagonal.
+    Each call returns a new writable matrix.
     """
-    signs = _position_signs(spec)
+    signs = layout(spec).signs
     I = np.diag(np.array(signs, dtype=complex))
     if 0 in signs:
         mid = signs.index(0)
@@ -181,30 +246,12 @@ def involution_apply(spec: SpaceSpec, A) -> np.ndarray:
     The matrix is a signed permutation, so ``I A I`` is ``A`` with rows and
     columns permuted and each entry multiplied by +-1: O(N^2) work, with
     the values of the matrix product ``involution_matrix(spec) @ A @
-    involution_matrix(spec)`` (see :func:`_involution_plan`).
+    involution_matrix(spec)`` (see :class:`Layout`).
     """
     A = np.asarray(A, dtype=complex)
     _check_ambient(spec, A)
-    perm, signs = _involution_plan(spec)
-    return A[perm[:, None], perm] * signs
-
-
-@functools.lru_cache(maxsize=64)
-def _involution_plan(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``(perm, signs)`` with ``(I A I)[i, j] = signs[i, j] * A[perm[i], perm[j]]``.
-
-    Row i of the involution matrix ``I`` holds one entry ``s_i = +-1``, at
-    column ``perm[i]``, so ``signs`` is the outer product of ``s`` with
-    itself.  Built once per spec; both arrays are read-only because every
-    caller shares them.
-    """
-    I = involution_matrix(spec).real
-    perm = np.abs(I).argmax(axis=1)
-    s = I[np.arange(len(perm)), perm]
-    signs = np.multiply.outer(s, s)
-    perm.flags.writeable = False
-    signs.flags.writeable = False
-    return perm, signs
+    lay = layout(spec)
+    return A[lay.perm[:, None], lay.perm] * lay.flips
 
 
 def support_mask(spec: SpaceSpec) -> np.ndarray:
@@ -212,14 +259,11 @@ def support_mask(spec: SpaceSpec) -> np.ndarray:
 
     These are the entries whose row and column carry opposite involution
     signs, every entry linking a swapped middle position with an outer
-    one, and the middle diagonal (the torus slot).
+    one, and the middle diagonal (the torus slot): the layout's read-only mask.
     """
-    signs = np.array(_position_signs(spec))
-    mid = signs == 0
-    return (np.multiply.outer(signs, signs) < 0) | (mid[:, None] != mid) | np.diag(mid)
+    return layout(spec).support
 
 
-@functools.lru_cache(maxsize=64)
 def zero_block(spec: SpaceSpec) -> np.ndarray:
     """Mask of the positions T of the involution's larger same-sign class
     (the sign +1 class on a tie; the swapped middle pair is never in T).
@@ -227,13 +271,9 @@ def zero_block(spec: SpaceSpec) -> np.ndarray:
     Rows and columns in T carry one involution sign, so every tangent
     vanishes on ``T x T`` (see :func:`support_mask`), and
     :func:`~bruhatdiag.linalg.flipped_determinants` factors only the rest.
-    Built once per spec; the mask is read-only because every caller
-    shares it.
+    The mask is the layout's, read-only because every caller shares it.
     """
-    signs = np.array(_position_signs(spec))
-    block = signs == max((1, -1), key=lambda sign: np.count_nonzero(signs == sign))
-    block.flags.writeable = False
-    return block
+    return layout(spec).zero_block
 
 
 def _check_ambient(spec: SpaceSpec, A: np.ndarray) -> None:
@@ -247,7 +287,7 @@ def _flipped_stack(spec: SpaceSpec, X: np.ndarray, scales=None) -> np.ndarray:
     on the spec's :func:`zero_block`; with ``scales``, a float array of positive
     factors, one row per scale (see :func:`~bruhatdiag.linalg.flipped_determinants`)."""
     _check_ambient(spec, X)
-    return _flipped_determinants(X, zero_block(spec), scales)
+    return _flipped_determinants(X, layout(spec).zero_block, scales)
 
 
 # --- coordinates -----------------------------------------------------------
@@ -274,18 +314,10 @@ class Coordinates:
     s: float = 0.0
 
 
-def _payload_shapes(spec: SpaceSpec) -> dict[str, tuple[int, ...]]:
-    """Each payload field's shape, in draw order, from the block it fills."""
-    fam = FAMILY[spec.family]
-    sizes = fam.sizes(spec)
-    return {name: () if name == "s" else (sizes[r],) if name.startswith("w")
-            else (sizes[r], sizes[c]) for name, (r, c) in fam.slots.items()}
-
-
 def zero_coordinates(spec: SpaceSpec) -> Coordinates:
     return Coordinates(family=spec.family, **{
         name: 0.0 if name == "s" else np.zeros(shape, dtype=complex)
-        for name, shape in _payload_shapes(spec).items()})
+        for name, shape in layout(spec).shapes.items()})
 
 
 def _disc_sample(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
@@ -344,7 +376,7 @@ def _sample_coordinates(spec: SpaceSpec, rng: np.random.Generator,
                         radius: float) -> Coordinates:
     """A self-symmetric ``Z`` entry by entry, else every field in shape order
     (``s`` uniform in ``[-radius, radius]``)."""
-    shapes = _payload_shapes(spec)
+    shapes = layout(spec).shapes
     sign = FAMILY[spec.family].payload_sign
     if sign is not None:
         n = shapes["Z"][0]
@@ -370,7 +402,7 @@ def _sample_coordinates(spec: SpaceSpec, rng: np.random.Generator,
 
 def coordinates_to_json(spec: SpaceSpec, coords: Coordinates) -> dict:
     payload = {name: float(coords.s) if name == "s" else array_to_json(getattr(coords, name))
-               for name in _payload_shapes(spec)}
+               for name in layout(spec).shapes}
     return {"family": spec.family, "params": spec.params_dict(), "payload": payload}
 
 
@@ -379,7 +411,7 @@ def coordinates_from_payload(spec: SpaceSpec, payload: dict) -> Coordinates:
     the family has no slot for raises ``ValueError``."""
     if not isinstance(payload, dict):
         raise ValueError(f"payload must be an object, got {payload!r}")
-    shapes = _payload_shapes(spec)
+    shapes = layout(spec).shapes
     for name in payload:
         if name not in shapes:
             raise ValueError(f'family {spec.family} has no payload field "{name}"')
@@ -431,7 +463,7 @@ def build_tangent(spec: SpaceSpec, coords: Coordinates) -> np.ndarray:
     """Assemble the tangent matrix for ``spec`` from its free coordinates.
 
     Each payload field is placed in its slot and every other entry is
-    copied from a payload entry by the spec's :func:`_tangent_plan`, so the
+    copied from a payload entry by the layout's :func:`_tangent_plan`, so the
     result is skew-Hermitian, anti-invariant under the involution, and
     satisfies the family reflection condition exactly.
     """
@@ -440,10 +472,10 @@ def build_tangent(spec: SpaceSpec, coords: Coordinates) -> np.ndarray:
             f"coordinates are tagged {coords.family!r}, spec is {spec.family!r}")
     fam = FAMILY[spec.family]
     sign = fam.payload_sign
-    sizes = fam.sizes(spec)
-    b = list(itertools.accumulate(sizes, initial=0))
+    lay = layout(spec)
+    b = lay.bounds
     X = np.zeros((b[-1], b[-1]), dtype=complex)
-    for name, shape in _payload_shapes(spec).items():
+    for name, shape in lay.shapes.items():
         r, c = fam.slots[name]
         if name == "s":
             s = float(coords.s)
@@ -457,8 +489,8 @@ def build_tangent(spec: SpaceSpec, coords: Coordinates) -> np.ndarray:
         if sign is not None and max_abs(A - sign * antitranspose(A)) > 1e-12:
             raise CoordinateError(f"{spec.family} payload must satisfy "
                                   f"Z {'+' if sign < 0 else '-'} antitranspose(Z) = 0")
-        X[b[r]:b[r + 1], b[c]:b[c + 1]] = A.reshape(sizes[r], sizes[c])
-    dst, src, flip = _tangent_plan(spec)
+        X[b[r]:b[r + 1], b[c]:b[c + 1]] = A.reshape(b[r + 1] - b[r], b[c + 1] - b[c])
+    dst, src, flip = lay.plan
     # a real factor -1 flips the sign bit of one part exactly; a complex
     # factor can give a zero part the wrong sign: (-1+0j) * (0.3+0j) is
     # -0.3+0j, not -0.3-0j
@@ -467,29 +499,26 @@ def build_tangent(spec: SpaceSpec, coords: Coordinates) -> np.ndarray:
     return X
 
 
-@functools.lru_cache(maxsize=64)
-def _tangent_plan(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tangent_plan(fam: Family, b: tuple[int, ...], perm: np.ndarray, flips: np.ndarray,
+                  twist: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where every entry a payload does not fill comes from.
 
-    Returns read-only arrays ``(dst, src, flip)`` over the float parts of
-    the flattened tangent (real part at ``2k``, imaginary part at
-    ``2k + 1``): part ``dst`` is part ``src`` of a payload entry times
-    ``flip`` = +-1.  The equations are applied in turn to every entry
-    known so far, starting from the payload positions; each writes only
-    entries still unknown, so a payload entry is never overwritten:
+    Returns arrays ``(dst, src, flip)`` over the float parts of the
+    flattened tangent (real part at ``2k``, imaginary part at ``2k + 1``):
+    part ``dst`` is part ``src`` of a payload entry times ``flip`` = +-1.
+    The equations, with the tables of :class:`Layout`, are applied in turn
+    to every entry known so far, starting from the payload positions; each
+    writes only entries still unknown, so a payload entry is never overwritten:
 
     * ``X = -I X I`` moves an entry across the swapped middle pair (a
       diagonal involution moves nothing; it only fixes the support);
-    * the reflection ``X = -E J X^T J E``, with ``E = 1`` for ``so`` and the
-      leading signature ``I_{N/2}`` for ``sp``;
+    * the reflection ``X = -E J X^T J E``, whose signs are ``twist``;
     * ``X = -X*``.
 
     Each equation negates the real part, the imaginary part or both, so a
     dependent part is an exact sign flip of its source, signed zeros
     included.  The torus pair of ``s`` is left to the builder.
     """
-    fam = FAMILY[spec.family]
-    b = list(itertools.accumulate(fam.sizes(spec), initial=0))
     N = b[-1]
     entry = np.arange(N * N).reshape(N, N)
     source = np.full((N, N), -1)
@@ -497,37 +526,30 @@ def _tangent_plan(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if name != "s":
             source[b[r]:b[r + 1], b[c]:b[c + 1]] = entry[b[r]:b[r + 1], b[c]:b[c + 1]]
     source, entry = source.reshape(-1), entry.reshape(-1)
-    flips = np.zeros((N * N, 2), dtype=bool)  # negate (real, imaginary) part
+    negated = np.zeros((N * N, 2), dtype=bool)  # negate (real, imaginary) part
 
-    signs = np.array(_position_signs(spec))
-    swap = np.arange(N)
-    middle = np.flatnonzero(signs == 0)
-    swap[middle] = middle[::-1]
-    # (i, j) -> (perm[i], perm[j]), transposed or not, negated where
-    # weight[i] * weight[j] > 0, and conjugated or not
-    equations = [(swap, False, np.where(signs == 0, 1, signs), False)]
-    if fam.reflection:
-        twist = np.where(np.arange(N) < N // 2, -1, 1) if fam.reflection == "sp" else np.ones(N)
+    # (i, j) -> (order[i], order[j]), transposed or not, negated where
+    # table[i, j] > 0, and conjugated or not
+    equations = [(perm, False, flips, False)]
+    if twist is not None:
         equations.append((np.arange(N)[::-1], True, twist, False))
-    equations.append((np.arange(N), True, np.ones(N), True))
-    for perm, transposed, weight, conjugate in equations:
+    equations.append((np.arange(N), True, np.ones((N, N)), True))
+    for order, transposed, table, conjugate in equations:
         known = np.flatnonzero(source >= 0)
         i, j = np.divmod(known, N)
-        negate = weight[i] * weight[j] > 0
+        negate = table[i, j] > 0
         if transposed:
             i, j = j, i
-        dst = perm[i] * N + perm[j]
+        dst = order[i] * N + order[j]
         new = source[dst] < 0
         source[dst[new]] = source[known[new]]
-        flips[dst[new]] = flips[known[new]] ^ np.stack(
+        negated[dst[new]] = negated[known[new]] ^ np.stack(
             [negate[new], negate[new] ^ conjugate], axis=1)
 
     derived = np.flatnonzero((source >= 0) & (source != entry))
     dst = (2 * derived[:, None] + [0, 1]).ravel()
     src = (2 * source[derived][:, None] + [0, 1]).ravel()
-    flip = np.where(flips[derived].ravel(), -1.0, 1.0)
-    for a in (dst, src, flip):
-        a.flags.writeable = False
+    flip = np.where(negated[derived].ravel(), -1.0, 1.0)
     return dst, src, flip
 
 
@@ -560,33 +582,19 @@ def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
     """
     X = np.asarray(X, dtype=complex)
     _check_ambient(spec, X)
+    lay = layout(spec)
     v = {
         "skew_hermitian": max_abs(X + X.conj().T),
         "involution_anti_invariance": max_abs(involution_apply(spec, X) + X),
-        "block_support": max_abs(np.where(support_mask(spec), 0.0, X)),
+        "block_support": max_abs(np.where(lay.support, 0.0, X)),
     }
-    if spec.so_like:
-        v["reflection"] = max_abs(X + antitranspose(X))
-    elif spec.sp_like:
-        v["reflection"] = max_abs(X + antitranspose(X) * _sp_twist(spec.ambient))
+    if lay.twist is not None:
+        v["reflection"] = max_abs(X + antitranspose(X) * lay.twist)
     return ViolationReport(violations=v, tolerance=tol)
-
-
-@functools.lru_cache(maxsize=64)
-def _sp_twist(N: int) -> np.ndarray:
-    """``t`` with ``I A I = A * t`` for the leading signature
-    ``I = leading_signature(N, N // 2)`` of the ``sp`` reflection: the
-    outer product of its diagonal with itself, so the two products with a
-    diagonal +-1 matrix are one sign scaling.  Read-only and shared."""
-    diagonal = np.where(np.arange(N) < N // 2, -1.0, 1.0)
-    twist = np.multiply.outer(diagonal, diagonal)
-    twist.flags.writeable = False
-    return twist
 
 
 # --- coroot exponent tables --------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
 def coroots(spec: SpaceSpec) -> np.ndarray:
     """The family's integer exponent table ``E`` of shape ``(K, N)``.
 
@@ -598,17 +606,10 @@ def coroots(spec: SpaceSpec) -> np.ndarray:
       k < r is ``e_k - e_{k+1} + e_{N-k} - e_{N+1-k}`` and row r is
       ``e_r - e_{N+1-r}``.
 
-    Every row sums to zero.  The table is built once per spec and is
-    read-only, because every caller shares it.
+    Every row sums to zero.  The table is the layout's, read-only because
+    every caller shares it.
     """
-    N = spec.ambient
-    eye = np.eye(N, dtype=np.int64)
-    E = eye[:-1] - eye[1:]
-    if FAMILY[spec.family].reflection:
-        r = N // 2
-        E = np.vstack([(E + E[::-1])[:r - 1], eye[r - 1] - eye[N - r]])
-    E.flags.writeable = False
-    return E
+    return layout(spec).coroots
 
 
 # --- the family registry -----------------------------------------------------

@@ -12,7 +12,7 @@ from bruhatdiag.components import (
     limit_check,
 )
 from bruhatdiag.linalg import det
-from bruhatdiag.spaces import SpaceSpec, _position_signs, aiii, ci, cii, diii, validate_tangent
+from bruhatdiag.spaces import SpaceSpec, aiii, ci, cii, diii, layout, validate_tangent
 
 SMALL_SPECS = [
     aiii(1, 1), aiii(1, 2), aiii(2, 2), aiii(2, 3), aiii(3, 3), aiii(1, 3),
@@ -208,7 +208,7 @@ class TestLimitCheck:
         for spec in SMALL_SPECS:
             if spec.ambient > 6:
                 continue
-            signs = _position_signs(spec)
+            signs = layout(spec).signs
             N = spec.ambient
             for rep in enumerate_components(spec):
                 if rep.is_identity:

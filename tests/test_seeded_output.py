@@ -52,6 +52,14 @@ AIII_PAYLOAD = ('{"family": "AIII", "params": {"m": 2, "n": 3}, "payload": {"Z":
                 '[[[0.3, 0.1], [-0.2, 0.4], [0.1, -0.3]], [[0.25, -0.15], [0.05, 0.2], [-0.35, 0.1]]]}}')
 CI_PAYLOAD = ('{"family": "CI", "params": {"n": 2}, "payload": '
               '{"Z": [[[0.3, 0.1], [0.2, -0.4]], [[-0.15, 0.25], [0.3, 0.1]]]}}')
+#: DIII(3) and CI(2) with zero entries of both signs: their builds carry the
+#: reflection's sign flips of the payload, signed zeros included.
+DIII_ZEROS_PAYLOAD = (
+    '{"family": "DIII", "params": {"n": 3}, "payload": '
+    '{"Z": [[[0.3, -0.1], [-0.2, 0.0], [0.0, -0.0]], [[0.15, -0.0], [-0.0, 0.0], [0.2, -0.0]], '
+    '[[0.0, 0.0], [-0.15, 0.0], [-0.3, 0.1]]]}}')
+CI_ZEROS_PAYLOAD = ('{"family": "CI", "params": {"n": 2}, "payload": '
+                    '{"Z": [[[-0.0, 0.2], [0.0, -0.0]], [[0.35, -0.0], [-0.0, 0.2]]]}}')
 MATRIX = ('{"n": 3, "entries": [[[2, 0.5], [1, -1], [0.5, 0]], [[-1, 0.25], [3, 0], [1, 1]], '
           '[[0.5, -0.5], [2, 0.75], [4, -1]]]}')
 
@@ -104,6 +112,11 @@ PINNED = {
     "build_bdi_oddodd_zeros": (("build", "--payload", BDI_ODDODD_ZEROS_PAYLOAD),
                                "a7854d1ff7162ee39d8e1a9b488430b1"),
     "build_cii": (("build", "--payload", CII_PAYLOAD), "18feb9be83c291d432ec38bafc797062"),
+    "build_diii_zeros": (("build", "--payload", DIII_ZEROS_PAYLOAD),
+                         "97141d89cdc36bfe7df379e87f408ac3"),
+    "build_ci": (("build", "--payload", CI_PAYLOAD), "fbda01220f2e17811ba8594005de2e66"),
+    "build_ci_zeros": (("build", "--payload", CI_ZEROS_PAYLOAD),
+                       "d5f2d1f20caa8f999c2377e07fbbcec0"),
     "factorize": (("factorize", "--matrix", MATRIX), "22c30ef5dd0bf38d8674feaaef914e13"),
     "verify_rep_6": (("verify-rep", "--n", "6"), "883a4685ab81f6b3f34f878f42059f0d"),
     "verify_rep_6_table": (("verify-rep", "--n", "6", "--format", "table"),

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,9 +9,6 @@ from bruhatdiag.bruhat import diagonal_via_cayley, diagonal_via_coroots
 from bruhatdiag.cayley import cayley, verify_image
 from bruhatdiag.linalg import antitranspose, leading_signature
 from bruhatdiag.spaces import (
-    _position_signs,
-    _sp_twist,
-    _tangent_plan,
     FAMILIES,
     FAMILY,
     Coordinates,
@@ -27,10 +25,12 @@ from bruhatdiag.spaces import (
     diii,
     involution_apply,
     involution_matrix,
+    layout,
     random_coordinates,
     spec_from_family,
     support_mask,
     validate_tangent,
+    zero_block,
     zero_coordinates,
 )
 
@@ -87,6 +87,37 @@ class TestSpecValidation:
         assert cii(2, 2).ambient == 8
         assert SpaceSpec("BDI_even", p=4, q=3).ambient == 7
         assert SpaceSpec("BDI_oddodd", p=3, q=3).ambient == 6
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(1.0), np.bool_(True)])
+    def test_non_integer_parameter_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^AIII parameter m must be an integer, got "):
+            SpaceSpec("AIII", m=value, n=3)
+
+    def test_numpy_integer_parameter_is_a_python_int(self):
+        spec = SpaceSpec("AIII", m=np.int64(1), n=np.int32(2))
+        assert type(spec.m) is int and type(spec.n) is int
+        assert spec == aiii(1, 2) and hash(spec) == hash(aiii(1, 2))
+        coords = random_coordinates(spec, np.random.default_rng(0))
+        assert json.loads(json.dumps(coordinates_to_json(spec, coords)))["params"] == {"m": 1, "n": 2}
+
+
+class TestLayout:
+    def test_one_shared_read_only_record_per_spec(self):
+        for spec in ALL_SPECS:
+            lay = layout(spec)
+            assert layout(SpaceSpec(spec.family, **spec.params_dict())) is lay
+            assert coroots(spec) is lay.coroots and support_mask(spec) is lay.support
+            assert zero_block(spec) is lay.zero_block
+            tables = [a for a in vars(lay).values() if isinstance(a, np.ndarray)] + list(lay.plan)
+            for a in tables:
+                assert a.size
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 0
+            with pytest.raises(TypeError):
+                lay.shapes["Z"] = (1, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                lay.twist = None
+        assert involution_matrix(aiii(1, 1)).flags.writeable
 
 
 class TestBuildTangent:
@@ -149,8 +180,8 @@ class TestBuildTangent:
 
     def test_each_plan_built_once_and_read_only(self):
         for spec in ALL_SPECS:
-            plan = _tangent_plan(spec)
-            assert _tangent_plan(SpaceSpec(spec.family, **spec.params_dict())) is plan
+            plan = layout(spec).plan
+            assert layout(SpaceSpec(spec.family, **spec.params_dict())).plan is plan
             for a in plan:
                 assert a.size
                 with pytest.raises(ValueError, match="read-only"):
@@ -262,7 +293,7 @@ class TestInvolution:
             assert np.array_equal(involution_apply(spec, A), I @ A @ I), spec
             if spec.sp_like:
                 E = leading_signature(N, N // 2)
-                assert np.array_equal(A * _sp_twist(N), E @ A @ E), spec
+                assert np.array_equal(A * layout(spec).twist, E @ A @ E), spec
 
     def test_violations_equal_the_matrix_product_form_bitwise(self):
         def dense_violations(spec, X, g):
@@ -622,7 +653,7 @@ class TestFamilyRegistry:
         # the witness pairs positions by their involution signs, compared by
         # equality and 0 (the label None) only, so the relation is what counts
         for spec in _grid(family):
-            labels, ref = _position_signs(spec), _ref_part_labels(spec)
+            labels, ref = layout(spec).signs, _ref_part_labels(spec)
             assert [a == 0 for a in labels] == [r is None for r in ref], spec
             assert ([[a == b for b in labels] for a in labels]
                     == [[a == b for b in ref] for a in ref]), spec
