@@ -29,7 +29,10 @@ step, and otherwise raises :class:`NonGenericError` with the step.
 scale; ``cayley_det``, ``fredholm`` and ``coroot_product`` cut every
 ``det(1 + I_k X)``, k = 1..N, on the scale of ``det(1 + X)`` through one
 check, so the two routes that read the flipped stack refuse the same
-inputs at the same step.
+inputs at the same step.  :func:`_ratio_report` is the one path from a
+table to a report for ``minor_ratio``, ``cayley_det``, ``fredholm`` and
+the refusal of ``coroot_product``; ``gauss`` keeps its in-loop check and
+``coroot_product`` its powers of ``dets[k] / dets[0]``.
 
 :func:`check_draw` is the one checked random draw, as ``bruhatdiag
 verify`` and the acceptance sweep make it: the rejection loop of
@@ -63,6 +66,7 @@ from .linalg import (
     as_matrix,
     flipped_minor_expansion,
     max_abs,
+    relative_gap,
 )
 from .spaces import SpaceSpec, _draw_tangent, _flipped_stack, coroots
 
@@ -98,11 +102,11 @@ def _screened_ratios(values: np.ndarray, cutoffs=None):
 
     ``values`` has shape ``(..., n + 1)``, and step k = 1..n is refused when
     ``|values[..., k]| <= cutoffs[..., k - 1]``; without ``cutoffs`` the
-    table is a flipped one and each gets :func:`_flipped_cutoffs` from the
-    same magnitudes, so ``np.hypot`` runs once over it.  Magnitudes come
-    from ``np.hypot``, which rounds as ``abs(complex)`` does, and the first
-    refused k of each table is found by ``argmax``; a NaN magnitude or
-    cutoff refuses nothing, as a scalar comparison would not.
+    table is a flipped one, whose cutoffs come from the same magnitudes, so
+    ``np.hypot`` runs once over it.  Magnitudes come from ``np.hypot``,
+    which rounds as ``abs(complex)`` does, and the first refused k of each
+    table is found by ``argmax``; a NaN magnitude or cutoff refuses
+    nothing, as a scalar comparison would not.
 
     Returns ``(refusals, ratios)``.  ``refusals`` is None when no table
     refuses a step, else the first refused step of each table (0 for a
@@ -113,7 +117,9 @@ def _screened_ratios(values: np.ndarray, cutoffs=None):
     """
     mag = np.hypot(values.real, values.imag)
     if cutoffs is None:
-        cutoffs = _flipped_cutoffs(mag)
+        # det(1 + I_k X) = det(g[k]) det(1 + X) and the unitary image g has
+        # max-norm at most 1: the image cutoff rescaled by |det(1 + X)|
+        cutoffs = GENERIC_TOL * np.maximum(mag[..., :1], 1e-300)
     mag = mag[..., 1:]
     fail = mag <= cutoffs
     # the first True of the flattened table, if any; cheaper than fail.any()
@@ -126,39 +132,6 @@ def _screened_ratios(values: np.ndarray, cutoffs=None):
                        out=np.full(mag.shape, np.nan, dtype=complex))
     steps = np.where(refused, first[..., 0] + 1, 0)
     return (steps, np.take_along_axis(mag, first, axis=-1)[..., 0]), ratios
-
-
-def _checked_ratios(values: np.ndarray, cutoffs, route: str) -> np.ndarray:
-    """Telescoping ratios ``values[k] / values[k - 1]``, k = 1..n.
-
-    Every ``|values[k]|`` must clear ``cutoffs[k - 1]`` (the flipped
-    cutoffs when ``cutoffs`` is None), checked in one pass by
-    :func:`_screened_ratios`; the first that does not raises
-    :class:`NonGenericError` with step k and ``route``.
-    """
-    refused, ratios = _screened_ratios(values, cutoffs)
-    if refused is not None:
-        step, magnitude = refused
-        raise NonGenericError(int(step), float(magnitude), route)
-    return ratios
-
-
-def _flipped_cutoffs(mag: np.ndarray) -> np.ndarray:
-    """The cutoff of every ``det(1 + I_k X)``, k = 1..n, from the
-    magnitudes ``mag = |dets|`` of a flipped table (shape ``(..., n + 1)``),
-    as shape ``(..., 1)``.
-
-    The minor identity det(1 + I_k X) = det(g[k]) det(1 + X) reduces
-    genericity of a tangent to genericity of its unitary image, whose
-    max-norm is at most 1; so every k = 1..n has the image cutoff
-    rescaled by |det(1 + X)|.
-    """
-    return GENERIC_TOL * np.maximum(mag[..., :1], 1e-300)
-
-
-def _flipped_ratios(dets: np.ndarray, route: str) -> np.ndarray:
-    """Checked ratios of the flipped determinants ``det(1 + I_k X)``, k = 0..n."""
-    return _checked_ratios(dets, None, route)
 
 
 @dataclass
@@ -195,10 +168,21 @@ class DiagonalReport:
         }
 
 
-def _report(method: str, entries: np.ndarray, **extra) -> DiagonalReport:
+def _report(method: str, entries: np.ndarray) -> DiagonalReport:
     entries = np.asarray(entries, dtype=complex)
-    return DiagonalReport(method=method, entries=entries,
-                          product=complex(entries.prod()), **extra)
+    return DiagonalReport(method=method, entries=entries, product=complex(entries.prod()))
+
+
+def _ratio_report(route: str, values: np.ndarray, cutoffs=None) -> DiagonalReport:
+    """The report of ``route``: the ratios ``values[k] / values[k - 1]`` of its
+    determinant table, k = 1..n, from one :func:`_screened_ratios` pass
+    (flipped cutoffs when ``cutoffs`` is None); the first refused step
+    raises :class:`NonGenericError` with its magnitude and ``route``."""
+    refused, ratios = _screened_ratios(values, cutoffs)
+    if refused is not None:
+        step, magnitude = refused
+        raise NonGenericError(int(step), float(magnitude), route)
+    return _report(route, ratios)
 
 
 def _eliminate(A: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
@@ -244,11 +228,7 @@ def ldu(g) -> LDUFactorization:
 def diagonal_via_gauss(g) -> DiagonalReport:
     """Diagonal as the elimination pivots; ``L`` and ``U`` are never built."""
     g = as_matrix(g)
-    return _gauss_report(g, _minor_cutoffs(g))
-
-
-def _gauss_report(g: np.ndarray, cutoffs: np.ndarray) -> DiagonalReport:
-    return _report("gauss", _eliminate(g.copy(), cutoffs))
+    return _report("gauss", _eliminate(g.copy(), _minor_cutoffs(g)))
 
 
 def leading_minors(g) -> np.ndarray:
@@ -271,23 +251,18 @@ def _leading_minors(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minor_ratio_report(minors: np.ndarray, cutoffs: np.ndarray) -> DiagonalReport:
-    return _report("minor_ratio", _checked_ratios(minors, cutoffs, "minor_ratio"))
-
-
 def diagonal_via_minors(g) -> DiagonalReport:
     """Diagonal as the telescoping ratios of leading principal minors."""
     g = as_matrix(g)
-    return _minor_ratio_report(_leading_minors(g), _minor_cutoffs(g))
+    return _ratio_report("minor_ratio", _leading_minors(g), _minor_cutoffs(g))
 
 
-def _cayley_det_report(dets: np.ndarray, entries: np.ndarray,
-                       minors: np.ndarray) -> DiagonalReport:
-    """Report of the checked ``dets`` ratios ``entries``, with the minor-identity
-    residual taken against the leading ``minors`` of ``g = cayley(X)``."""
+def _lemma3_residual(dets: np.ndarray, minors: np.ndarray) -> float:
+    """Worst relative residual of the minor identity
+    ``det(g[k]) det(1 + X) = det(1 + I_k X)`` over k = 1..n, from the flipped
+    stack ``dets`` and the leading ``minors`` of ``g = cayley(X)``."""
     scale = np.maximum(1.0, np.abs(dets[1:]))
-    residual = float((np.abs(minors[1:] * dets[0] - dets[1:]) / scale).max(initial=0.0))
-    return _report("cayley_det", entries, lemma3_residual=residual)
+    return float((np.abs(minors[1:] * dets[0] - dets[1:]) / scale).max(initial=0.0))
 
 
 def diagonal_via_cayley(X, spec: SpaceSpec) -> DiagonalReport:
@@ -302,8 +277,9 @@ def diagonal_via_cayley(X, spec: SpaceSpec) -> DiagonalReport:
     """
     X = as_matrix(X)
     dets = _flipped_stack(spec, X)
-    entries = _flipped_ratios(dets, "cayley_det")
-    return _cayley_det_report(dets, entries, leading_minors(_cayley(X)))
+    report = _ratio_report("cayley_det", dets)
+    report.lemma3_residual = _lemma3_residual(dets, leading_minors(_cayley(X)))
+    return report
 
 
 def diagonal_via_fredholm(X) -> DiagonalReport:
@@ -321,11 +297,7 @@ def diagonal_via_fredholm(X) -> DiagonalReport:
     route is capped at :data:`~bruhatdiag.linalg.EXPANSION_CAP` and serves
     as the independent combinatorial oracle for :func:`diagonal_via_cayley`.
     """
-    return _fredholm_report(flipped_minor_expansion(X))
-
-
-def _fredholm_report(dets: np.ndarray) -> DiagonalReport:
-    return _report("fredholm", _flipped_ratios(dets, "fredholm"))
+    return _ratio_report("fredholm", flipped_minor_expansion(X))
 
 
 def _coroot_report(spec: SpaceSpec, dets: np.ndarray) -> DiagonalReport:
@@ -348,7 +320,7 @@ def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
     even at indices no exponent reads.
     """
     dets = _flipped_stack(spec, as_matrix(X))
-    _flipped_ratios(dets, "coroot_product")  # refuses as cayley_det does
+    _ratio_report("coroot_product", dets)  # refuses as cayley_det does
     return _coroot_report(spec, dets)
 
 
@@ -382,39 +354,34 @@ def _cross_check(X: np.ndarray, spec: SpaceSpec, g: np.ndarray,
     cutoffs = _minor_cutoffs(g)
     minors = _leading_minors(g)
     out = {
-        "gauss": _gauss_report(g, cutoffs),
-        "minor_ratio": _minor_ratio_report(minors, cutoffs),
+        "gauss": _report("gauss", _eliminate(g.copy(), cutoffs)),
+        "minor_ratio": _ratio_report("minor_ratio", minors, cutoffs),
     }
     if dets is None:
         dets = _flipped_stack(spec, X)
-    out["cayley_det"] = _cayley_det_report(
-        dets, _flipped_ratios(dets, "cayley_det"), minors)
+    out["cayley_det"] = _ratio_report("cayley_det", dets)
+    out["cayley_det"].lemma3_residual = _lemma3_residual(dets, minors)
     if X.shape[0] <= EXPANSION_CAP:
-        out["fredholm"] = _fredholm_report(_minor_expansion(X))
+        out["fredholm"] = _ratio_report("fredholm", _minor_expansion(X))
     out["coroot_product"] = _coroot_report(spec, dets)
     return out
 
 
 def max_cross_gap(reports: dict[str, DiagonalReport]) -> float:
-    """Worst entrywise gap ``|a - b| / max(1, |a|, |b|)`` over all pairs of reports.
+    """Worst entrywise :func:`~bruhatdiag.linalg.relative_gap` over all pairs
+    of reports.
 
     All ordered pairs are compared at once; the gap is symmetric and a
-    report against itself gives 0, so the maximum is the pairwise one.
-    Magnitudes use ``np.hypot`` because it rounds as Python's
-    ``abs(complex)`` does (``np.abs`` can differ in the last bit), so a
-    finite result equals a scalar loop over the pairs exactly.  A NaN gap
-    makes the result NaN, so a route that returned NaN never reads as
+    report against itself gives 0, so the maximum is the pairwise one, and
+    a finite result equals a scalar loop over the pairs exactly.  A NaN
+    gap makes the result NaN, so a route that returned NaN never reads as
     agreement.
     """
     if not reports:
         return 0.0
     n = min(len(r.entries) for r in reports.values())
     E = np.stack([r.entries[:n] for r in reports.values()])
-    mag = np.hypot(E.real, E.imag)
-    diff = E[:, None] - E[None]
-    scale = np.fmax(np.fmax(1.0, mag[:, None]), mag[None])
-    gaps = np.hypot(diff.real, diff.imag) / scale
-    return float(gaps.max(initial=0.0))
+    return float(relative_gap(E[:, None], E[None]).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,9 @@ def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:
     """Check ``g`` against the defining equations of the embedded space.
 
     Reported violations: unitarity ``g* g = 1``, compatibility of the
-    involution with inversion, ``det g = 1``, and the orthogonal or
-    symplectic reflection condition where the family has one.
+    involution with inversion, ``det g = 1``, and the reflection
+    ``antitranspose(g) * twist = g^{-1}`` (``orthogonal_structure`` or
+    ``symplectic_structure``) where the family has one.
     """
     return _verify_image(spec, as_matrix(g), tol)
 
@@ -65,8 +66,8 @@ def _verify_image(spec: SpaceSpec, g: np.ndarray, tol: float = 1e-9) -> Violatio
         "involution_inverts": max_abs(involution_apply(spec, g) - ginv),
         "determinant_one": abs(complex(np.linalg.det(g)) - 1.0),
     }
-    if spec.so_like:
-        v["orthogonal_structure"] = max_abs(antitranspose(g) - ginv)
-    elif spec.sp_like:
-        v["symplectic_structure"] = max_abs(antitranspose(ginv) * layout(spec).twist - g)
+    twist = layout(spec).twist
+    if twist is not None:
+        key = "orthogonal_structure" if spec.so_like else "symplectic_structure"
+        v[key] = max_abs(antitranspose(g) * twist - ginv)
     return ViolationReport(violations=v, tolerance=tol)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .bruhat import _screened_ratios
-from .linalg import as_matrix
+from .linalg import as_matrix, relative_gap
 from .spaces import FAMILY, SpaceSpec, _flipped_stack, layout
 
 #: Geometric grid of scaling parameters for limit checks.
@@ -174,7 +174,8 @@ def construct_witness(rep: ComponentRep) -> np.ndarray:
 class LimitReport:
     """Deviation of the scaled diagonal from the target signs per grid point.
 
-    Deviations are measured as ``|d_k - sign_k| / max(1, |d_k|)`` so the
+    Deviations are measured as ``|d_k - sign_k| / max(1, |d_k|)``, the
+    :func:`~bruhatdiag.linalg.relative_gap` of ``d_k`` from its sign, so the
     two members of a reciprocal pair of entries score identically; a
     ``None`` deviation marks a grid point where the scaled tangent was
     non-generic and was skipped.  A skipped last point means the check did
@@ -218,8 +219,7 @@ def limit_check(rep: ComponentRep, X=None) -> LimitReport:
         X = construct_witness(rep)
     dets = _flipped_stack(rep.spec, as_matrix(X), _GRID)
     refused, d = _screened_ratios(dets)
-    deviations = (np.abs(d - np.array(rep.signs, dtype=float))
-                  / np.maximum(1.0, np.abs(d))).max(axis=-1).tolist()
+    deviations = relative_gap(d, np.array(rep.signs, dtype=float)).max(axis=-1).tolist()
     if refused is not None:
         deviations = [None if step else dev
                       for step, dev in zip(refused[0].tolist(), deviations)]

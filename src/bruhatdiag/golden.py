@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .bruhat import cross_check
+from .linalg import relative_gap
 from .spaces import (Coordinates, SpaceSpec, ViolationReport, _disc_sample, aiii,
                      build_tangent, cii, diii)
 
@@ -108,7 +109,8 @@ def rp_odd_closed_form(zs, s: float) -> np.ndarray:
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))))
+    """Worst entrywise :func:`~bruhatdiag.linalg.relative_gap` of ``a`` from ``b``."""
+    return float(relative_gap(a, b).max(initial=0.0))
 
 
 # Each case turns one draw ``zs`` (and, for rp_odd, a torus parameter drawn

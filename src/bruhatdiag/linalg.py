@@ -342,6 +342,17 @@ def max_abs(A) -> float:
     return float(np.abs(np.asarray(A)).max(initial=0.0))
 
 
+def relative_gap(a, b) -> np.ndarray:
+    """``|a - b| / max(1, |a|, |b|)`` entrywise, the one relative gap of route
+    gaps, golden and limit deviations.  ``np.hypot`` rounds as Python's
+    ``abs(complex)`` does (``np.abs`` can differ in the last bit), so a
+    finite gap equals the scalar formula exactly; a NaN difference is NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    diff = a - b
+    scale = np.fmax(np.fmax(1.0, np.hypot(a.real, a.imag)), np.hypot(b.real, b.imag))
+    return np.hypot(diff.real, diff.imag) / scale
+
+
 # --- JSON array form ------------------------------------------------------
 #
 # Every complex array travels as nested lists, one level per axis, of

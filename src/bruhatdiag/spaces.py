@@ -577,10 +577,10 @@ def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
 
     Checks skew-Hermitianity, anti-invariance under the involution, the
     family reflection condition, and vanishing outside the allowed block
-    support.  A matrix of the wrong shape raises ``ValueError``; any other
-    matrix gets a report.
+    support.  A matrix of the wrong shape or with a non-finite entry
+    raises ``ValueError``, as in ``verify_image``; any other gets a report.
     """
-    X = np.asarray(X, dtype=complex)
+    X = as_matrix(X)
     _check_ambient(spec, X)
     lay = layout(spec)
     v = {

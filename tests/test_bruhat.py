@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruhatdiag import bruhat, cli, linalg, spaces
+from bruhatdiag import bruhat, cli, golden, linalg, spaces
 from bruhatdiag.bruhat import (
     NonGenericError,
     check_draw,
@@ -62,7 +62,8 @@ FAMILY_DEFAULTS = [spec_from_family(f, **FAMILY[f].defaults) for f in FAMILY]
 
 
 def relative_gap(a, b) -> float:
-    """Scalar reference for the gaps of ``max_cross_gap``: |a - b| / max(1, |a|, |b|)."""
+    """Scalar reference for :func:`bruhatdiag.linalg.relative_gap`, which route
+    gaps, golden and limit deviations read: |a - b| / max(1, |a|, |b|)."""
     a, b = complex(a), complex(b)
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
@@ -378,6 +379,92 @@ class TestTorusInvariance:
                     assert gap <= 1e-9, (spec, route, gap)
 
 
+#: Each family's ``verify`` default and one more layout.
+RANK_CASES = FAMILY_DEFAULTS + [
+    aiii(1, 4), diii(4), ci(4), cii(1, 2),
+    SpaceSpec("BDI_even", p=2, q=5), SpaceSpec("BDI_oddodd", p=3, q=5),
+]
+
+
+def _payload_directions(spec):
+    """Unit moves of every real payload coordinate, as ``{field: delta}``: the
+    real and imaginary part of each entry and ``s``.  A self-symmetric
+    ``Z`` (DIII, CI) moves only its free entries, each with its mirror
+    ``Z[n-1-j, n-1-i]`` (signed as the family's payload), so it stays
+    inside its symmetry; the DIII antidiagonal is not a coordinate."""
+    sign = FAMILY[spec.family].payload_sign
+    moves = []
+    for name, shape in layout(spec).shapes.items():
+        if name == "s":
+            moves.append({"s": 1.0})
+            continue
+        for idx in itertools.product(*map(range, shape)):
+            mirror = None
+            if sign is not None:
+                i, j = idx
+                n = shape[0]
+                if i + j > n - 1 or (i + j == n - 1 and sign < 0):
+                    continue
+                mirror = (n - 1 - j, n - 1 - i) if i + j < n - 1 else None
+            for unit in (1.0, 1j):
+                delta = np.zeros(shape, dtype=complex)
+                delta[idx] = unit
+                if mirror is not None:
+                    delta[mirror] = sign * unit
+                moves.append({name: delta})
+    return moves
+
+
+def _log_modulus_and_phase(spec, coords):
+    """``log|d|`` with the real and imaginary parts of ``d / |d|``: the phase
+    carries the BDI_oddodd middle pair, whose modulus is 1, and never jumps
+    as ``np.angle`` of a negative real entry does."""
+    d = diagonal_via_cayley(build_tangent(spec, coords), spec).entries
+    unit = d / np.abs(d)
+    return np.concatenate([np.log(np.abs(d)), unit.real, unit.imag])
+
+
+@pytest.mark.parametrize("spec", RANK_CASES, ids=lambda s: "{}{}".format(
+    s.family, tuple(s.params_dict().values())))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_jacobian_of_log_d_has_rank_k(spec, seed):
+    """``d`` is a submersion of rank K = ``len(coroots(spec))`` (the rank half
+    of ROADMAP item 13): its central-difference Jacobian (h = 1e-6) over
+    the real payload coordinates has exactly K singular values above
+    ``1e-6 * sigma_1``, with ``sigma_K / sigma_{K+1} >= 1e4``.  With
+    :class:`TestTorusInvariance` this pins the kernel of ``d``'s
+    differential to codimension K, as the moment-map claim of the paper
+    predicts; it is a consequence consistent with that claim, not a proof
+    of it.
+
+    The rank sees a ``build_tangent`` bug that moves every route alike
+    when it loses a row or a block of the payload: AIII(2, 3) without row
+    0 of ``Z`` reads rank 3, CII(2, 2) without ``Z2`` reads 3, and
+    BDI_even(4, 3) without row 0 reads 2.  It cannot see one lost entry
+    (``Z[0, 0]`` on AIII(2, 3) or BDI_even(4, 3), ``Z1[0, 0]`` on
+    CII(2, 2)) where the rest of the payload still spans K directions
+    (AIII(1, 4) without ``Z[0, 0]`` does read 3), nor ``w1`` or ``s`` lost
+    on BDI_oddodd(3, 3).
+    """
+    coords = random_coordinates(spec, np.random.default_rng(seed))
+    h = 1e-6
+
+    def moved(delta, step):
+        fields = dataclasses.asdict(coords)
+        for name, value in delta.items():
+            fields[name] = fields[name] + step * value
+        return Coordinates(**fields)
+
+    J = np.array([(_log_modulus_and_phase(spec, moved(delta, h))
+                   - _log_modulus_and_phase(spec, moved(delta, -h))) / (2 * h)
+                  for delta in _payload_directions(spec)]).T
+    sigma = np.append(np.linalg.svd(J, compute_uv=False), 0.0)
+    K = len(spaces.coroots(spec))
+    assert np.count_nonzero(sigma > 1e-6 * sigma[0]) == K, (spec, sigma)
+    assert sigma[K - 1] >= 1e4 * sigma[K], (spec, sigma)
+
+
 def _outcome(route):
     """``None`` when ``route()`` returns, else the ``(index, magnitude)`` it
     refused with."""
@@ -441,7 +528,7 @@ class TestGenericity:
         assert refused and returned
 
 
-def _scalar_checked_ratios(values, cutoffs):
+def _scalar_ratio_check(values, cutoffs):
     """The per-step loop the vectorized check replaced: ``(k, |values[k]|)``
     of the first refused step, or the ratios."""
     for k in range(1, len(values)):
@@ -450,7 +537,7 @@ def _scalar_checked_ratios(values, cutoffs):
     return values[1:] / values[:-1]
 
 
-def _scalar_flipped_cutoffs(values):
+def _scalar_flip_cutoffs(values):
     return np.full(len(values) - 1, bruhat.GENERIC_TOL * max(abs(values[0]), 1e-300))
 
 
@@ -495,12 +582,12 @@ class TestVectorizedCheck:
     @given(st.integers(0, 8).flatmap(_flipped_table))
     def test_one_flipped_table_equals_the_scalar_loop(self, values):
         with np.errstate(all="ignore"):
-            want = _scalar_checked_ratios(values, _scalar_flipped_cutoffs(values))
+            want = _scalar_ratio_check(values, _scalar_flip_cutoffs(values))
             refused, ratios = bruhat._screened_ratios(values)
             step, magnitude = (0, None) if refused is None else map(float, refused)
             _assert_same_outcome(step, magnitude, ratios, want)
             try:
-                got = bruhat._flipped_ratios(values, "cayley_det")
+                got = bruhat._ratio_report("cayley_det", values).entries
             except NonGenericError as exc:
                 assert (exc.index, exc.magnitude) == want
                 assert exc.route == "cayley_det"
@@ -516,7 +603,7 @@ class TestVectorizedCheck:
             refused, ratios = bruhat._screened_ratios(stack)
             assert ratios.shape == (len(tables), stack.shape[1] - 1)
             for row, values in enumerate(tables):
-                want = _scalar_checked_ratios(values, _scalar_flipped_cutoffs(values))
+                want = _scalar_ratio_check(values, _scalar_flip_cutoffs(values))
                 if refused is None:
                     step, magnitude = 0, None
                 else:
@@ -538,9 +625,9 @@ class TestVectorizedCheck:
             if how and np.isfinite(cutoffs[k]):
                 values[k + 1] = _near(cutoffs[k])[how - 1] * 1j
         with np.errstate(all="ignore"):
-            want = _scalar_checked_ratios(values, cutoffs)
+            want = _scalar_ratio_check(values, cutoffs)
             try:
-                got = bruhat._checked_ratios(values, cutoffs, "minor_ratio")
+                got = bruhat._ratio_report("minor_ratio", values, cutoffs).entries
             except NonGenericError as exc:
                 assert (exc.index, exc.magnitude) == want
             else:
@@ -595,6 +682,18 @@ class TestSharedDeterminantCore:
         bad["gauss"] = dataclasses.replace(reports["gauss"], entries=entries)
         assert np.isnan(max_cross_gap(bad))
         assert max_cross_gap({}) == 0.0
+        # golden deviations read the same gap: every route of golden draws
+        # against its closed form equals the scalar loop exactly
+        rng = np.random.default_rng(64)
+        for name in golden.suite_names():
+            sizes, case = golden._SUITES[name]
+            for n in sizes:
+                for _ in range(5):
+                    zs = spaces._disc_sample(rng, (n,), golden.GOLDEN_RADIUS)
+                    spec, X, closed = case(rng, zs)
+                    for report in cross_check(X, spec).values():
+                        want = max(relative_gap(x, y) for x, y in zip(report.entries, closed))
+                        assert golden._rel(report.entries, closed) == want, name
 
     def test_fredholm_takes_one_det_call_per_subset_size(self, monkeypatch):
         rng = np.random.default_rng(63)
@@ -856,12 +955,12 @@ class TestDistinctFlips:
             want = []
             for t in DEFAULT_GRID:
                 try:
-                    d = bruhat._flipped_ratios(spaces._flipped_stack(rep.spec, t * X),
-                                               "cayley_det")
+                    d = bruhat._ratio_report(
+                        "cayley_det", spaces._flipped_stack(rep.spec, t * X)).entries
                 except NonGenericError:
                     want.append(None)
                     continue
-                want.append(float(np.max(np.abs(d - target) / np.maximum(1.0, np.abs(d)))))
+                want.append(max(relative_gap(x, s) for x, s in zip(d, target)))
             assert limit_check(rep, X).deviations == want, rep.label()
         # j = 52 and 60 overflow at t = 1000, which skips that grid point only
         for rep in reps[-2:]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bruhatdiag import bruhat, cli, golden, repcompat, spaces
+from bruhatdiag.cayley import cayley
 from bruhatdiag.cli import main
 from bruhatdiag.linalg import matrix_from_json
 
@@ -383,12 +384,20 @@ class TestErrorHandling:
         ('{"family": "BDI_oddodd", "params": {"p": 3, "q": 1}, "payload": '
          '{"Z1": [], "Z2": [[]], "w1": [[[0.1, 0.2]]], "w2": [], "s": 0.3}}',
          "complex entries must be [re, im] pairs, got [[0.1, 0.2]]"),
+        ('{"family": "XYZ", "params": {}, "payload": {}}', "unknown family 'XYZ'"),
+        ('{"payload": {}}', 'coordinates JSON is missing field "family"'),
+        ('{"Z": [[[0.1, 0]]]}', 'missing required flag "--family"'),
+        ("@no-such-dir/payload.json",
+         "cannot read --payload file 'no-such-dir/payload.json': "
+         "[Errno 2] No such file or directory: 'no-such-dir/payload.json'"),
     ], ids=["null_parameter", "payload_not_an_object", "block_not_a_grid",
             "family_not_a_string", "null_entry", "vector_not_a_list", "null_scalar",
             "fractional_parameter", "boolean_parameter", "string_parameter",
             "string_and_boolean_entry", "string_scalar", "non_finite_scalar",
             "foreign_parameter", "foreign_payload_field", "foreign_torus_field",
-            "empty_grid_of_other_shape", "ragged_block", "vector_entry_nested_too_deep"])
+            "empty_grid_of_other_shape", "ragged_block", "vector_entry_nested_too_deep",
+            "unknown_family", "missing_family_field", "bare_payload_without_family_flag",
+            "unreadable_file"])
     def test_malformed_coordinates_json_exits_one(self, capsys, payload, message):
         code, out, err = run_cli(capsys, "d", "--payload", payload)
         assert code == 1
@@ -447,8 +456,10 @@ class TestErrorHandling:
          'matrix JSON field "n" must be non-negative, got -1'),
         ("factorize", '{"n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}',
          'matrix JSON field "entries" must be a 2 x 2 array of [re, im] pairs'),
+        ("cayley", '{"n": 1, "entries": [[[-1, 0]]]}',
+         "1 + X is numerically singular; input is not skew-Hermitian"),
     ], ids=["null_size", "entries_not_a_list", "row_not_a_list", "fractional_size",
-            "string_entry", "negative_size", "ragged_row"])
+            "string_entry", "negative_size", "ragged_row", "singular_one_plus_x"])
     def test_malformed_matrix_json_exits_one(self, capsys, verb, matrix, message):
         code, out, err = run_cli(capsys, verb, "--matrix", matrix)
         assert code == 1
@@ -482,10 +493,12 @@ class TestErrorHandling:
         (("golden", "--seed", "-1"), "--seed"),
         (("verify-rep", "--n", "3", "--seed", "-1"), "--seed"),
         (("verify-rep", "--n", "0"), "--n"),
+        (("verify", "--draws", "abc"), "--draws"),
     ], ids=["verify_draws_negative", "verify_draws_zero", "golden_draws_negative",
             "verify_rep_samples_negative", "verify_tol_nan", "d_tol_nan",
             "verify_radius_inf", "verify_radius_zero", "verify_seed_negative",
-            "golden_seed_negative", "verify_rep_seed_negative", "verify_rep_n_zero"])
+            "golden_seed_negative", "verify_rep_seed_negative", "verify_rep_n_zero",
+            "verify_draws_not_an_integer"])
     def test_malformed_count_or_tolerance_is_refused(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -495,8 +508,18 @@ class TestErrorHandling:
     @pytest.mark.parametrize("sources", [
         ("--payload", AIII_COORDINATES, "--matrix", '{"n": 1, "entries": [[[0, 0]]]}'),
         (),
-    ], ids=["both", "neither"])
+        ("--family", "AIII", "--m", "1", "--n", "2",
+         "--payload", '{"Z": [[[0.3, 0.1], [0.2, 0]]]}'),
+    ], ids=["both", "neither", "payload_alone"])
     def test_cayley_takes_exactly_one_source(self, capsys, sources):
+        if "--family" in sources:  # one source: a payload with its family flags
+            code, out, _ = run_cli(capsys, "cayley", *sources)
+            assert code == 0
+            spec = spaces.aiii(1, 2)
+            X = spaces.build_tangent(spec, spaces.Coordinates(
+                family="AIII", Z=np.array([[0.3 + 0.1j, 0.2]])))
+            assert np.array_equal(matrix_from_json(json.loads(out)), cayley(X))
+            return
         with pytest.raises(SystemExit) as exc:
             main(["cayley", *sources])
         assert exc.value.code == 1

@@ -67,7 +67,7 @@ PINNED = {
     "verify": (("verify", "--format", "json"),
                "8ebabdc5f222bb01a5e536d9232a42a3"),
     "golden": (("golden", "--suite", "all", "--format", "json"),
-               "68d62e255549fc8dcef3f1379002344c"),
+               "47ca26447d0120b8ed5ec954dd47fc1e"),
     "golden_table": (("golden", "--suite", "all", "--format", "table"),
                      "d9730910797e7bcfe5b09e74fa927f85"),
     "enumerate_aiii_limits": (("enumerate", "--family", "AIII", "--m", "3", "--n", "3",

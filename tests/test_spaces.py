@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ class TestValidateTangent:
     def test_wrong_shape_raises(self):
         with pytest.raises(ValueError, match=r"shape \(3, 3\), ambient size is 2"):
             validate_tangent(aiii(1, 1), np.eye(3))
+        # a non-finite entry is refused before any product with the sign
+        # tables, as verify_image refuses it, so numpy never warns
+        for spec in (aiii(2, 2), diii(2), ci(2)):
+            for bad in (1j * np.inf, np.nan):
+                X = np.zeros((4, 4), dtype=complex)
+                X[0, 3] = bad
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(ValueError, match="matrix entries must be finite"):
+                        validate_tangent(spec, X)
+                assert caught == [], (spec, bad)
 
     def test_perturbation_is_pinpointed(self):
         rng = np.random.default_rng(9)
