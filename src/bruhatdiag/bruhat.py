@@ -89,11 +89,7 @@ class NonGenericError(ValueError):
 
 def _minor_cutoffs(A) -> np.ndarray:
     """Cutoff for the k-th leading minor: GENERIC_TOL * (max-norm)**k, k = 1..n."""
-    n = np.asarray(A).shape[0]
-    scale = max_abs(A)
-    if scale == 0.0:
-        return np.zeros(n)
-    return GENERIC_TOL * scale ** np.arange(1, n + 1)
+    return GENERIC_TOL * max_abs(A) ** np.arange(1, A.shape[0] + 1)
 
 
 def _screened_ratios(values: np.ndarray, cutoffs=None):
@@ -231,18 +227,10 @@ def diagonal_via_gauss(g) -> DiagonalReport:
     return _report("gauss", _eliminate(g.copy(), _minor_cutoffs(g)))
 
 
-def leading_minors(g) -> np.ndarray:
-    """``det(g[k])`` for k = 0..n, with the empty minor equal to 1.
-
-    ``g`` is validated once and each block goes straight to LAPACK.  This
-    is the table :func:`cross_check` shares between ``minor_ratio`` and
-    the ``cayley_det`` minor-identity residual.
-    """
-    return _leading_minors(as_matrix(g))
-
-
 def _leading_minors(g: np.ndarray) -> np.ndarray:
-    """:func:`leading_minors` of an already validated matrix."""
+    """``det(g[k])``, k = 0..n, of a validated matrix (the empty minor is 1),
+    each block straight to LAPACK: the table :func:`cross_check` shares
+    between ``minor_ratio`` and the ``cayley_det`` minor-identity residual."""
     n = g.shape[0]
     out = np.empty(n + 1, dtype=complex)
     out[0] = 1.0
@@ -278,7 +266,7 @@ def diagonal_via_cayley(X, spec: SpaceSpec) -> DiagonalReport:
     X = as_matrix(X)
     dets = _flipped_stack(spec, X)
     report = _ratio_report("cayley_det", dets)
-    report.lemma3_residual = _lemma3_residual(dets, leading_minors(_cayley(X)))
+    report.lemma3_residual = _lemma3_residual(dets, _leading_minors(_cayley(X)))
     return report
 
 

@@ -120,8 +120,8 @@ def _subsets(items) -> Iterable[tuple]:
 class WitnessError(RuntimeError):
     """No admissible pairing of the negative positions exists.
 
-    Representatives produced by :func:`enumerate_components` always admit
-    one; seeing this error means an internally inconsistent sign vector.
+    Exactly the representatives of :func:`enumerate_components` admit one;
+    any other sign vector, a mirror-asymmetric one too, raises this.
     """
 
 
@@ -140,9 +140,6 @@ def construct_witness(rep: ComponentRep) -> np.ndarray:
     spec = rep.spec
     N = spec.ambient
     X = np.zeros((N, N), dtype=complex)
-    if rep.is_identity:
-        return X
-
     lay = layout(spec)
     signs, twist = lay.signs, lay.twist
     so_like = spec.so_like
@@ -162,6 +159,8 @@ def construct_witness(rep: ComponentRep) -> np.ndarray:
         if twist is not None:
             i2, j2 = N + 1 - j, N + 1 - i
             if {i2, j2} != {i, j}:
+                if i2 not in remaining or j2 not in remaining:
+                    raise WitnessError(f"mirrored pair ({i2}, {j2}) not open in {rep.label()}")
                 s = -twist[i - 1, j - 1]
                 X[i2 - 1, j2 - 1] = s
                 X[j2 - 1, i2 - 1] = -s

@@ -81,7 +81,8 @@ class SpaceSpec:
 
     Unused parameters stay at zero; use the module-level constructors
     (:func:`aiii`, :func:`diii`, ...) rather than filling fields by hand.
-    Parameters are stored as Python ``int``; a float or bool raises ``ValueError``.
+    Parameters are stored as Python ``int``; a float or bool raises ``ValueError``,
+    and so does a value whose ambient size would not be a numpy index.
     """
 
     family: str
@@ -98,10 +99,13 @@ class SpaceSpec:
             try:
                 if isinstance(value, bool):  # an int to operator.index
                     raise TypeError
-                object.__setattr__(self, name, operator.index(value))
+                value = operator.index(value)
             except TypeError:
                 raise ValueError(f"{self.family} parameter {name} must be an integer, "
                                  f"got {value!r}") from None
+            if value > np.iinfo(np.intp).max // 4:  # an ambient size is at most 4 of them
+                raise ValueError(f"{self.family} parameter {name} is too large for an array")
+            object.__setattr__(self, name, value)
         FAMILY[self.family].validate(self)
 
     @functools.cached_property
@@ -320,11 +324,15 @@ def zero_coordinates(spec: SpaceSpec) -> Coordinates:
         for name, shape in layout(spec).shapes.items()})
 
 
+def _disc_points(u: np.ndarray, radius: float) -> np.ndarray:
+    """Disc points of ``radius``, uniform in area, from the [0, 1) radii u[0] and angles u[1]."""
+    return radius * np.sqrt(u[0]) * np.exp(1j * (2.0 * math.pi * u[1]))
+
+
 def _disc_sample(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
-    """Entries uniform in the closed complex disc of the given radius."""
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=shape))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=shape)
-    return r * np.exp(1j * phi)
+    """Entries uniform in the closed complex disc of the given radius: all
+    their radii, then all their angles, from one generator call."""
+    return _disc_points(rng.uniform(0.0, 1.0, size=(2, *shape)), radius)
 
 
 #: A random draw whose tangent has some ``|det(1 + I_k X)|``, k = 1..N, at
@@ -374,25 +382,19 @@ def _draw_tangent(spec: SpaceSpec, rng: np.random.Generator,
 
 def _sample_coordinates(spec: SpaceSpec, rng: np.random.Generator,
                         radius: float) -> Coordinates:
-    """A self-symmetric ``Z`` entry by entry, else every field in shape order
-    (``s`` uniform in ``[-radius, radius]``)."""
+    """One candidate payload, each field from one generator call: a DIII/CI
+    ``Z`` its free entries (above the antidiagonal, and on it for CI) row by
+    row, a radius then an angle each, mirrored so the symmetry is exact;
+    any other field a :func:`_disc_sample`, ``s`` uniform in ``[-radius, radius]``."""
     shapes = layout(spec).shapes
     sign = FAMILY[spec.family].payload_sign
     if sign is not None:
         n = shapes["Z"][0]
+        i, j = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < (n if sign > 0 else n - 1))
+        z = _disc_points(rng.uniform(0.0, 1.0, size=(i.size, 2)).T, radius)
         Z = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                if i + j > n - 1:
-                    continue
-                if i + j == n - 1:
-                    # antidiagonal of Z: free for CI, forced zero for DIII
-                    if sign > 0:
-                        Z[i, j] = _disc_sample(rng, (), radius)
-                    continue
-                z = _disc_sample(rng, (), radius)
-                Z[i, j] = z
-                Z[n - 1 - j, n - 1 - i] = sign * z
+        Z[n - 1 - j, n - 1 - i] = sign * z
+        Z[i, j] = z  # after the mirror: an antidiagonal entry is its own mirror
         return Coordinates(family=spec.family, Z=Z)
     fields = {name: float(rng.uniform(-radius, radius)) if name == "s"
               else _disc_sample(rng, shape, radius)

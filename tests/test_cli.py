@@ -387,6 +387,11 @@ class TestErrorHandling:
         ('{"family": "XYZ", "params": {}, "payload": {}}', "unknown family 'XYZ'"),
         ('{"payload": {}}', 'coordinates JSON is missing field "family"'),
         ('{"Z": [[[0.1, 0]]]}', 'missing required flag "--family"'),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1%s}, "payload": {}}' % ("0" * 400),
+         "AIII parameter n is too large for an array"),
+        ('{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": {"Z": [[[1%s, 0]]]}}'
+         % ("0" * 400), "complex entries must be [re, im] pairs of numbers, got [1%s, 0]"
+         % ("0" * 400)),
         ("@no-such-dir/payload.json",
          "cannot read --payload file 'no-such-dir/payload.json': "
          "[Errno 2] No such file or directory: 'no-such-dir/payload.json'"),
@@ -397,7 +402,7 @@ class TestErrorHandling:
             "foreign_parameter", "foreign_payload_field", "foreign_torus_field",
             "empty_grid_of_other_shape", "ragged_block", "vector_entry_nested_too_deep",
             "unknown_family", "missing_family_field", "bare_payload_without_family_flag",
-            "unreadable_file"])
+            "parameter_beyond_an_index", "entry_beyond_a_float", "unreadable_file"])
     def test_malformed_coordinates_json_exits_one(self, capsys, payload, message):
         code, out, err = run_cli(capsys, "d", "--payload", payload)
         assert code == 1
@@ -432,9 +437,16 @@ class TestErrorHandling:
          'flag "--m" is not read with a coordinates object, which names its own space'),
         (("cayley", "--family", "AIII", "--matrix", '{"n": 1, "entries": [[[0, 0.5]]]}'),
          'flag "--family" is not read with "--matrix"'),
+        (("build", "--family", "AIII", "--m", "1", "--n", "1" + "0" * 400, "--payload", "{}"),
+         "AIII parameter n is too large for an array"),
+        (("verify", "--family", "AIII", "--m", "1", "--n", "1" + "0" * 400, "--draws", "1"),
+         "AIII parameter n is too large for an array"),
+        (("enumerate", "--family", "CI", "--n", "1" + "0" * 400),
+         "CI parameter n is too large for an array"),
     ], ids=["d_foreign_dimension", "verify_foreign_dimension", "enumerate_foreign_dimension",
             "d_family_with_coordinates", "build_dimension_with_coordinates",
-            "cayley_family_with_matrix"])
+            "cayley_family_with_matrix", "build_dimension_beyond_an_index",
+            "verify_dimension_beyond_an_index", "enumerate_dimension_beyond_an_index"])
     def test_space_flag_that_is_not_read_exits_one(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

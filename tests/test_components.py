@@ -7,6 +7,7 @@ from bruhatdiag.bruhat import NonGenericError, diagonal_via_cayley
 from bruhatdiag.components import (
     ComponentRep,
     LimitReport,
+    WitnessError,
     construct_witness,
     enumerate_components,
     limit_check,
@@ -123,6 +124,13 @@ class TestEnumeration:
         rep = ComponentRep(aiii(1, 2), (-1, 1, -1))
         assert rep.alpha == (1, 3)
 
+    @pytest.mark.parametrize("signs,message", [
+        ((1, -1), "length must match"), ((1, -1, 1, 1), "length must match"),
+        ((1, 0, -1), r"\+1 or -1"), ((1, 2, 1), r"\+1 or -1")])
+    def test_malformed_sign_vector_raises(self, signs, message):
+        with pytest.raises(ValueError, match=message):
+            ComponentRep(aiii(1, 2), signs)
+
 
 class TestWitness:
     def test_sphere_witness_is_plane_rotation(self):
@@ -154,6 +162,22 @@ class TestWitness:
                 outside[np.ix_(ia, ia)] = False
                 if outside.any():
                     assert np.abs(X[outside]).max() == 0.0
+
+    @pytest.mark.parametrize("spec,count", [
+        (aiii(2, 3), 10), (diii(3), 4), (ci(3), 8), (cii(1, 2), 3),
+        (SpaceSpec("BDI_even", p=4, q=3), 3), (SpaceSpec("BDI_oddodd", p=3, q=3), 2)],
+        ids=lambda v: v.family if isinstance(v, SpaceSpec) else str(v))
+    def test_witness_exists_exactly_for_representatives(self, spec, count):
+        # every other sign vector, a mirror-asymmetric one included, is refused
+        reps = {rep.signs for rep in enumerate_components(spec)}
+        assert len(reps) == count
+        for signs in itertools.product((1, -1), repeat=spec.ambient):
+            rep = ComponentRep(spec, signs)
+            if signs in reps:
+                assert validate_tangent(spec, construct_witness(rep), tol=1e-12).ok
+            else:
+                with pytest.raises(WitnessError):
+                    construct_witness(rep)
 
     def test_entries_are_signed_units(self):
         for spec in SMALL_SPECS:

@@ -37,6 +37,17 @@ class TestConjugator:
         P = conjugator(6)
         assert np.abs(P @ P.conj().T - np.eye(6)).max() <= 1e-12
 
+    @pytest.mark.parametrize("build,arg,message", [
+        (conjugator, 0, "size must be at least 1"),
+        (symplectic_conjugator, 0, "size must be at least 1"),
+        (theta_symplectic_standard, np.zeros((3, 3)), "need even size"),
+        (theta_symplectic_antidiagonal, np.zeros((3, 3)), "need even size"),
+    ], ids=["conjugator", "symplectic_conjugator", "symplectic_standard",
+            "symplectic_antidiagonal"])
+    def test_malformed_size_raises(self, build, arg, message):
+        with pytest.raises(ValueError, match=message):
+            build(arg)
+
 
 class TestInvolutions:
     def test_square_to_identity(self):

@@ -155,3 +155,20 @@ def test_json_array_form_is_pinned():
             digest.update(text.encode())
             assert json.dumps(coordinates_to_json(*coordinates_from_json(obj))) == json.dumps(obj)
     assert digest.hexdigest() == "86522977e5656bdd6675d6de2baf5a8c"
+
+
+def test_payload_stream_is_pinned():
+    """The random payload stream stays byte-identical: the JSON of the
+    first 20 ``random_coordinates`` draws at seed 0 of each ``verify``
+    default and of the smallest DIII, CI, CII and BDI layouts (BDI(1, 1)
+    and BDI(2, 1) have empty blocks)."""
+    specs = [spec_from_family(f, **FAMILY[f].defaults) for f in FAMILIES]
+    specs += [SpaceSpec("DIII", n=1), SpaceSpec("CI", n=1), SpaceSpec("CII", p=1, q=1),
+              SpaceSpec("BDI_oddodd", p=1, q=1), SpaceSpec("BDI_even", p=2, q=1)]
+    digest = hashlib.md5()
+    for spec in specs:
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            obj = coordinates_to_json(spec, random_coordinates(spec, rng))
+            digest.update(json.dumps(obj, sort_keys=True).encode())
+    assert digest.hexdigest() == "55fcc3a496e21566d1b05064f3759a98"

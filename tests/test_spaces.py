@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bruhatdiag import spaces
 from bruhatdiag.bruhat import diagonal_via_cayley, diagonal_via_coroots
 from bruhatdiag.cayley import cayley, verify_image
 from bruhatdiag.linalg import antitranspose, leading_signature
@@ -93,6 +94,18 @@ class TestSpecValidation:
     def test_non_integer_parameter_rejected(self, value):
         with pytest.raises(ValueError, match=r"^AIII parameter m must be an integer, got "):
             SpaceSpec("AIII", m=value, n=3)
+
+    @pytest.mark.parametrize("spec", [
+        lambda n: aiii(1, n), lambda n: ci(n), lambda n: cii(n, 1),
+        lambda n: SpaceSpec("BDI_oddodd", p=1, q=n)],
+        ids=["AIII", "CI", "CII", "BDI_oddodd"])
+    def test_parameter_beyond_an_index_rejected(self, spec):
+        # only the specs are made: matrices of these sizes cannot be allocated
+        largest = np.iinfo(np.intp).max // 4  # odd, as BDI_oddodd's q must be
+        assert spec(largest).ambient <= np.iinfo(np.intp).max
+        for value in (largest + 1, 10**400):
+            with pytest.raises(ValueError, match=r"parameter \w is too large for an array$"):
+                spec(value)
 
     def test_numpy_integer_parameter_is_a_python_int(self):
         spec = SpaceSpec("AIII", m=np.int64(1), n=np.int32(2))
@@ -422,6 +435,11 @@ class TestCoordinateJson:
             coordinates_from_json({"family": "AIII", "params": {"m": 1, "n": 1},
                                    "payload": {}})
 
+    @pytest.mark.parametrize("obj", [[1], "AIII", None])
+    def test_non_object_refused(self, obj):
+        with pytest.raises(ValueError, match="^coordinates JSON must be an object$"):
+            coordinates_from_json(obj)
+
     def test_integral_float_parameter_accepted(self):
         obj = {"family": "AIII", "params": {"m": 1.0, "n": 2}, "payload": {"Z": [[[0.5, 0], [0, 0]]]}}
         spec, _ = coordinates_from_json(obj)
@@ -439,8 +457,6 @@ class TestCoordinateJson:
 
     def test_non_finite_stack_is_redrawn(self, monkeypatch):
         # an all-inf stack clears the floor comparison; it must still be redrawn
-        from bruhatdiag import spaces
-
         for value in (np.inf, complex(np.inf, np.nan), np.nan):
             monkeypatch.setattr(spaces, "_flipped_stack",
                                 lambda spec, X, value=value: np.full(X.shape[0] + 1, value))
@@ -633,6 +649,67 @@ def _ref_part_labels(spec):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _ref_disc_sample(rng, shape, radius):
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=shape))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    return r * np.exp(1j * phi)
+
+
+def _ref_sample_coordinates(spec, rng, radius):
+    """The payload sampler as an entry loop: a self-symmetric ``Z`` one free
+    entry at a time, row-major, each a radius then an angle; every other
+    field drawn whole, all radii then all angles; ``s`` uniform."""
+    shapes = layout(spec).shapes
+    sign = FAMILY[spec.family].payload_sign
+    if sign is not None:
+        n = shapes["Z"][0]
+        Z = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                if i + j > n - 1:
+                    continue
+                if i + j == n - 1:
+                    # antidiagonal of Z: free for CI, forced zero for DIII
+                    if sign > 0:
+                        Z[i, j] = _ref_disc_sample(rng, (), radius)
+                    continue
+                z = _ref_disc_sample(rng, (), radius)
+                Z[i, j] = z
+                Z[n - 1 - j, n - 1 - i] = sign * z
+        return {"Z": Z}
+    return {name: float(rng.uniform(-radius, radius)) if name == "s"
+            else _ref_disc_sample(rng, shape, radius) for name, shape in shapes.items()}
+
+
+class TestSampler:
+    """The payload sampler draws the stream of the entry loop bit for bit."""
+
+    SPECS = ALL_SPECS + [diii(n) for n in range(1, 7)] + [ci(n) for n in range(1, 7)] + [
+        SpaceSpec("BDI_oddodd", p=1, q=1), SpaceSpec("BDI_oddodd", p=3, q=1)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: "{}{}".format(
+        s.family, tuple(s.params_dict().values())))
+    def test_candidates_equal_the_entry_loop(self, spec):
+        for seed, radius in itertools.product((0, 5, 41), (0.7, 0.05, 2.5)):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                coords = spaces._sample_coordinates(spec, rng, radius)
+                for name, ref in _ref_sample_coordinates(spec, ref_rng, radius).items():
+                    got = getattr(coords, name)
+                    if name == "s":
+                        assert _same_bits(np.float64(got), np.float64(ref))
+                    else:
+                        assert _same_bits(got, ref), (name, seed, radius)
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (4,), (2, 3), (0, 2)], ids=str)
+    def test_disc_sample_equals_radii_then_angles(self, shape):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        assert _same_bits(spaces._disc_sample(rng, shape, 0.3),
+                          _ref_disc_sample(ref_rng, shape, 0.3))
+        assert rng.random() == ref_rng.random()
 
 
 def test_registry_covers_every_family():
