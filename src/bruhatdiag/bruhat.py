@@ -5,50 +5,30 @@ factorization ``g = L D U`` with unit-triangular ``L``, ``U`` is unique and
 ``D`` consists of the telescoping minor ratios.  In Cayley coordinates the
 same diagonal is a ratio of determinants ``det(1 + I_k X)`` with ``I_k``
 the leading sign flip, and each of those determinants expands into a sum
-of principal minors of ``X``.  The routes below compute the one quantity
-along independent paths so they can be cross checked:
+of principal minors of ``X``.  :data:`ROUTES` computes the one quantity
+along five independent paths so they can be cross checked:
 
-* ``diagonal_via_gauss``      -- elimination pivots (no row exchanges)
-* ``diagonal_via_minors``     -- leading principal minor ratios of ``g``
-* ``diagonal_via_cayley``     -- sign-flipped determinant ratios in ``X``
-* ``diagonal_via_fredholm``   -- principal-minor expansion of those determinants
-* ``diagonal_via_coroots``    -- determinant ratios raised to an integer exponent table
+* ``gauss``          -- elimination pivots (no row exchanges)
+* ``minor_ratio``    -- leading principal minor ratios of ``g``
+* ``cayley_det``     -- sign-flipped determinant ratios in ``X``
+* ``fredholm``       -- principal-minor expansion of those determinants
+* ``coroot_product`` -- determinant ratios raised to an integer exponent table
 
-Each route reads one determinant table: the leading minors of ``g`` for
-``minor_ratio``, the stacked ``det(1 + I_k X)`` for ``cayley_det`` and
-``coroot_product``, the principal-minor table for ``fredholm``.
-:func:`cross_check` builds ``g = cayley(X)``, the leading minors and the
-flipped stack once per tangent and hands them to every report that reads
-them, including the minor-identity residual of ``cayley_det``; only
-bitwise-identical recomputation is shared, never one route's result with
-another route.
+Each route is one function of an :class:`_Input`, one record per input
+that serves every route run on it, in :func:`cross_check`,
+:func:`check_draw`, :func:`run_route` and the ``diagonal_via_*`` functions.
+Only bitwise-identical recomputation is shared, never one route's result.
 
 A route returns a report only for an input that is generic at every
 step, and otherwise raises :class:`NonGenericError` with the step.
 ``gauss`` and ``minor_ratio`` cut leading minors of ``g`` on ``g``'s
-scale; ``cayley_det``, ``fredholm`` and ``coroot_product`` cut every
-``det(1 + I_k X)``, k = 1..N, on the scale of ``det(1 + X)`` through one
-check, so the two routes that read the flipped stack refuse the same
-inputs at the same step.  :func:`_ratio_report` is the one path from a
-table to a report for ``minor_ratio``, ``cayley_det``, ``fredholm`` and
-the refusal of ``coroot_product``; ``gauss`` keeps its in-loop check and
-``coroot_product`` its powers of ``dets[k] / dets[0]``.
+scale; the other three cut every ``det(1 + I_k X)``, k = 1..N, on the
+scale of ``det(1 + X)``, and ``cayley_det`` and ``coroot_product`` share
+one check of one stack, so they refuse the same inputs at the same step.
 
-:func:`check_draw` is the one checked random draw, as ``bruhatdiag
-verify`` and the acceptance sweep make it: the rejection loop of
-:func:`~bruhatdiag.spaces.random_coordinates` hands over the tangent and
-flipped stack it accepted the draw on, and one ``g = cayley(X)`` serves
-the routes and the membership check, so a draw builds each once.
-
-The routes that read the flipped stack take the family spec of ``X`` and
-build it with :func:`~bruhatdiag.spaces._flipped_stack`, the one place a
-stack is split on the spec's zero block T, as the draw loop and the limit
-checks do.  A tangent is zero on ``T x T`` and on its zero rows, so each
-``det(1 + I_k X)`` is the ``p x p`` determinant of a Schur complement on
-the unit block ``(1 + I_k X)_TT`` (see
-:func:`~bruhatdiag.linalg.flipped_determinants`); a matrix that is not
-zero on T is refused with ``ValueError``.  ``cayley_det`` and
-``coroot_product`` still read ``X`` alone, never ``g``.
+The flipped stack is split on the spec's zero block T
+(:func:`~bruhatdiag.spaces._flipped_stack`); a matrix that is not zero on
+T is refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -64,7 +44,6 @@ from .linalg import (
     _minor_expansion,
     array_to_json,
     as_matrix,
-    flipped_minor_expansion,
     max_abs,
     relative_gap,
 )
@@ -130,6 +109,14 @@ def _screened_ratios(values: np.ndarray, cutoffs=None):
     return (steps, np.take_along_axis(mag, first, axis=-1)[..., 0]), ratios
 
 
+def _passed(route: str, refusals, ratios) -> np.ndarray:
+    """``ratios`` of one :func:`_screened_ratios` table; its first refused
+    step raises :class:`NonGenericError` with its magnitude and ``route``."""
+    if refusals is None:
+        return ratios
+    raise NonGenericError(int(refusals[0]), float(refusals[1]), route)
+
+
 @dataclass
 class LDUFactorization:
     """Unit lower L, diagonal D, unit upper U with ``L @ D @ U`` the input."""
@@ -170,15 +157,9 @@ def _report(method: str, entries: np.ndarray) -> DiagonalReport:
 
 
 def _ratio_report(route: str, values: np.ndarray, cutoffs=None) -> DiagonalReport:
-    """The report of ``route``: the ratios ``values[k] / values[k - 1]`` of its
-    determinant table, k = 1..n, from one :func:`_screened_ratios` pass
-    (flipped cutoffs when ``cutoffs`` is None); the first refused step
-    raises :class:`NonGenericError` with its magnitude and ``route``."""
-    refused, ratios = _screened_ratios(values, cutoffs)
-    if refused is not None:
-        step, magnitude = refused
-        raise NonGenericError(int(step), float(magnitude), route)
-    return _report(route, ratios)
+    """The report of ``route`` from its determinant table ``values``, screened
+    on ``cutoffs`` (flipped cutoffs when None)."""
+    return _report(route, _passed(route, *_screened_ratios(values, cutoffs)))
 
 
 def _eliminate(A: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
@@ -221,28 +202,15 @@ def ldu(g) -> LDUFactorization:
     return LDUFactorization(L=L, D=np.diag(pivots), U=U)
 
 
-def diagonal_via_gauss(g) -> DiagonalReport:
-    """Diagonal as the elimination pivots; ``L`` and ``U`` are never built."""
-    g = as_matrix(g)
-    return _report("gauss", _eliminate(g.copy(), _minor_cutoffs(g)))
-
-
 def _leading_minors(g: np.ndarray) -> np.ndarray:
     """``det(g[k])``, k = 0..n, of a validated matrix (the empty minor is 1),
-    each block straight to LAPACK: the table :func:`cross_check` shares
-    between ``minor_ratio`` and the ``cayley_det`` minor-identity residual."""
+    each block straight to LAPACK."""
     n = g.shape[0]
     out = np.empty(n + 1, dtype=complex)
     out[0] = 1.0
     for k in range(1, n + 1):
         out[k] = np.linalg.det(g[:k, :k])
     return out
-
-
-def diagonal_via_minors(g) -> DiagonalReport:
-    """Diagonal as the telescoping ratios of leading principal minors."""
-    g = as_matrix(g)
-    return _ratio_report("minor_ratio", _leading_minors(g), _minor_cutoffs(g))
 
 
 def _lemma3_residual(dets: np.ndarray, minors: np.ndarray) -> float:
@@ -253,21 +221,99 @@ def _lemma3_residual(dets: np.ndarray, minors: np.ndarray) -> float:
     return float((np.abs(minors[1:] * dets[0] - dets[1:]) / scale).max(initial=0.0))
 
 
+class _Input:
+    """One input of the routes, a validated ``X`` with its ``spec`` or a
+    validated ``g`` alone, with each table the routes share built the first
+    time one reads it: ``g = cayley(X)``, validated once, its minor cutoffs
+    and leading minors, the split stack ``dets`` and its one screened pass.
+    A ``g`` or ``dets`` built already, such as a draw's stack, is passed in."""
+
+    __slots__ = ("X", "spec", "_g", "_cutoffs", "_minors", "_dets", "_screened")
+
+    def __init__(self, X=None, spec=None, g=None, dets=None):
+        self.X, self.spec, self._g, self._dets = X, spec, g, dets
+        self._cutoffs = self._minors = self._screened = None
+
+    @property
+    def g(self) -> np.ndarray:
+        if self._g is None:
+            self._g = as_matrix(_cayley(self.X))
+        return self._g
+
+    @property
+    def cutoffs(self) -> np.ndarray:
+        if self._cutoffs is None:
+            self._cutoffs = _minor_cutoffs(self.g)
+        return self._cutoffs
+
+    @property
+    def minors(self) -> np.ndarray:
+        if self._minors is None:
+            self._minors = _leading_minors(self.g)
+        return self._minors
+
+    @property
+    def dets(self) -> np.ndarray:
+        if self._dets is None:
+            self._dets = _flipped_stack(self.spec, self.X)
+        return self._dets
+
+    @property
+    def screened(self):
+        if self._screened is None:
+            self._screened = _screened_ratios(self.dets)
+        return self._screened
+
+
+def _gauss(t: _Input) -> DiagonalReport:
+    return _report("gauss", _eliminate(t.g.copy(), t.cutoffs))
+
+
+def _minor_ratio(t: _Input) -> DiagonalReport:
+    return _ratio_report("minor_ratio", t.minors, t.cutoffs)
+
+
+def _cayley_det(t: _Input) -> DiagonalReport:
+    report = _report("cayley_det", _passed("cayley_det", *t.screened))
+    report.lemma3_residual = _lemma3_residual(t.dets, t.minors)
+    return report
+
+
+def _fredholm(t: _Input) -> DiagonalReport:
+    return _ratio_report("fredholm", _minor_expansion(t.X))
+
+
+def _coroot_product(t: _Input) -> DiagonalReport:
+    _passed("coroot_product", *t.screened)  # refuses as cayley_det does
+    E = coroots(t.spec)
+    ratios = t.dets[1:len(E) + 1] / t.dets[0]
+    return _report("coroot_product", np.prod(ratios[:, None] ** E, axis=0))
+
+
+#: Every route by name, in cross-check order: one function of an :class:`_Input`.
+ROUTES = {"gauss": _gauss, "minor_ratio": _minor_ratio, "cayley_det": _cayley_det,
+          "fredholm": _fredholm, "coroot_product": _coroot_product}
+
+
+def diagonal_via_gauss(g) -> DiagonalReport:
+    """Diagonal as the elimination pivots; ``L`` and ``U`` are never built."""
+    return _gauss(_Input(g=as_matrix(g)))
+
+
+def diagonal_via_minors(g) -> DiagonalReport:
+    """Diagonal as the telescoping ratios of leading principal minors."""
+    return _minor_ratio(_Input(g=as_matrix(g)))
+
+
 def diagonal_via_cayley(X, spec: SpaceSpec) -> DiagonalReport:
     """Diagonal of the Cayley image directly from ``det(1 + I_k X)`` ratios.
 
     Also evaluates, as a side diagnostic, the worst relative residual of
-    the minor identity ``det(g[k]) det(1 + X) = det(1 + I_k X)`` over k.
-    Called on its own, the route builds ``g = cayley(X)`` and its leading
-    minors for that residual once the ratios have passed the genericity
-    check; :func:`cross_check` builds the same report from the ``g``,
-    minors and flipped stack it shares with the other routes.
+    the minor identity ``det(g[k]) det(1 + X) = det(1 + I_k X)`` over k,
+    building ``g = cayley(X)`` and its leading minors only once the ratios
+    have passed the genericity check.
     """
-    X = as_matrix(X)
-    dets = _flipped_stack(spec, X)
-    report = _ratio_report("cayley_det", dets)
-    report.lemma3_residual = _lemma3_residual(dets, _leading_minors(_cayley(X)))
-    return report
+    return _cayley_det(_Input(as_matrix(X), spec))
 
 
 def diagonal_via_fredholm(X) -> DiagonalReport:
@@ -280,19 +326,12 @@ def diagonal_via_fredholm(X) -> DiagonalReport:
     nonzero: on a bipartite pattern, such as a tangent of AIII, DIII, CI,
     CII or BDI_even, the minors on subsets with unequal counts of the two
     colours are identically 0 (Frobenius-König) and are skipped, which
-    changes no bit of the output.  Only principal
-    submatrices of ``X`` are factorized, never ``1 + I_k X``, so this
-    route is capped at :data:`~bruhatdiag.linalg.EXPANSION_CAP` and serves
-    as the independent combinatorial oracle for :func:`diagonal_via_cayley`.
+    changes no bit of the output.  Only principal submatrices of ``X`` are
+    factorized, never ``1 + I_k X``, so this route is capped at
+    :data:`~bruhatdiag.linalg.EXPANSION_CAP` and serves as the independent
+    combinatorial oracle for :func:`diagonal_via_cayley`.
     """
-    return _ratio_report("fredholm", flipped_minor_expansion(X))
-
-
-def _coroot_report(spec: SpaceSpec, dets: np.ndarray) -> DiagonalReport:
-    """Report of a flipped stack ``dets`` that has passed the flipped check."""
-    E = coroots(spec)
-    ratios = dets[1:len(E) + 1] / dets[0]
-    return _report("coroot_product", np.prod(ratios[:, None] ** E, axis=0))
+    return _fredholm(_Input(as_matrix(X)))
 
 
 def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
@@ -307,52 +346,30 @@ def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
     checks it, so the two routes refuse the same inputs at the same step,
     even at indices no exponent reads.
     """
-    dets = _flipped_stack(spec, as_matrix(X))
-    _ratio_report("coroot_product", dets)  # refuses as cayley_det does
-    return _coroot_report(spec, dets)
+    return _coroot_product(_Input(as_matrix(X), spec))
+
+
+def run_route(route: str, X, spec: SpaceSpec) -> DiagonalReport:
+    """The report of the :data:`ROUTES` entry ``route`` on a tangent ``X`` of
+    ``spec``, as its ``diagonal_via_*`` function gives it on ``X`` or, for
+    ``gauss`` and ``minor_ratio``, on ``cayley(X)``."""
+    return ROUTES[route](_Input(as_matrix(X), spec))
+
+
+def _run_routes(t: _Input) -> dict[str, DiagonalReport]:
+    """Every :data:`ROUTES` entry on ``t``, ``fredholm`` within the expansion cap."""
+    return {name: route(t) for name, route in ROUTES.items()
+            if route is not _fredholm or t.X.shape[0] <= EXPANSION_CAP}
 
 
 def cross_check(X, spec: SpaceSpec) -> dict[str, DiagonalReport]:
-    """Run every applicable route on a tangent matrix.
+    """Run every applicable route on a tangent matrix, on one :class:`_Input`.
 
-    Returns a dict keyed by method tag.  The Fredholm route joins only
-    when ``X`` is within the expansion cap.
-
-    ``g = cayley(X)``, its leading minors and the flipped stack
-    ``det(1 + I_k X)`` are built once here: ``gauss`` reads ``g``,
-    ``minor_ratio`` and the ``cayley_det`` residual read the minors,
-    ``cayley_det`` and ``coroot_product`` read the stack, which is
-    checked once, for ``cayley_det``: ``coroot_product`` applies the same
-    check to the same stack, so it cannot refuse what ``cayley_det``
-    passed.  Each report and each error equals the one the standalone
-    route gives.  ``X`` and ``g`` are validated once each, and the minor
-    cutoffs of ``g`` are computed once, for ``gauss`` and ``minor_ratio``.
+    Returns a dict keyed by method tag, in :data:`ROUTES` order.  The
+    Fredholm route joins only when ``X`` is within the expansion cap.
+    Each report and each error equals the one the standalone route gives.
     """
-    X = as_matrix(X)
-    return _cross_check(X, spec, _cayley(X))
-
-
-def _cross_check(X: np.ndarray, spec: SpaceSpec, g: np.ndarray,
-                 dets: Optional[np.ndarray] = None) -> dict[str, DiagonalReport]:
-    """:func:`cross_check` on the validated ``X`` with its image ``g``, which
-    is validated here, and, if already built, its flipped stack ``dets``;
-    a missing stack is built after ``gauss`` and ``minor_ratio``, so errors
-    come in the same order."""
-    g = as_matrix(g)
-    cutoffs = _minor_cutoffs(g)
-    minors = _leading_minors(g)
-    out = {
-        "gauss": _report("gauss", _eliminate(g.copy(), cutoffs)),
-        "minor_ratio": _ratio_report("minor_ratio", minors, cutoffs),
-    }
-    if dets is None:
-        dets = _flipped_stack(spec, X)
-    out["cayley_det"] = _ratio_report("cayley_det", dets)
-    out["cayley_det"].lemma3_residual = _lemma3_residual(dets, minors)
-    if X.shape[0] <= EXPANSION_CAP:
-        out["fredholm"] = _ratio_report("fredholm", _minor_expansion(X))
-    out["coroot_product"] = _coroot_report(spec, dets)
-    return out
+    return _run_routes(_Input(as_matrix(X), spec))
 
 
 def max_cross_gap(reports: dict[str, DiagonalReport]) -> float:
@@ -387,13 +404,12 @@ def check_draw(spec: SpaceSpec, rng: np.random.Generator, radius: float = 0.7) -
     """Draw a tangent of ``spec`` as :func:`~bruhatdiag.spaces.random_coordinates`
     does, on the same stream, and check it.
 
-    The tangent and flipped stack the draw was accepted on, and one image
-    ``g = cayley(X)``, serve every route and the membership check; the
-    result equals :func:`cross_check`, :func:`max_cross_gap` and
-    ``verify_image(spec, cayley(X))`` on the drawn ``X``.
+    The routes read the stack the draw was accepted on and the membership
+    check reads their image ``g = cayley(X)``; the result equals
+    :func:`cross_check`, :func:`max_cross_gap` and ``verify_image``.
     """
     _, X, dets = _draw_tangent(spec, rng, radius)
-    g = _cayley(X)  # the draw loop validated X
-    reports = _cross_check(X, spec, g, dets)  # validates g
-    membership = max(_verify_image(spec, g).violations.values())
+    t = _Input(X, spec, dets=dets)  # the draw loop validated X
+    reports = _run_routes(t)
+    membership = max(_verify_image(spec, t.g).violations.values())
     return Draw(reports, max_cross_gap(reports), membership)

@@ -18,18 +18,7 @@ import sys
 import numpy as np
 
 from . import golden as golden_mod
-from .bruhat import (
-    NonGenericError,
-    check_draw,
-    cross_check,
-    diagonal_via_cayley,
-    diagonal_via_coroots,
-    diagonal_via_fredholm,
-    diagonal_via_gauss,
-    diagonal_via_minors,
-    ldu,
-    max_cross_gap,
-)
+from .bruhat import ROUTES, NonGenericError, check_draw, cross_check, ldu, max_cross_gap, run_route
 from .cayley import cayley
 from .components import enumerate_components, limit_check
 from .linalg import matrix_from_json, matrix_to_json
@@ -44,16 +33,6 @@ from .spaces import (
     coordinates_from_payload,
     spec_from_family,
 )
-
-#: Each single route of ``d --method``, in the order its choices list them.
-_ROUTES = {
-    "cayley_det": diagonal_via_cayley,
-    "gauss": lambda X, spec: diagonal_via_gauss(cayley(X)),
-    "minor_ratio": lambda X, spec: diagonal_via_minors(cayley(X)),
-    "fredholm": lambda X, spec: diagonal_via_fredholm(X),
-    "coroot_product": lambda X, spec: diagonal_via_coroots(spec, X),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that exits with status 1 on usage errors."""
@@ -76,6 +55,8 @@ def _checked(kind: type, holds, what: str):
     return parse
 
 
+#: Check tolerance of ``verify`` and ``d --method all`` without ``--tol``.
+_DEFAULT_TOL = 1e-9
 _COUNT = _checked(int, lambda v: v >= 1, "an integer of at least 1")
 _SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
@@ -88,10 +69,6 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "table"), default="json")
-
-    def add_tol(p):
-        p.add_argument("--tol", type=_TOL, default=1e-9,
-                       help="check tolerance (default 1e-9)")
 
     def add_seed(p):
         p.add_argument("--seed", type=_SEED, default=0)
@@ -118,12 +95,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help="matrix as JSON or @file")
 
     p = sub.add_parser("d", help="diagonal factor of the Cayley image")
-    add_common(p), add_space(p), add_tol(p)
+    add_common(p), add_space(p)
+    p.add_argument("--tol", type=_TOL, help='check tolerance of "--method all" (default 1e-9)')
     p.add_argument("--payload", required=True, help="inline JSON or @file")
-    p.add_argument("--method", choices=(*_ROUTES, "all"), default="cayley_det")
+    p.add_argument("--method", choices=(*ROUTES, "all"), default="cayley_det")
 
     p = sub.add_parser("verify", help="cross-check all routes on random draws")
-    add_common(p), add_space(p), add_tol(p), add_seed(p)
+    add_common(p), add_space(p), add_seed(p)
+    p.add_argument("--tol", type=_TOL, default=_DEFAULT_TOL, help="check tolerance (default 1e-9)")
     p.add_argument("--draws", type=_COUNT, default=100)
     p.add_argument("--radius", type=_RADIUS, default=0.7)
 
@@ -257,10 +236,13 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_d(args) -> int:
+    if args.method != "all" and args.tol is not None:
+        raise ValueError('flag "--tol" is not read without "--method all"')
     spec, X = _tangent_from_args(args)
     if args.method == "all":
         reports = cross_check(X, spec)
-        verdict = ViolationReport({"max_gap": max_cross_gap(reports)}, args.tol)
+        tol = _DEFAULT_TOL if args.tol is None else args.tol
+        verdict = ViolationReport({"max_gap": max_cross_gap(reports)}, tol)
         lines = [f"{k}: " + "  ".join(_fmt_complex(z) for z in r.entries)
                  for k, r in sorted(reports.items())]
         lines.append(f"max gap {_fmt(verdict.violations['max_gap'])}  "
@@ -268,7 +250,7 @@ def _cmd_d(args) -> int:
         _emit(_report_json({"reports": {k: r.to_json_dict() for k, r in reports.items()}},
                            verdict), args.format, lines)
         return 0 if verdict.ok else 2
-    report = _ROUTES[args.method](X, spec)
+    report = run_route(args.method, X, spec)
     lines = ["  ".join(_fmt_complex(z) for z in report.entries)]
     _emit(report.to_json_dict(), args.format, lines)
     return 0

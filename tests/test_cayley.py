@@ -4,6 +4,7 @@ import pytest
 from bruhatdiag.cayley import cayley, verify_image
 from bruhatdiag.linalg import det
 from bruhatdiag.spaces import (
+    FAMILY,
     Coordinates,
     SpaceSpec,
     aiii,
@@ -11,7 +12,9 @@ from bruhatdiag.spaces import (
     ci,
     cii,
     diii,
+    involution_matrix,
     random_coordinates,
+    spec_from_family,
 )
 
 SAMPLE_SPECS = [
@@ -50,6 +53,32 @@ class TestCayleyMap:
         for spec in SAMPLE_SPECS:
             X = build_tangent(spec, random_coordinates(spec, rng))
             assert cayley(X.T).tobytes() == cayley(np.ascontiguousarray(X.T)).tobytes()
+
+
+#: The ``bruhatdiag verify`` defaults, one layout above the expansion cap and
+#: layouts with unequal blocks or a larger size per family.
+INERTIA_SPECS = [spec_from_family(f, **FAMILY[f].defaults) for f in FAMILY] + [
+    aiii(5, 45), aiii(1, 4), diii(4), ci(4), cii(1, 2),
+    SpaceSpec("BDI_even", p=2, q=5), SpaceSpec("BDI_oddodd", p=3, q=5),
+]
+
+
+class TestInvolutionInertia:
+    @pytest.mark.parametrize("spec", INERTIA_SPECS, ids=lambda s: "{}{}".format(
+        s.family, tuple(s.params_dict().values())))
+    def test_g_times_involution_is_hermitian_with_its_inertia(self, spec):
+        # on the image theta(g) = I g I = g^-1 = g*, so gI = (gI)* is unitary
+        # and Hermitian, eigenvalues +-1, and gI = u I u* has the inertia of I
+        I = involution_matrix(spec)
+        positive = np.count_nonzero(np.linalg.eigvalsh(I) > 0)
+        rng = np.random.default_rng(17)
+        for radius in (0.7, 2.0):
+            for _ in range(10):
+                gI = cayley(build_tangent(spec, random_coordinates(spec, rng, radius))) @ I
+                assert np.abs(gI - gI.conj().T).max() <= 1e-12, (spec, radius)
+                eigs = np.linalg.eigvalsh((gI + gI.conj().T) / 2)
+                assert np.count_nonzero(eigs > 0) == positive, (spec, radius)
+                assert np.abs(eigs).min() >= 0.5, (spec, radius)
 
 
 class TestCayleyInverse:

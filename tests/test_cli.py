@@ -19,6 +19,16 @@ CI_PAYLOAD = '{"Z": [[[0.2, 0.1], [0.3, 0]], [[-0.1, 0.2], [0.2, 0.1]]]}'
 AIII_COORDINATES = '{"family": "AIII", "params": {"m": 1, "n": 1}, "payload": {"Z": [[[0.5, 0]]]}}'
 
 
+#: Each route of ``d --method`` called through its public function.
+STANDALONE_ROUTES = {
+    "gauss": lambda X, spec: bruhat.diagonal_via_gauss(cayley(X)),
+    "minor_ratio": lambda X, spec: bruhat.diagonal_via_minors(cayley(X)),
+    "cayley_det": bruhat.diagonal_via_cayley,
+    "fredholm": lambda X, spec: bruhat.diagonal_via_fredholm(X),
+    "coroot_product": lambda X, spec: bruhat.diagonal_via_coroots(spec, X),
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -82,6 +92,45 @@ class TestDiagonalCommand:
     ])
     def test_complex_table_entry_signs(self, z, text):
         assert cli._fmt_complex(z) == text
+
+    @pytest.mark.parametrize("method", [*bruhat.ROUTES, "all"])
+    def test_each_method_prints_its_standalone_report(self, capsys, method):
+        argv = ("d", "--family", "CI", "--n", "2", "--payload", CI_PAYLOAD, "--method", method)
+        code, out, _ = run_cli(capsys, *argv)
+        spec = spaces.ci(2)
+        X = spaces.build_tangent(spec, spaces.coordinates_from_payload(
+            spec, json.loads(CI_PAYLOAD)))
+        if method == "all":
+            reports = bruhat.cross_check(X, spec)
+            want = {"reports": {k: r.to_json_dict() for k, r in reports.items()},
+                    "max_gap": bruhat.max_cross_gap(reports), "tol": 1e-9, "ok": True}
+        else:
+            want = STANDALONE_ROUTES[method](X, spec).to_json_dict()
+        assert code == 0
+        assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("method", [*bruhat.ROUTES, "all"])
+    def test_each_method_names_itself_at_a_boundary(self, capsys, method):
+        code, out, _ = run_cli(capsys, "d", "--family", "AIII", "--m", "1", "--n", "1",
+                               "--payload", '{"Z": [[[1, 0]]]}', "--method", method)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert (error["route"], error["index"]) == (
+            "gauss" if method == "all" else method, 1)
+
+    def test_fredholm_above_the_expansion_cap_exits_one(self, capsys):
+        payload = json.dumps({"Z": [[[0.05, 0]] * 10]})
+        code, out, err = run_cli(capsys, "d", "--family", "AIII", "--m", "1", "--n", "10",
+                                 "--payload", payload, "--method", "fredholm")
+        assert (code, out) == (1, "")
+        assert err == ("bruhatdiag: error: matrix size 11 exceeds the expansion cap 10; "
+                       "use det(1 + A) directly\n")
+
+    def test_method_choices_list_in_route_table_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["d", "--help"])
+        assert "{gauss,minor_ratio,cayley_det,fredholm,coroot_product,all}" in (
+            capsys.readouterr().out)
 
     def test_nongeneric_failure_report(self, capsys):
         code, out, _ = run_cli(
@@ -437,6 +486,9 @@ class TestErrorHandling:
          'flag "--m" is not read with a coordinates object, which names its own space'),
         (("cayley", "--family", "AIII", "--matrix", '{"n": 1, "entries": [[[0, 0.5]]]}'),
          'flag "--family" is not read with "--matrix"'),
+        (("d", "--family", "AIII", "--m", "1", "--n", "1", "--method", "gauss", "--tol", "0",
+          "--payload", '{"Z": [[[0.5, 0]]]}'),
+         'flag "--tol" is not read without "--method all"'),
         (("build", "--family", "AIII", "--m", "1", "--n", "1" + "0" * 400, "--payload", "{}"),
          "AIII parameter n is too large for an array"),
         (("verify", "--family", "AIII", "--m", "1", "--n", "1" + "0" * 400, "--draws", "1"),
@@ -445,7 +497,8 @@ class TestErrorHandling:
          "CI parameter n is too large for an array"),
     ], ids=["d_foreign_dimension", "verify_foreign_dimension", "enumerate_foreign_dimension",
             "d_family_with_coordinates", "build_dimension_with_coordinates",
-            "cayley_family_with_matrix", "build_dimension_beyond_an_index",
+            "cayley_family_with_matrix", "d_tol_without_method_all",
+            "build_dimension_beyond_an_index",
             "verify_dimension_beyond_an_index", "enumerate_dimension_beyond_an_index"])
     def test_space_flag_that_is_not_read_exits_one(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
