@@ -47,7 +47,7 @@ from .linalg import (
     max_abs,
     relative_gap,
 )
-from .spaces import SpaceSpec, _draw_tangent, _flipped_stack, coroots
+from .spaces import DEFAULT_RADIUS, SpaceSpec, _draw_tangent, _flipped_stack, coroots
 
 #: Coefficient of the scale-aware genericity cutoffs: a leading minor of a
 #: matrix with max-norm M counts as vanishing when |minor| <= GENERIC_TOL * M**k,
@@ -400,7 +400,8 @@ class Draw:
     membership: float
 
 
-def check_draw(spec: SpaceSpec, rng: np.random.Generator, radius: float = 0.7) -> Draw:
+def check_draw(spec: SpaceSpec, rng: np.random.Generator,
+               radius: float = DEFAULT_RADIUS) -> Draw:
     """Draw a tangent of ``spec`` as :func:`~bruhatdiag.spaces.random_coordinates`
     does, on the same stream, and check it.
 

@@ -24,6 +24,7 @@ from .components import enumerate_components, limit_check
 from .linalg import matrix_from_json, matrix_to_json
 from .repcompat import verify_conjugacy
 from .spaces import (
+    DEFAULT_RADIUS,
     FAMILIES,
     FAMILY,
     SpaceSpec,
@@ -104,7 +105,7 @@ def _build_parser() -> _Parser:
     add_common(p), add_space(p), add_seed(p)
     p.add_argument("--tol", type=_TOL, default=_DEFAULT_TOL, help="check tolerance (default 1e-9)")
     p.add_argument("--draws", type=_COUNT, default=100)
-    p.add_argument("--radius", type=_RADIUS, default=0.7)
+    p.add_argument("--radius", type=_RADIUS, default=DEFAULT_RADIUS)
 
     p = sub.add_parser("enumerate", help="component representatives")
     add_common(p), add_space(p)

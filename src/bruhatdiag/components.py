@@ -1,9 +1,9 @@
 """Connected-component representatives of the generic stratum.
 
 Each representative is a diagonal +/-1 matrix recorded as its sign vector.
-The admissible vectors are generated constructively per family (equal
-counts across the blocks the involution exchanges, reflection symmetry
-where the family demands it), a witness tangent supported on the negative
+The admissible vectors are generated from three classes of positions read
+off the involution's signs and its reflection (see
+:func:`enumerate_components`), a witness tangent supported on the negative
 positions is built by a greedy pairing, and the scaling limit of the
 diagonal factor along that witness is checked numerically.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from .bruhat import _screened_ratios
 from .linalg import as_matrix, relative_gap
-from .spaces import FAMILY, SpaceSpec, _flipped_stack, layout
+from .spaces import SpaceSpec, _flipped_stack, layout
 
 #: Geometric grid of scaling parameters for limit checks.
 DEFAULT_GRID = (10.0, 100.0, 1000.0)
@@ -65,50 +65,36 @@ def _signs_from_alpha(N: int, alpha: Iterable[int]) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _mirrored(N: int, positions: Iterable[int]) -> set[int]:
-    out = set()
-    for i in positions:
-        out.add(i)
-        out.add(N + 1 - i)
-    return out
-
-
 def enumerate_components(spec: SpaceSpec) -> list[ComponentRep]:
     """All component representatives, identity first, in sign-string order.
 
-    Generation is constructive from the block structure:
-
-    * two mirrored blocks (DIII, CI): every reflection-symmetric vector,
-      with an even count in each block for the orthogonal type.
-    * otherwise equally many -1 in two parts: the two blocks (AIII), or,
-      mirrored, the outer part and the centre's free half (CII, BDI).  The
-      free half stops before an odd middle entry, which stays positive,
-      and the doubly-odd layout pins the two middle entries to +1 as the
-      canonical coset representative.
+    With σ the involution's signs (:func:`~bruhatdiag.spaces.layout`), a
+    position i is free where σ is nonzero and, under a reflection, i comes
+    before its mirror N + 1 - i.  The free positions whose mirror has the
+    opposite sign are *cross*; the others split by sign into *minus* and
+    *plus*.  A representative is -1 on any subset of *cross* (even-sized
+    under ``so``) and on j positions each of *minus* and *plus*, and on the
+    mirror of each under a reflection.  The swapped middle pair (σ = 0)
+    stays +1, the canonical coset representative.
     """
     N = spec.ambient
-    fam = FAMILY[spec.family]
     lay = layout(spec)
-    b, signs = lay.bounds, lay.signs
-    outer = range(1, b[1] + 1)
-    alphas: list[set[int]] = []
+    sigma, reflected, even = lay.signs, lay.twist is not None, spec.so_like
+    free = [i for i in range(1, N + 1) if sigma[i - 1] and not (reflected and 2 * i >= N + 1)]
+    cross = [i for i in free if reflected and sigma[N - i] == -sigma[i - 1]]
+    minus, plus = ([i for i in free if i not in cross and sigma[i - 1] == sign]
+                   for sign in (-1, 1))
+    balanced = [(*minus_part, *plus_part) for j in range(min(len(minus), len(plus)) + 1)
+                for minus_part in itertools.combinations(minus, j)
+                for plus_part in itertools.combinations(plus, j)]
+    alphas = [(*sub, *part) for sub in _subsets(cross) if not (even and len(sub) % 2)
+              for part in balanced]
+    if reflected:
+        alphas = [(*alpha, *[N + 1 - i for i in alpha]) for alpha in alphas]
 
-    if len(b) == 3 and fam.reflection:
-        for sub in _subsets(outer):
-            if fam.reflection == "sp" or len(sub) % 2 == 0:
-                alphas.append(_mirrored(N, sub))
-    else:
-        last = N // 2 if fam.reflection else N
-        inner = [i for i in range(b[1] + 1, last + 1) if signs[i - 1]]
-        for j in range(min(len(outer), len(inner)) + 1):
-            for out_part in itertools.combinations(outer, j):
-                for in_part in itertools.combinations(inner, j):
-                    alpha = set(out_part) | set(in_part)
-                    alphas.append(_mirrored(N, alpha) if fam.reflection else alpha)
-
-    reps = [ComponentRep(spec, _signs_from_alpha(N, a)) for a in alphas]
-    reps.sort(key=lambda r: tuple(0 if s == 1 else 1 for s in r.signs))
-    return reps
+    # +1 before -1 is descending order; no two vectors are equal
+    signs = sorted((_signs_from_alpha(N, alpha) for alpha in alphas), reverse=True)
+    return [ComponentRep(spec, s) for s in signs]
 
 
 def _subsets(items) -> Iterable[tuple]:

@@ -339,9 +339,12 @@ def _disc_sample(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
 #: or below this floor sits too close to a cell boundary and is redrawn.
 CONDITION_FLOOR = 1e-3
 
+#: The disc radius of a random payload entry unless a caller gives one.
+DEFAULT_RADIUS = 0.7
+
 
 def random_coordinates(spec: SpaceSpec, rng: np.random.Generator,
-                       radius: float = 0.7) -> Coordinates:
+                       radius: float = DEFAULT_RADIUS) -> Coordinates:
     """Sample a coordinate payload with entries in the disc of ``radius``.
 
     Constrained payloads (DIII, CI) are filled from their free entries so

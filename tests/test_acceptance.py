@@ -4,8 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -32,6 +30,7 @@ from bruhatdiag.spaces import (
     random_coordinates,
 )
 
+from components_rule import brute_force
 from test_repcompat import preserves_triangular_split
 
 FAMILY_CASES = [
@@ -131,35 +130,6 @@ def test_criterion_5_sphere_quantitative():
     _report(5, ok, detail)
 
 
-def _rule_filter(spec, signs):
-    N = spec.ambient
-    neg = [i for i in range(N) if signs[i] == -1]
-    fam = spec.family
-    if fam == "AIII":
-        return sum(1 for i in neg if i < spec.m) == sum(1 for i in neg if i >= spec.m)
-    if any(signs[i] != signs[N - 1 - i] for i in range(N)):
-        return False
-    if fam == "CI":
-        return True
-    if fam == "DIII":
-        return sum(1 for i in neg if i < spec.n) % 2 == 0
-    if fam == "CII":
-        outer = sum(1 for i in neg if i < spec.p or i >= N - spec.p)
-        return outer == len(neg) - outer
-    if fam == "BDI_even":
-        h = spec.p // 2
-        if spec.q % 2 == 1 and signs[(N - 1) // 2] == -1:
-            return False
-        outer = sum(1 for i in neg if i < h or i >= N - h)
-        return outer == len(neg) - outer
-    mid = N // 2 - 1
-    if signs[mid] == -1 or signs[mid + 1] == -1:
-        return False
-    n1 = (spec.p - 1) // 2
-    outer = sum(1 for i in neg if i < n1 or i >= N - n1)
-    return outer == len(neg) - outer
-
-
 def test_criterion_6_component_enumeration():
     ok = len(enumerate_components(aiii(1, 1))) == 2
     for n in (1, 2, 3):
@@ -179,13 +149,8 @@ def test_criterion_6_component_enumeration():
     converged = True
     for spec in small:
         assert spec.ambient <= 8
-        brute = [
-            signs for signs in itertools.product((1, -1), repeat=spec.ambient)
-            if _rule_filter(spec, signs)
-        ]
-        brute.sort(key=lambda s: tuple(0 if x == 1 else 1 for x in s))
         got = [r.signs for r in enumerate_components(spec)]
-        ok &= got == brute
+        ok &= got == brute_force(spec)
         for rep in enumerate_components(spec):
             if rep.is_identity:
                 continue
@@ -193,7 +158,7 @@ def test_criterion_6_component_enumeration():
             report = limit_check(rep)
             converged &= report.converged
     ok &= converged
-    detail = (f"counts, brute-force agreement over {len(small)} specs, and "
+    detail = (f"counts, inertia-rule brute force over {len(small)} specs, and "
               f"{checked} witness limits converged at 1e-3")
     _report(6, ok, detail)
 

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -217,6 +218,12 @@ class TestBuildAndFactorize:
 
 
 class TestVerifyCommands:
+    def test_radius_defaults_read_one_constant(self):
+        defaults = (inspect.signature(spaces.random_coordinates).parameters["radius"].default,
+                    inspect.signature(bruhat.check_draw).parameters["radius"].default,
+                    cli._build_parser().parse_args(["verify"]).radius)
+        assert defaults == (spaces.DEFAULT_RADIUS,) * 3
+
     def test_verify_single_family(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "AIII",
                                "--m", "1", "--n", "2", "--draws", "10")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from bruhatdiag.components import (
     limit_check,
 )
 from bruhatdiag.linalg import det
-from bruhatdiag.spaces import SpaceSpec, aiii, ci, cii, diii, layout, validate_tangent
+from bruhatdiag.spaces import FAMILY, SpaceSpec, aiii, ci, cii, diii, layout, validate_tangent
+
+from components_rule import brute_force
+from test_spaces import _grid
 
 SMALL_SPECS = [
     aiii(1, 1), aiii(1, 2), aiii(2, 2), aiii(2, 3), aiii(3, 3), aiii(1, 3),
@@ -34,48 +38,6 @@ def _decreasing(deviations) -> bool:
     """The computed deviations never grow along the grid, to rounding."""
     seq = [d for d in deviations if d is not None]
     return all(b <= a * (1 + 1e-12) + 1e-15 for a, b in zip(seq, seq[1:]))
-
-
-# Independent statement of the admissibility rules, used to brute-force
-# all 2**N sign vectors for comparison with the constructive enumeration.
-def _admissible(spec: SpaceSpec, signs) -> bool:
-    N = spec.ambient
-    neg = [i for i in range(N) if signs[i] == -1]
-    fam = spec.family
-    if fam == "AIII":
-        return sum(1 for i in neg if i < spec.m) == sum(1 for i in neg if i >= spec.m)
-    if any(signs[i] != signs[N - 1 - i] for i in range(N)):
-        return False
-    if fam == "CI":
-        return True
-    if fam == "DIII":
-        return sum(1 for i in neg if i < spec.n) % 2 == 0
-    if fam == "CII":
-        p = spec.p
-        outer = sum(1 for i in neg if i < p or i >= N - p)
-        return outer == len(neg) - outer
-    if fam == "BDI_even":
-        h = spec.p // 2
-        outer = sum(1 for i in neg if i < h or i >= N - h)
-        if spec.q % 2 == 1 and signs[(N - 1) // 2] == -1:
-            return False
-        return outer == len(neg) - outer
-    # doubly odd: canonical representative keeps the two middle entries +1
-    mid = N // 2 - 1
-    if signs[mid] == -1 or signs[mid + 1] == -1:
-        return False
-    n1 = (spec.p - 1) // 2
-    outer = sum(1 for i in neg if i < n1 or i >= N - n1)
-    return outer == len(neg) - outer
-
-
-def _brute_force(spec: SpaceSpec):
-    out = []
-    for signs in itertools.product((1, -1), repeat=spec.ambient):
-        if _admissible(spec, signs):
-            out.append(signs)
-    out.sort(key=lambda s: tuple(0 if x == 1 else 1 for x in s))
-    return out
 
 
 class TestEnumeration:
@@ -105,7 +67,7 @@ class TestEnumeration:
             if spec.ambient > 8:
                 continue
             got = [r.signs for r in enumerate_components(spec)]
-            assert got == _brute_force(spec), spec
+            assert got == brute_force(spec), spec
 
     def test_no_duplicates(self):
         for spec in SMALL_SPECS:
@@ -114,11 +76,27 @@ class TestEnumeration:
 
     def test_reflection_symmetry_of_enumerated_vectors(self):
         for spec in SMALL_SPECS:
-            if spec.family == "AIII":
+            if layout(spec).twist is None:
                 continue
             N = spec.ambient
             for rep in enumerate_components(spec):
                 assert all(rep.signs[i] == rep.signs[N - 1 - i] for i in range(N))
+
+    @pytest.mark.parametrize("family", FAMILY)
+    def test_counts_match_closed_forms(self, family):
+        # beyond brute-force reach: j of a minus and j of b plus positions,
+        # summed over j, is C(a + b, a) (Vandermonde); CI and DIII take any,
+        # or any even, subset of their n cross positions
+        closed_form = {
+            "AIII": lambda s: math.comb(s.m + s.n, s.m),
+            "CI": lambda s: 2 ** s.n,
+            "DIII": lambda s: 2 ** (s.n - 1),
+            "CII": lambda s: math.comb(s.p + s.q, s.p),
+            "BDI_even": lambda s: math.comb(s.p // 2 + s.q // 2, s.p // 2),
+            "BDI_oddodd": lambda s: math.comb((s.p - 1) // 2 + (s.q - 1) // 2, (s.p - 1) // 2),
+        }[family]
+        for spec in _grid(family):
+            assert len(enumerate_components(spec)) == closed_form(spec), spec
 
     def test_alpha_matches_signs(self):
         rep = ComponentRep(aiii(1, 2), (-1, 1, -1))
@@ -302,8 +280,7 @@ def _witness_reversed(rep, signs):
     N = spec.ambient
     X = np.zeros((N, N), dtype=complex)
     remaining = sorted(rep.alpha, reverse=True)
-    so_like, sp_like = spec.so_like, spec.sp_like
-    half = N // 2
+    so_like, twist = spec.so_like, layout(spec).twist
     while remaining:
         i = remaining[0]
         partners = [
@@ -318,15 +295,10 @@ def _witness_reversed(rep, signs):
         X[hi - 1, lo - 1] = -1.0
         remaining.remove(i)
         remaining.remove(j)
-        if so_like or sp_like:
+        if twist is not None:
             i2, j2 = N + 1 - hi, N + 1 - lo
             if {i2, j2} != {lo, hi}:
-                if so_like:
-                    s = -1.0
-                else:
-                    sgn_lo = -1.0 if lo <= half else 1.0
-                    sgn_hi = -1.0 if hi <= half else 1.0
-                    s = -sgn_lo * sgn_hi
+                s = -twist[lo - 1, hi - 1]
                 X[i2 - 1, j2 - 1] = s
                 X[j2 - 1, i2 - 1] = -s
                 remaining.remove(i2)

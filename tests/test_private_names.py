@@ -1,7 +1,8 @@
 """Private names stay in their module: no module of the package takes a
 private name from another outside a short per-module list.  So layout facts
 are read from :func:`bruhatdiag.spaces.layout` and never re-derived, and
-every ratio route reaches its report through ``bruhat``'s own path."""
+every ratio route reaches its report through ``bruhat``'s own path.  The
+same walk keeps the ``FAMILY`` registry in ``spaces`` and ``cli``."""
 
 import ast
 from pathlib import Path
@@ -27,23 +28,24 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def _private_names(source: str) -> list[tuple[str, str]]:
-    """``(module, name)`` of every private name ``source`` takes from a
-    package module: imported by any spelling of the module (``.spaces``,
-    ``bruhatdiag.spaces``) or read as an attribute of a name bound to it
-    (``spaces``, or an alias such as ``golden_mod``)."""
+def _private_names(source: str, wanted=_private) -> list[tuple[str, str]]:
+    """``(module, name)`` of every private name (every name ``wanted``
+    accepts) that ``source`` takes from a package module: imported by any
+    spelling of the module (``.spaces``, ``bruhatdiag.spaces``) or read as
+    an attribute of a name bound to it (``spaces``, or an alias such as
+    ``golden_mod``)."""
     found, aliases = [], {m: m for m in MODULES}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").split(".")[-1]
             for alias in node.names:
-                if module in MODULES and _private(alias.name):
+                if module in MODULES and wanted(alias.name):
                     found.append((module, alias.name))
                 elif alias.name in MODULES:  # from . import golden as golden_mod
                     aliases[alias.asname or alias.name] = alias.name
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases and _private(node.attr)):
+                and node.value.id in aliases and wanted(node.attr)):
             found.append((aliases[node.value.id], node.attr))
     return found
 
@@ -73,3 +75,12 @@ def test_no_module_takes_a_private_name_of_another_outside_the_list():
     # every allowed name is still taken somewhere, so the list cannot go stale
     taken = {pair for path in PACKAGE.glob("*.py") for pair in _private_names(path.read_text())}
     assert {(m, n) for m, names in ALLOWED.items() for n in names} <= taken
+
+
+def test_only_spaces_and_cli_read_the_family_registry():
+    # every other module reads a spec's tables from layout(), never FAMILY
+    readers = {path.stem for path in PACKAGE.glob("*.py")
+               if ("spaces", "FAMILY") in _private_names(path.read_text(), "FAMILY".__eq__)}
+    assert readers == {"cli"}  # spaces defines it
+    assert _private_names("from . import spaces\nspaces.FAMILY[f]\n", "FAMILY".__eq__) == [
+        ("spaces", "FAMILY")]
