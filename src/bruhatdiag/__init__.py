@@ -55,10 +55,10 @@ from .spaces import (
     cii,
     coordinates_from_json,
     coordinates_to_json,
-    coroots,
     diii,
     involution_apply,
     involution_matrix,
+    layout,
     random_coordinates,
     validate_tangent,
     zero_coordinates,

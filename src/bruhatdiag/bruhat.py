@@ -47,7 +47,7 @@ from .linalg import (
     max_abs,
     relative_gap,
 )
-from .spaces import DEFAULT_RADIUS, SpaceSpec, _draw_tangent, _flipped_stack, coroots
+from .spaces import DEFAULT_RADIUS, SpaceSpec, _draw_tangent, _flipped_stack, layout
 
 #: Coefficient of the scale-aware genericity cutoffs: a leading minor of a
 #: matrix with max-norm M counts as vanishing when |minor| <= GENERIC_TOL * M**k,
@@ -131,17 +131,19 @@ class DiagonalReport:
     """Diagonal entries with their method tag.
 
     A route returns a report only for an input that is generic at every
-    step; otherwise it raises :class:`NonGenericError`.  ``product`` is
-    the product of the entries, which equals the determinant of the
-    underlying group element.  The ``cayley_det`` route also attaches its
-    minor-identity residual (`lemma3_residual`), which is not part of the
-    JSON form.
+    step; otherwise it raises :class:`NonGenericError`.  The ``cayley_det``
+    route also attaches its minor-identity residual (`lemma3_residual`),
+    which is not part of the JSON form.
     """
 
     method: str
     entries: np.ndarray
-    product: complex
     lemma3_residual: Optional[float] = None
+
+    @property
+    def product(self) -> complex:
+        """The product of the entries, the determinant of the group element."""
+        return complex(self.entries.prod())
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,8 +154,7 @@ class DiagonalReport:
 
 
 def _report(method: str, entries: np.ndarray) -> DiagonalReport:
-    entries = np.asarray(entries, dtype=complex)
-    return DiagonalReport(method=method, entries=entries, product=complex(entries.prod()))
+    return DiagonalReport(method, np.asarray(entries, dtype=complex))
 
 
 def _ratio_report(route: str, values: np.ndarray, cutoffs=None) -> DiagonalReport:
@@ -285,7 +286,7 @@ def _fredholm(t: _Input) -> DiagonalReport:
 
 def _coroot_product(t: _Input) -> DiagonalReport:
     _passed("coroot_product", *t.screened)  # refuses as cayley_det does
-    E = coroots(t.spec)
+    E = layout(t.spec).coroots
     ratios = t.dets[1:len(E) + 1] / t.dets[0]
     return _report("coroot_product", np.prod(ratios[:, None] ** E, axis=0))
 
@@ -339,7 +340,8 @@ def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
 
     Entry ``j`` is the product over k of
     ``(det(1 + I_k X)/det(1 + X)) ** E[k-1, j]`` with ``E`` the family's
-    exponent table (:func:`~bruhatdiag.spaces.coroots`).  The exponents
+    exponent table (``layout(spec).coroots``, see
+    :class:`~bruhatdiag.spaces.Layout`).  The exponents
     are integers, so the arithmetic stays in integer powers only and no
     root branch is ever chosen.  Requires ``X`` to be a tangent of
     ``spec``.  The whole stack is checked as :func:`diagonal_via_cayley`
@@ -380,12 +382,12 @@ def max_cross_gap(reports: dict[str, DiagonalReport]) -> float:
     report against itself gives 0, so the maximum is the pairwise one, and
     a finite result equals a scalar loop over the pairs exactly.  A NaN
     gap makes the result NaN, so a route that returned NaN never reads as
-    agreement.
+    agreement.  Every route gives one entry per position, so reports of
+    unequal length raise ``ValueError``.
     """
     if not reports:
         return 0.0
-    n = min(len(r.entries) for r in reports.values())
-    E = np.stack([r.entries[:n] for r in reports.values()])
+    E = np.stack([r.entries for r in reports.values()])
     return float(relative_gap(E[:, None], E[None]).max(initial=0.0))
 
 

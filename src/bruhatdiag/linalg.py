@@ -222,7 +222,7 @@ def flipped_determinants(A, zero_block, scales=None) -> np.ndarray:
     determinant 1.
 
     ``zero_block`` is the boolean mask of positions T on which ``A``
-    vanishes (``A[T, T] = 0``; see :func:`~bruhatdiag.spaces.zero_block`),
+    vanishes (``A[T, T] = 0``; see :class:`~bruhatdiag.spaces.Layout`),
     as every tangent of the mask's space does; a matrix that is nonzero
     there raises ``ValueError``.  Two exact identities shrink every
     determinant to the kept rows of the complement P:

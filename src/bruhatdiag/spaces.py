@@ -173,10 +173,23 @@ class Layout:
     its arrays are read-only.  ``bounds``: block starts, then N; ``signs``:
     the involution's sign per position (0 on the swapped middle pair);
     ``perm``, ``flips``: the involution as a signed permutation, ``(I A
-    I)[i, j] = flips[i, j] * A[perm[i], perm[j]]``; ``shapes``: each payload
-    field's shape, in draw order; ``twist``: the reflection's signs, ``E
-    antitranspose(A) E = antitranspose(A) * twist`` (E = 1 for ``so``, the
-    leading signature ``I_{N/2}`` for ``sp``; None without a reflection).
+    I)[i, j] = flips[i, j] * A[perm[i], perm[j]]``; ``zero_block``: the
+    positions T of the larger same-sign class (the +1 class on a tie, never
+    the middle pair), on which every tangent vanishes, ``X[T, T] = 0``, so
+    :func:`~bruhatdiag.linalg.flipped_determinants` factors only the rest;
+    ``support``: the entries a tangent may fill, those whose row and column
+    carry opposite signs, every entry linking the middle pair with an outer
+    position, and the middle diagonal (the torus slot); ``shapes``: each
+    payload field's shape, in draw order; ``twist``: the reflection's
+    signs, ``E antitranspose(A) E = antitranspose(A) * twist`` (E = 1 for
+    ``so``, the leading signature ``I_{N/2}`` for ``sp``; None without a
+    reflection); ``coroots``: the integer exponent table ``E`` of shape
+    ``(K, N)``, where ``E[k-1, j]`` is the power of
+    ``det(1 + I_k X) / det(1 + X)`` in diagonal entry j.  With ``e_j`` the
+    1-based unit vectors, row k is ``e_k - e_{k+1}``, k = 1..N-1, without a
+    reflection; with one (``so`` and ``sp`` alike) and r = N // 2, row
+    k < r is ``e_k - e_{k+1} + e_{N-k} - e_{N+1-k}`` and row r is
+    ``e_r - e_{N+1-r}``.  Every row sums to zero.
     """
 
     bounds: tuple[int, ...]
@@ -258,28 +271,6 @@ def involution_apply(spec: SpaceSpec, A) -> np.ndarray:
     return A[lay.perm[:, None], lay.perm] * lay.flips
 
 
-def support_mask(spec: SpaceSpec) -> np.ndarray:
-    """Mask of entries that may be nonzero for a tangent of this family.
-
-    These are the entries whose row and column carry opposite involution
-    signs, every entry linking a swapped middle position with an outer
-    one, and the middle diagonal (the torus slot): the layout's read-only mask.
-    """
-    return layout(spec).support
-
-
-def zero_block(spec: SpaceSpec) -> np.ndarray:
-    """Mask of the positions T of the involution's larger same-sign class
-    (the sign +1 class on a tie; the swapped middle pair is never in T).
-
-    Rows and columns in T carry one involution sign, so every tangent
-    vanishes on ``T x T`` (see :func:`support_mask`), and
-    :func:`~bruhatdiag.linalg.flipped_determinants` factors only the rest.
-    The mask is the layout's, read-only because every caller shares it.
-    """
-    return layout(spec).zero_block
-
-
 def _check_ambient(spec: SpaceSpec, A: np.ndarray) -> None:
     """Refuse a matrix that is not ``N x N`` for the spec's ambient size N."""
     if A.shape != (spec.ambient,) * 2:
@@ -288,7 +279,7 @@ def _check_ambient(spec: SpaceSpec, A: np.ndarray) -> None:
 
 def _flipped_stack(spec: SpaceSpec, X: np.ndarray, scales=None) -> np.ndarray:
     """``det(1 + I_k X)``, k = 0..N, of an already validated matrix, split
-    on the spec's :func:`zero_block`; with ``scales``, a float array of positive
+    on the layout's ``zero_block``; with ``scales``, a float array of positive
     factors, one row per scale (see :func:`~bruhatdiag.linalg.flipped_determinants`)."""
     _check_ambient(spec, X)
     return _flipped_determinants(X, layout(spec).zero_block, scales)
@@ -596,25 +587,6 @@ def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
     if lay.twist is not None:
         v["reflection"] = max_abs(X + antitranspose(X) * lay.twist)
     return ViolationReport(violations=v, tolerance=tol)
-
-
-# --- coroot exponent tables --------------------------------------------------
-
-def coroots(spec: SpaceSpec) -> np.ndarray:
-    """The family's integer exponent table ``E`` of shape ``(K, N)``.
-
-    ``E[k-1, j]`` is the power of ``det(1 + I_k X) / det(1 + X)`` in
-    diagonal entry j.  With ``e_j`` the 1-based unit vectors:
-
-    * without a reflection, row k is ``e_k - e_{k+1}``, k = 1..N-1;
-    * with a reflection (``so`` and ``sp`` alike) and r = N // 2, row
-      k < r is ``e_k - e_{k+1} + e_{N-k} - e_{N+1-k}`` and row r is
-      ``e_r - e_{N+1-r}``.
-
-    Every row sums to zero.  The table is the layout's, read-only because
-    every caller shares it.
-    """
-    return layout(spec).coroots
 
 
 # --- the family registry -----------------------------------------------------

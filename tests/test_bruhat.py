@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from bruhatdiag import bruhat, cli, golden, linalg, spaces
 from bruhatdiag.bruhat import (
+    ROUTES,
+    DiagonalReport,
     NonGenericError,
     check_draw,
     cross_check,
@@ -49,7 +51,6 @@ from bruhatdiag.spaces import (
     random_coordinates,
     spec_from_family,
     validate_tangent,
-    zero_block,
 )
 from walls import wall_scales
 
@@ -320,7 +321,7 @@ class TestCorootRoute:
         # reference: each ratio raised only where its exponent row is nonzero
         rng = np.random.default_rng(43)
         for spec in FAMILY_CASES + [diii(1), diii(2), SpaceSpec("BDI_oddodd", p=1, q=1)]:
-            E = spaces.coroots(spec)
+            E = layout(spec).coroots
             for _ in range(10):
                 X = build_tangent(spec, random_coordinates(spec, rng))
                 dets = spaces._flipped_stack(spec, X)
@@ -475,7 +476,7 @@ def test_jacobian_of_log_d_has_rank_k(spec, seed):
                    - _log_modulus_and_phase(spec, moved(delta, -h))) / (2 * h)
                   for delta in _payload_directions(spec)]).T
     sigma = np.append(np.linalg.svd(J, compute_uv=False), 0.0)
-    K = len(spaces.coroots(spec))
+    K = len(layout(spec).coroots)
     assert np.count_nonzero(sigma > 1e-6 * sigma[0]) == K, (spec, sigma)
     assert sigma[K - 1] >= 1e4 * sigma[K], (spec, sigma)
 
@@ -697,6 +698,11 @@ class TestSharedDeterminantCore:
         bad["gauss"] = dataclasses.replace(reports["gauss"], entries=entries)
         assert np.isnan(max_cross_gap(bad))
         assert max_cross_gap({}) == 0.0
+        # every route gives one entry per position, so a short report is a
+        # fault to raise, not a prefix to compare
+        bad["gauss"] = dataclasses.replace(reports["gauss"], entries=entries[:-1])
+        with pytest.raises(ValueError):
+            max_cross_gap(bad)
         # golden deviations read the same gap: every route of golden draws
         # against its closed form equals the scalar loop exactly
         rng = np.random.default_rng(64)
@@ -709,6 +715,17 @@ class TestSharedDeterminantCore:
                     for report in cross_check(X, spec).values():
                         want = max(relative_gap(x, y) for x, y in zip(report.entries, closed))
                         assert golden._rel(report.entries, closed) == want, name
+
+    def test_product_is_read_from_the_entries(self):
+        assert [f.name for f in dataclasses.fields(DiagonalReport)] == [
+            "method", "entries", "lemma3_residual"]
+        rng = np.random.default_rng(66)
+        for spec in FAMILY_DEFAULTS:
+            X = build_tangent(spec, random_coordinates(spec, rng))
+            reports = cross_check(X, spec)
+            assert list(reports) == list(ROUTES), spec
+            for tag, report in reports.items():
+                assert report.product == complex(report.entries.prod()), (spec, tag)
 
     def test_fredholm_takes_one_det_call_per_subset_size(self, monkeypatch):
         rng = np.random.default_rng(63)
@@ -725,7 +742,7 @@ class TestSharedDeterminantCore:
         for spec, p in zip(FAMILY_CASES, (2, 3, 3, 4, 3, 4)):
             X = build_tangent(spec, random_coordinates(spec, rng))
             N = spec.ambient
-            assert N - np.count_nonzero(zero_block(spec)) == p
+            assert N - np.count_nonzero(layout(spec).zero_block) == p
             shapes = _count_det_calls(monkeypatch)
             cross_check(X, spec)
             assert 1 <= shapes.count((N + 1, p, p)) <= 2, spec.family
@@ -751,7 +768,7 @@ def _block_rep(n, negatives):
 class TestDistinctFlips:
     def test_degenerate_sizes(self):
         zero = np.zeros((6, 6), dtype=complex)
-        block = zero_block(aiii(3, 3))
+        block = layout(aiii(3, 3)).zero_block
         assert flipped_determinants(zero, block).tobytes() == _flip_loop(zero).tobytes()
         assert np.array_equal(flipped_determinants(zero, block), np.ones(7))
         empty = np.zeros((0, 0))
@@ -771,9 +788,9 @@ class TestDistinctFlips:
         for spec in FAMILY_CASES:
             X = build_tangent(spec, random_coordinates(spec, rng))
             N = spec.ambient
-            p = N - np.count_nonzero(zero_block(spec))
+            p = N - np.count_nonzero(layout(spec).zero_block)
             shapes.clear()
-            flipped_determinants(X, zero_block(spec))
+            flipped_determinants(X, layout(spec).zero_block)
             assert shapes == [(N + 1, p, p)], spec.family
 
     def test_limit_check_allocates_no_dense_grid_stack(self):
@@ -798,7 +815,7 @@ class TestDistinctFlips:
         # route that reads the flipped stack refuses it
         rng = np.random.default_rng(83)
         for spec in FAMILY_CASES + [aiii(5, 45)]:
-            block = zero_block(spec)
+            block = layout(spec).zero_block
             X = build_tangent(spec, random_coordinates(spec, rng))
             i = np.flatnonzero(block)[-1]
             rep = ComponentRep(spec, (1,) * spec.ambient)
@@ -824,7 +841,7 @@ class TestDistinctFlips:
     def test_split_stack_equals_full_stack_with_zero_rows(self):
         rng = np.random.default_rng(84)
         for spec in FAMILY_CASES + [aiii(5, 45)]:
-            block = zero_block(spec)
+            block = layout(spec).zero_block
             X = build_tangent(spec, random_coordinates(spec, rng))
             for drop in ([0], [spec.ambient - 1], list(range(0, spec.ambient, 2))):
                 A = X.copy()
@@ -835,14 +852,15 @@ class TestDistinctFlips:
                 # a zero row leaves its flip's determinant equal to the previous one
                 assert all(split[k + 1] == split[k] for k in drop), (spec.family, drop)
         # the zero matrix keeps no row: every determinant is the empty 1
-        assert flipped_determinants(np.zeros((6, 6)), zero_block(aiii(3, 3))).tolist() == [1.0] * 7
+        block = layout(aiii(3, 3)).zero_block
+        assert flipped_determinants(np.zeros((6, 6)), block).tolist() == [1.0] * 7
 
     def test_ray_equals_per_point_calls_bitwise(self, monkeypatch):
         # a ray plans on the matrix, as a call on each scaled copy would
         shapes = _count_det_calls(monkeypatch)
         rng = np.random.default_rng(86)
         for spec in FAMILY_DEFAULTS:
-            block = zero_block(spec)
+            block = layout(spec).zero_block
             N = spec.ambient
             X = build_tangent(spec, random_coordinates(spec, rng))
             no_p, no_t, rows = X.copy(), X.copy(), X.copy()
@@ -862,7 +880,7 @@ class TestDistinctFlips:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ray_validates_its_matrix_scales_and_scaled_entries(self):
         X = build_tangent(aiii(2, 3), random_coordinates(aiii(2, 3), np.random.default_rng(89)))
-        block = zero_block(aiii(2, 3))
+        block = layout(aiii(2, 3)).zero_block
         for bad in ([[1.0]], [1.0, 0.0], [-1.0], [np.nan]):
             with pytest.raises(ValueError, match="scales must be"):
                 flipped_determinants(X, block, bad)
@@ -888,7 +906,7 @@ class TestDistinctFlips:
                 return not np.isfinite(scales[:, None, None] * A).all()
 
         spec = aiii(2, 3)
-        block = zero_block(spec)
+        block = layout(spec).zero_block
         X = build_tangent(spec, random_coordinates(spec, np.random.default_rng(90)))
         i, j = np.flatnonzero(~block)[0], np.flatnonzero(block)[0]
         big = np.finfo(float).max
@@ -934,7 +952,8 @@ class TestDistinctFlips:
         # an empty kept block has no entries to overflow, even at an
         # infinite scale
         zero = np.zeros((6, 6))
-        assert flipped_determinants(zero, zero_block(aiii(3, 3)), [np.inf]).tolist() == [[1.0] * 7]
+        block = layout(aiii(3, 3)).zero_block
+        assert flipped_determinants(zero, block, [np.inf]).tolist() == [[1.0] * 7]
 
     def test_one_row_outside_block_keeps_per_flip_products_bitwise(self):
         # with p = 1 a single product over the flips would be a matrix-vector
@@ -951,7 +970,7 @@ class TestDistinctFlips:
 
         rng = np.random.default_rng(88)
         for spec in (aiii(1, 2), aiii(1, 4), aiii(1, 9)):
-            block = zero_block(spec)
+            block = layout(spec).zero_block
             for _ in range(10):
                 X = build_tangent(spec, random_coordinates(spec, rng))
                 want = schur_loop(X, block).tobytes()
@@ -987,7 +1006,7 @@ class TestDistinctFlips:
                         (cii(2, 1), [0, 1, 4, 5]), (SpaceSpec("BDI_even", p=4, q=3), [0, 1, 5, 6]),
                         (SpaceSpec("BDI_oddodd", p=3, q=3), [0, 5]),
                         (SpaceSpec("BDI_oddodd", p=3, q=5), [1, 2, 5, 6])):
-            block = zero_block(spec)
+            block = layout(spec).zero_block
             assert np.flatnonzero(block).tolist() == T, spec
             X = build_tangent(spec, random_coordinates(spec, np.random.default_rng(85)))
             assert not X[np.ix_(block, block)].any()
@@ -1182,13 +1201,14 @@ class TestSharedTables:
 
 
 #: Each intermediate ``cross_check`` shares: the ``bruhat`` name that builds
-#: it, the entry perturbed, and the routes that read it.
+#: it (the exponent table is the ``coroots`` field of ``layout``'s record),
+#: the entry perturbed, and the routes that read it.
 SHARED_INTERMEDIATES = {
     "g": ("_cayley", (0, 0), {"gauss", "minor_ratio"}),
     "leading minors": ("_leading_minors", 1, {"minor_ratio"}),
     "flipped stack": ("_flipped_stack", 1, {"cayley_det", "coroot_product"}),
     "minor expansion": ("_minor_expansion", 1, {"fredholm"}),
-    "exponent table": ("coroots", (0, 0), {"coroot_product"}),
+    "exponent table": ("layout", (0, 0), {"coroot_product"}),
 }
 
 #: The six ``verify`` defaults and one layout above the expansion cap.
@@ -1210,12 +1230,13 @@ class TestRouteIndependence:
         calls = []
 
         def perturbed(*args):
-            table = build(*args)
+            built = build(*args)
+            table = built.coroots if attr == "layout" else built
             # an integer exponent table is perturbed as floats, a real power
             table = table.astype(np.result_type(table, float))
             table[entry] *= 1 + 1e-6
             calls.append(attr)
-            return table
+            return dataclasses.replace(built, coroots=table) if attr == "layout" else table
 
         for spec in INDEPENDENCE_CASES:
             reports = check(spec)

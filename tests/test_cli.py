@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -631,6 +632,18 @@ class TestDeterminism:
                             "--format", "table")
         first = out.split()[0]
         assert first == "0.6"
+
+
+def test_library_import_loads_no_cli():
+    # every program that imports the library pays its import, so the CLI,
+    # its argument parser and the golden suites load only when asked for
+    src = str(Path(bruhat.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bruhatdiag; print(sorted(m for m in sys.modules if m "
+         "in ('bruhatdiag.cli', 'bruhatdiag.golden', 'argparse')))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestBenchmarkParity:

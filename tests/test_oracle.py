@@ -7,7 +7,7 @@ product of its blocks' determinants); for dense tangents, where mpmath
 would take seconds per matrix, by a batched double-double LU with partial
 pivoting (about 32 digits), itself checked against mpmath on the
 ``bruhatdiag verify`` default layouts.  The split stack on a spec's
-:func:`~bruhatdiag.spaces.zero_block`, and up to its size cap the
+``layout(spec).zero_block``, and up to its size cap the
 principal-minor expansion, must stay within ``REL_TOL`` of the reference.
 """
 
@@ -31,7 +31,7 @@ from bruhatdiag import (
 )
 from bruhatdiag.components import DEFAULT_GRID
 from bruhatdiag.linalg import EXPANSION_CAP, flipped_determinants, flipped_minor_expansion
-from bruhatdiag.spaces import zero_block
+from bruhatdiag.spaces import layout
 
 mpmath.mp.dps = 30
 
@@ -199,7 +199,7 @@ def test_split_and_full_stack_match_reference(spec):
     for _ in range(3 if spec.ambient <= 20 else 1):
         X = build_tangent(spec, random_coordinates(spec, rng))
         ref = _dd_flipped(X)
-        assert _rel_err(flipped_determinants(X, zero_block(spec)), ref) <= REL_TOL
+        assert _rel_err(flipped_determinants(X, layout(spec).zero_block), ref) <= REL_TOL
 
 
 #: The ``SMALL`` layouts up to the expansion cap, and dense N = 9 and 10 draws.
@@ -218,9 +218,10 @@ def test_minor_expansion_matches_reference(spec):
 def test_n120_witnesses_match_mpmath(j):
     rep = ComponentRep(aiii(60, 60), tuple([-1] * j + [1] * (60 - j)) * 2)
     X = construct_witness(rep)
+    block = layout(rep.spec).zero_block
     for t in DEFAULT_GRID:
         ref = _mp_flipped(t * X)
-        assert _rel_err(flipped_determinants(t * X, zero_block(rep.spec)), ref) <= REL_TOL, t
+        assert _rel_err(flipped_determinants(t * X, block), ref) <= REL_TOL, t
 
 
 @pytest.mark.parametrize("spec,seed,index", [(aiii(5, 45), 1255, 2), (aiii(10, 10), 1259, 7)])

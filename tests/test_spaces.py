@@ -23,16 +23,13 @@ from bruhatdiag.spaces import (
     cii,
     coordinates_from_json,
     coordinates_to_json,
-    coroots,
     diii,
     involution_apply,
     involution_matrix,
     layout,
     random_coordinates,
     spec_from_family,
-    support_mask,
     validate_tangent,
-    zero_block,
     zero_coordinates,
 )
 
@@ -120,8 +117,6 @@ class TestLayout:
         for spec in ALL_SPECS:
             lay = layout(spec)
             assert layout(SpaceSpec(spec.family, **spec.params_dict())) is lay
-            assert coroots(spec) is lay.coroots and support_mask(spec) is lay.support
-            assert zero_block(spec) is lay.zero_block
             tables = [a for a in vars(lay).values() if isinstance(a, np.ndarray)] + list(lay.plan)
             for a in tables:
                 assert a.size
@@ -349,23 +344,23 @@ class TestInvolution:
 
 class TestCoroots:
     def test_rank_two_unitary_case(self):
-        assert coroots(aiii(1, 2)).tolist() == [[1, -1, 0], [0, 1, -1]]
+        assert layout(aiii(1, 2)).coroots.tolist() == [[1, -1, 0], [0, 1, -1]]
 
     def test_symplectic_n2(self):
-        assert coroots(ci(2)).tolist() == [
+        assert layout(ci(2)).coroots.tolist() == [
             [1, -1, 1, -1],
             [0, 1, -1, 0],
         ]
 
     def test_orthogonal_n2(self):
         # the last row is e_r - e_{N+1-r}: integer exponents, no halves
-        assert coroots(diii(2)).tolist() == [
+        assert layout(diii(2)).coroots.tolist() == [
             [1, -1, 1, -1],
             [0, 1, -1, 0],
         ]
 
     def test_odd_ambient_terminal(self):
-        assert coroots(SpaceSpec("BDI_even", p=4, q=3)).tolist() == [
+        assert layout(SpaceSpec("BDI_even", p=4, q=3)).coroots.tolist() == [
             [1, -1, 0, 0, 0, 1, -1],
             [0, 1, -1, 0, 1, -1, 0],
             [0, 0, 1, 0, -1, 0, 0],
@@ -373,7 +368,7 @@ class TestCoroots:
 
     def test_all_vectors_traceless(self):
         for spec in ALL_SPECS:
-            assert not coroots(spec).sum(axis=1).any(), spec
+            assert not layout(spec).coroots.sum(axis=1).any(), spec
 
     def test_product_form_holds_over_grid(self):
         # the product form must reproduce the determinant-ratio diagonal on
@@ -402,21 +397,21 @@ class TestCoroots:
                 numerators = h_r - v
             else:
                 numerators = 2 * e[r] - 2 * e[r + 2]
-            assert coroots(spec)[-1].tolist() == (numerators // 2).tolist(), spec
+            assert layout(spec).coroots[-1].tolist() == (numerators // 2).tolist(), spec
 
     def test_each_system_built_once_and_read_only(self):
         for spec in ALL_SPECS:
-            E = coroots(spec)
-            assert coroots(SpaceSpec(spec.family, **spec.params_dict())) is E
+            E = layout(spec).coroots
+            assert layout(SpaceSpec(spec.family, **spec.params_dict())).coroots is E
             assert E.dtype.kind == "i" and E.shape == (len(E), spec.ambient)
             with pytest.raises(ValueError, match="read-only"):
                 E[0, 0] = 7
 
     def test_degenerate_corners(self):
         # the n = 1 orthogonal space is a point: its one ratio is exactly 1
-        assert coroots(diii(1)).tolist() == [[1, -1]]
+        assert layout(diii(1)).coroots.tolist() == [[1, -1]]
         # the smallest doubly-odd layout keeps its bare torus generator
-        assert coroots(SpaceSpec("BDI_oddodd", p=1, q=1)).tolist() == [[1, -1]]
+        assert layout(SpaceSpec("BDI_oddodd", p=1, q=1)).coroots.tolist() == [[1, -1]]
 
 
 class TestCoordinateJson:
@@ -736,7 +731,7 @@ class TestFamilyRegistry:
 
     def test_support_mask(self, family):
         for spec in _grid(family):
-            assert _same_bits(support_mask(spec), _ref_support_mask(spec)), spec
+            assert _same_bits(layout(spec).support, _ref_support_mask(spec)), spec
 
     def test_part_labels_partition(self, family):
         # the witness pairs positions by their involution signs, compared by
