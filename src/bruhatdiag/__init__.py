@@ -34,8 +34,6 @@ from .components import (
 from .linalg import (
     ExpansionLimitError,
     antitranspose,
-    det,
-    flipped_determinants,
     matrix_from_json,
     matrix_to_json,
 )

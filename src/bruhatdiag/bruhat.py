@@ -223,16 +223,18 @@ def _lemma3_residual(dets: np.ndarray, minors: np.ndarray) -> float:
 
 
 class _Input:
-    """One input of the routes, a validated ``X`` with its ``spec`` or a
-    validated ``g`` alone, with each table the routes share built the first
-    time one reads it: ``g = cayley(X)``, validated once, its minor cutoffs
-    and leading minors, the split stack ``dets`` and its one screened pass.
-    A ``g`` or ``dets`` built already, such as a draw's stack, is passed in."""
+    """One input of the routes, an ``X`` with its ``spec`` or a ``g`` alone,
+    validated here, with each table the routes share built the first time
+    one reads it: ``g = cayley(X)``, validated once, its minor cutoffs and
+    leading minors, the split stack ``dets`` and its one screened pass.  A
+    ``dets`` built already, such as a draw's stack, is passed in."""
 
     __slots__ = ("X", "spec", "_g", "_cutoffs", "_minors", "_dets", "_screened")
 
     def __init__(self, X=None, spec=None, g=None, dets=None):
-        self.X, self.spec, self._g, self._dets = X, spec, g, dets
+        self.X = None if X is None else as_matrix(X)
+        self._g = None if g is None else as_matrix(g)
+        self.spec, self._dets = spec, dets
         self._cutoffs = self._minors = self._screened = None
 
     @property
@@ -298,12 +300,12 @@ ROUTES = {"gauss": _gauss, "minor_ratio": _minor_ratio, "cayley_det": _cayley_de
 
 def diagonal_via_gauss(g) -> DiagonalReport:
     """Diagonal as the elimination pivots; ``L`` and ``U`` are never built."""
-    return _gauss(_Input(g=as_matrix(g)))
+    return _gauss(_Input(g=g))
 
 
 def diagonal_via_minors(g) -> DiagonalReport:
     """Diagonal as the telescoping ratios of leading principal minors."""
-    return _minor_ratio(_Input(g=as_matrix(g)))
+    return _minor_ratio(_Input(g=g))
 
 
 def diagonal_via_cayley(X, spec: SpaceSpec) -> DiagonalReport:
@@ -314,7 +316,7 @@ def diagonal_via_cayley(X, spec: SpaceSpec) -> DiagonalReport:
     building ``g = cayley(X)`` and its leading minors only once the ratios
     have passed the genericity check.
     """
-    return _cayley_det(_Input(as_matrix(X), spec))
+    return _cayley_det(_Input(X, spec))
 
 
 def diagonal_via_fredholm(X) -> DiagonalReport:
@@ -322,7 +324,7 @@ def diagonal_via_fredholm(X) -> DiagonalReport:
 
     The 2**n principal minors of ``X`` are computed once and each
     ``det(1 + I_k X)`` is their sum with the signs of flip k (see
-    :func:`~bruhatdiag.linalg.flipped_minor_expansion`).  A minor is
+    :func:`~bruhatdiag.linalg._minor_expansion`).  A minor is
     factored only if the nonzero pattern of ``X`` itself allows it to be
     nonzero: on a bipartite pattern, such as a tangent of AIII, DIII, CI,
     CII or BDI_even, the minors on subsets with unequal counts of the two
@@ -332,7 +334,7 @@ def diagonal_via_fredholm(X) -> DiagonalReport:
     :data:`~bruhatdiag.linalg.EXPANSION_CAP` and serves as the independent
     combinatorial oracle for :func:`diagonal_via_cayley`.
     """
-    return _fredholm(_Input(as_matrix(X)))
+    return _fredholm(_Input(X))
 
 
 def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
@@ -348,14 +350,14 @@ def diagonal_via_coroots(spec: SpaceSpec, X) -> DiagonalReport:
     checks it, so the two routes refuse the same inputs at the same step,
     even at indices no exponent reads.
     """
-    return _coroot_product(_Input(as_matrix(X), spec))
+    return _coroot_product(_Input(X, spec))
 
 
 def run_route(route: str, X, spec: SpaceSpec) -> DiagonalReport:
     """The report of the :data:`ROUTES` entry ``route`` on a tangent ``X`` of
     ``spec``, as its ``diagonal_via_*`` function gives it on ``X`` or, for
     ``gauss`` and ``minor_ratio``, on ``cayley(X)``."""
-    return ROUTES[route](_Input(as_matrix(X), spec))
+    return ROUTES[route](_Input(X, spec))
 
 
 def _run_routes(t: _Input) -> dict[str, DiagonalReport]:
@@ -371,7 +373,7 @@ def cross_check(X, spec: SpaceSpec) -> dict[str, DiagonalReport]:
     Fredholm route joins only when ``X`` is within the expansion cap.
     Each report and each error equals the one the standalone route gives.
     """
-    return _run_routes(_Input(as_matrix(X), spec))
+    return _run_routes(_Input(X, spec))
 
 
 def max_cross_gap(reports: dict[str, DiagonalReport]) -> float:
@@ -412,7 +414,7 @@ def check_draw(spec: SpaceSpec, rng: np.random.Generator,
     :func:`cross_check`, :func:`max_cross_gap` and ``verify_image``.
     """
     _, X, dets = _draw_tangent(spec, rng, radius)
-    t = _Input(X, spec, dets=dets)  # the draw loop validated X
+    t = _Input(X, spec, dets=dets)
     reports = _run_routes(t)
     membership = max(_verify_image(spec, t.g).violations.values())
     return Draw(reports, max_cross_gap(reports), membership)

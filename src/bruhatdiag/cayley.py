@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from .linalg import antitranspose, as_matrix, max_abs
-from .spaces import SpaceSpec, ViolationReport, _check_ambient, involution_apply, layout
+from .spaces import CHECK_TOL, SpaceSpec, ViolationReport, _check_ambient, involution_apply, layout
 
 
 def cayley(X) -> np.ndarray:
@@ -45,7 +45,7 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:
+def verify_image(spec: SpaceSpec, g, tol: float = CHECK_TOL) -> ViolationReport:
     """Check ``g`` against the defining equations of the embedded space.
 
     Reported violations: unitarity ``g* g = 1``, compatibility of the
@@ -56,7 +56,7 @@ def verify_image(spec: SpaceSpec, g, tol: float = 1e-9) -> ViolationReport:
     return _verify_image(spec, as_matrix(g), tol)
 
 
-def _verify_image(spec: SpaceSpec, g: np.ndarray, tol: float = 1e-9) -> ViolationReport:
+def _verify_image(spec: SpaceSpec, g: np.ndarray, tol: float = CHECK_TOL) -> ViolationReport:
     """:func:`verify_image` of an already validated matrix."""
     _check_ambient(spec, g)
     eye = _identity(spec.ambient)

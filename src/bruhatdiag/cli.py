@@ -24,6 +24,7 @@ from .components import enumerate_components, limit_check
 from .linalg import matrix_from_json, matrix_to_json
 from .repcompat import verify_conjugacy
 from .spaces import (
+    CHECK_TOL,
     DEFAULT_RADIUS,
     FAMILIES,
     FAMILY,
@@ -56,8 +57,6 @@ def _checked(kind: type, holds, what: str):
     return parse
 
 
-#: Check tolerance of ``verify`` and ``d --method all`` without ``--tol``.
-_DEFAULT_TOL = 1e-9
 _COUNT = _checked(int, lambda v: v >= 1, "an integer of at least 1")
 _SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
@@ -103,7 +102,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="cross-check all routes on random draws")
     add_common(p), add_space(p), add_seed(p)
-    p.add_argument("--tol", type=_TOL, default=_DEFAULT_TOL, help="check tolerance (default 1e-9)")
+    p.add_argument("--tol", type=_TOL, default=CHECK_TOL, help="check tolerance (default 1e-9)")
     p.add_argument("--draws", type=_COUNT, default=100)
     p.add_argument("--radius", type=_RADIUS, default=DEFAULT_RADIUS)
 
@@ -242,7 +241,7 @@ def _cmd_d(args) -> int:
     spec, X = _tangent_from_args(args)
     if args.method == "all":
         reports = cross_check(X, spec)
-        tol = _DEFAULT_TOL if args.tol is None else args.tol
+        tol = CHECK_TOL if args.tol is None else args.tol
         verdict = ViolationReport({"max_gap": max_cross_gap(reports)}, tol)
         lines = [f"{k}: " + "  ".join(_fmt_complex(z) for z in r.entries)
                  for k, r in sorted(reports.items())]
@@ -254,7 +253,8 @@ def _cmd_d(args) -> int:
     report = run_route(args.method, X, spec)
     lines = ["  ".join(_fmt_complex(z) for z in report.entries)]
     _emit(report.to_json_dict(), args.format, lines)
-    return 0
+    # a route whose determinants overflowed prints non-finite entries
+    return 0 if np.isfinite(report.entries).all() else 2
 
 
 def _cmd_verify(args) -> int:

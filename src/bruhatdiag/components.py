@@ -186,13 +186,14 @@ def limit_check(rep: ComponentRep, X=None) -> LimitReport:
     stack ``det(1 + I_k tX)``, its cutoffs and its checked ratios.  ``X``
     is validated once and the stacks of every grid point come from one ray
     call (:func:`~bruhatdiag.spaces._flipped_stack` with the grid as
-    ``scales``, a read-only float array of positive factors built at
-    import, which goes straight to the determinant core): one split plan
-    from ``X`` itself, its kept block gathered once and scaled per point,
-    and one batched determinant call.  An ``X`` that is not zero on the
-    spec's zero block raises ``ValueError``, and so does a scaled entry
-    that would overflow; the bound that decides it is the largest grid
-    point times the largest real or imaginary part of the kept block.  The
+    ``scales``, a read-only float array of positive factors built at import,
+    passed on to :func:`~bruhatdiag.linalg._flipped_determinants`): one
+    split plan from ``X`` itself, its kept block gathered once and scaled
+    per point, and one batched determinant call.  An ``X`` that is not
+    zero on the spec's zero block raises ``ValueError``, and so does a
+    scaled entry that would overflow; the bound that decides it is the
+    largest grid point times the largest real or imaginary part of the
+    kept block.  The
     check, the ratios and the deviations of all grid points are then one
     vectorized pass over the ``(grid, N + 1)`` table, with one ``np.hypot``
     of it for the magnitudes and the cutoffs alike; a refused point reads

@@ -8,29 +8,15 @@ principal-minor expansion is the independent combinatorial route to
 ``det(1 + A)`` for cross checks.
 
 Both routes are stacked over the leading sign flips ``det(1 + I_k A)``,
-k = 0..n.  :func:`flipped_determinants` takes a block T on which ``A``
-vanishes, as every tangent does on its involution's larger same-sign
-class, and factors only what is left: a zero row of ``A`` is a unit row of
-every flip and drops out, and a Schur complement on the unit block
-``(1 + I_k A)_TT = 1`` turns each determinant into the ``p x p`` one of
-``1_P + S_P (A_PP - A_PT S_T A_TP)`` on the kept rows P outside T, all in
-one batched LU call.  It also takes a ray, one matrix with positive
-scales, such as a witness walked to every grid point of a limit check:
-the matrix is validated and planned once, its kept block is gathered once
-and scaled per point, and the determinants of every point are still one
-LU call.
-:func:`flipped_minor_expansion` computes every principal minor of ``A``
-once, one gather and one batched ``det`` per subset size, and forms all
-n + 1 expansions in one signed reduction: a cached ``(n + 1, 2**n - 1)``
-sign table times the minors, summed along each row, since the minor of
-``I_k A`` on ``alpha`` is ``(-1)**|alpha & {1..k}| * det A[alpha, alpha]``.
-Its k = 0 row is ``det(1 + A)`` as the sum of all principal minors.
-Only the minors that ``A``'s own nonzero pattern allows are factored
-(:func:`_minor_plan`): when the pattern graph is bipartite, as on the
-tangents of AIII, DIII, CI, CII and BDI_even, a minor whose subset has
-unequal counts of the two colours is identically 0 by Frobenius-König
-and is left an exact 0 in its column.  LAPACK returns exactly 0 for such
-a minor too, so the expansion is unchanged bit for bit.
+k = 0..n.  :func:`_flipped_determinants`, which the package reaches only
+through :func:`~bruhatdiag.spaces._flipped_stack`, takes a block T on
+which ``A`` vanishes, as every tangent does on its involution's larger
+same-sign class, and factors only what is left, all in one batched LU
+call; it also takes a ray of positive scales, such as a limit check's
+grid, and plans the matrix once for every point.
+:func:`_minor_expansion` computes every principal minor of ``A`` once
+and forms all n + 1 expansions in one signed reduction, factoring only
+the minors that ``A``'s own nonzero pattern allows (:func:`_minor_plan`).
 
 The JSON array form lives here as well: :func:`array_to_json` and
 :func:`array_from_json` are the one writer and reader of complex arrays,
@@ -47,7 +33,7 @@ import math
 
 import numpy as np
 
-#: Largest side length accepted by :func:`flipped_minor_expansion`.
+#: Largest side length accepted by :func:`_minor_expansion`.
 #: The expansion has 2**n terms, so this is an oracle-scale cap, not a
 #: performance tuning knob.
 EXPANSION_CAP = 10
@@ -90,11 +76,6 @@ def leading_signature(n: int, k: int) -> np.ndarray:
     return np.diag(np.where(np.arange(n) < k, -1.0, 1.0).astype(complex))
 
 
-def det(A) -> complex:
-    """Determinant through partially pivoted LU, as a Python complex."""
-    return complex(np.linalg.det(as_matrix(A)))
-
-
 @functools.lru_cache(maxsize=EXPANSION_CAP + 1)
 def _subset_table(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Gather indices of every principal minor of an ``n x n`` matrix,
@@ -122,24 +103,23 @@ def _subset_table(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(gathers), signs
 
 
-def flipped_minor_expansion(A) -> np.ndarray:
-    """``det(1 + I_k A)`` for k = 0..n, each as a sum of principal minors.
+def _minor_expansion(A: np.ndarray) -> np.ndarray:
+    """``det(1 + I_k A)`` for k = 0..n of a validated matrix, each as a sum of
+    principal minors.
 
     Every principal minor of ``A`` is computed once, one gather and one
     batched ``det`` per subset size; the expansion for flip k is 1 (the
     empty set's minor) plus the sum of all the others signed by
-    ``(-1)**|alpha & {1..k}|``, one product and row sum over every flip.
-    A minor that the nonzero pattern of ``A`` forces to 0 is not factored
-    but left an exact 0 (see :func:`_minor_plan`), which changes no bit.
-    No LU of ``1 + I_k A`` is ever formed, so this stays an independent
-    oracle for :func:`flipped_determinants`.  There are 2**n minors, so
-    the side length is capped at :data:`EXPANSION_CAP`.
+    ``(-1)**|alpha & {1..k}|``, one product of a cached ``(n + 1, 2**n - 1)``
+    sign table and a row sum over every flip.  Its k = 0 row is
+    ``det(1 + A)`` as the sum of all principal minors.  A minor that the
+    nonzero pattern of ``A`` forces to 0 (Frobenius-König, see
+    :func:`_minor_plan`) is not factored but left an exact 0; LAPACK
+    returns exactly 0 for it too, so no bit changes.  No LU of
+    ``1 + I_k A`` is ever formed, so this stays an independent oracle for
+    :func:`_flipped_determinants`.  There are 2**n minors, so the side
+    length is capped at :data:`EXPANSION_CAP`.
     """
-    return _minor_expansion(as_matrix(A))
-
-
-def _minor_expansion(A: np.ndarray) -> np.ndarray:
-    """:func:`flipped_minor_expansion` of an already validated matrix."""
     n = A.shape[0]
     if n > EXPANSION_CAP:
         raise ExpansionLimitError(
@@ -214,8 +194,9 @@ def _two_colouring(adjacent: np.ndarray) -> np.ndarray:
     return colour
 
 
-def flipped_determinants(A, zero_block, scales=None) -> np.ndarray:
-    """``det(1 + I_k A)`` for k = 0..n from one stacked LU call.
+def _flipped_determinants(A: np.ndarray, zero_block: np.ndarray, scales=None) -> np.ndarray:
+    """``det(1 + I_k A)`` for k = 0..n of a validated matrix from one
+    stacked LU call.
 
     ``A`` is one ``n x n`` matrix; the result has shape ``(n + 1,)``.
     ``I_0`` is the identity; for n = 0 the single entry is the empty
@@ -237,32 +218,18 @@ def flipped_determinants(A, zero_block, scales=None) -> np.ndarray:
       inverse is taken, and for p > 1 the products ``A_PT S_T A_TP`` of
       every flip are one matrix product.
 
-    ``scales`` is an optional 1-D array of positive factors: the result
-    then has shape ``(len(scales), n + 1)``, and row s holds the flipped
-    determinants of ``scales[s] * A``, the ray through ``A`` that a limit
-    check walks; a float array, such as the read-only grid
-    :func:`~bruhatdiag.components.limit_check` builds once, is checked
-    without a copy.  ``A`` is validated and planned once; only the block
-    it keeps is multiplied by each scale, with the same products ``t * a``
-    a call on ``t * A`` makes, so every row equals that call bitwise (a
-    scale that underflows an entry to zero still keeps its row).  A scaled
-    entry that would overflow raises ``ValueError``, as a call on
-    ``t * A`` does.  One bound decides that before any product is formed,
-    so no numpy warning is raised: the largest scale times the largest
-    real or imaginary part of the kept block (see :func:`_on_ray`).
+    ``scales``, if given, is a 1-D float array of positive factors, such
+    as the read-only grid :func:`~bruhatdiag.components.limit_check`
+    builds once: the result then has shape ``(len(scales), n + 1)``, and
+    row s holds the flipped determinants of ``scales[s] * A``, the ray
+    through ``A`` that a limit check walks.  ``A`` is planned once; only
+    the block it keeps is multiplied by each scale, with the same products
+    ``t * a`` a call on ``t * A`` makes, so every row equals that call
+    bitwise (a scale that underflows an entry to zero still keeps its
+    row).  A scaled entry that would overflow raises ``ValueError``, as
+    validating ``t * A`` does, decided by one bound before any product is
+    formed (see :func:`_on_ray`).
     """
-    A = as_matrix(A)
-    if scales is not None:
-        scales = np.asarray(scales, dtype=float)
-        # a NaN scale makes the minimum NaN, which fails the test as well
-        if scales.ndim != 1 or not scales.min(initial=np.inf) > 0:
-            raise ValueError(f"scales must be a 1-D array of positive numbers, got {scales!r}")
-    return _flipped_determinants(A, zero_block, scales)
-
-
-def _flipped_determinants(A: np.ndarray, zero_block: np.ndarray, scales=None) -> np.ndarray:
-    """:func:`flipped_determinants` of an already validated matrix and,
-    if given, validated ``scales``."""
     order, p, eye, sign_p, sign_t, remap = _split_plan(
         A.any(axis=1).tobytes(), zero_block.tobytes())
     B = A[order[:, None], order]

@@ -117,10 +117,6 @@ class SpaceSpec:
     def so_like(self) -> bool:
         return FAMILY[self.family].reflection == "so"
 
-    @property
-    def sp_like(self) -> bool:
-        return FAMILY[self.family].reflection == "sp"
-
     def params_dict(self) -> dict:
         return {name: getattr(self, name) for name in FAMILY[self.family].params}
 
@@ -176,7 +172,7 @@ class Layout:
     I)[i, j] = flips[i, j] * A[perm[i], perm[j]]``; ``zero_block``: the
     positions T of the larger same-sign class (the +1 class on a tie, never
     the middle pair), on which every tangent vanishes, ``X[T, T] = 0``, so
-    :func:`~bruhatdiag.linalg.flipped_determinants` factors only the rest;
+    :func:`_flipped_stack` factors only the rest;
     ``support``: the entries a tangent may fill, those whose row and column
     carry opposite signs, every entry linking the middle pair with an outer
     position, and the middle diagonal (the torus slot); ``shapes``: each
@@ -248,12 +244,10 @@ def involution_matrix(spec: SpaceSpec) -> np.ndarray:
     the fixed matrix swaps the middle two coordinates and is not diagonal.
     Each call returns a new writable matrix.
     """
-    signs = layout(spec).signs
-    I = np.diag(np.array(signs, dtype=complex))
-    if 0 in signs:
-        mid = signs.index(0)
-        I[mid, mid + 1] = 1.0
-        I[mid + 1, mid] = 1.0
+    lay, N = layout(spec), spec.ambient
+    I = np.zeros((N, N), dtype=complex)
+    # row i holds its sign at column perm[i]; the swapped middle pair's is +1
+    I[np.arange(N), lay.perm] = np.where(np.equal(lay.signs, 0), 1.0, lay.signs)
     return I
 
 
@@ -280,7 +274,7 @@ def _check_ambient(spec: SpaceSpec, A: np.ndarray) -> None:
 def _flipped_stack(spec: SpaceSpec, X: np.ndarray, scales=None) -> np.ndarray:
     """``det(1 + I_k X)``, k = 0..N, of an already validated matrix, split
     on the layout's ``zero_block``; with ``scales``, a float array of positive
-    factors, one row per scale (see :func:`~bruhatdiag.linalg.flipped_determinants`)."""
+    factors, one row per scale (see :func:`~bruhatdiag.linalg._flipped_determinants`)."""
     _check_ambient(spec, X)
     return _flipped_determinants(X, layout(spec).zero_block, scales)
 
@@ -333,6 +327,9 @@ CONDITION_FLOOR = 1e-3
 #: The disc radius of a random payload entry unless a caller gives one.
 DEFAULT_RADIUS = 0.7
 
+#: The tolerance of a membership or route-gap check unless a caller gives one.
+CHECK_TOL = 1e-9
+
 
 def random_coordinates(spec: SpaceSpec, rng: np.random.Generator,
                        radius: float = DEFAULT_RADIUS) -> Coordinates:
@@ -362,9 +359,9 @@ def _draw_tangent(spec: SpaceSpec, rng: np.random.Generator,
     """
     for _ in range(1000):
         coords = _sample_coordinates(spec, rng, radius)
-        X = build_tangent(spec, coords)
+        X = build_tangent(spec, coords)  # finite: every payload entry was checked
         with np.errstate(over="ignore", invalid="ignore"):
-            dets = _flipped_stack(spec, as_matrix(X))
+            dets = _flipped_stack(spec, X)
         mag = np.hypot(dets.real, dets.imag)
         # an infinite magnitude clears the floor, so finiteness is its own test
         if np.isfinite(mag).all() and mag[1:].min(initial=np.inf) > CONDITION_FLOOR:
@@ -568,7 +565,7 @@ class ViolationReport:
         return all(v <= self.tolerance for v in self.violations.values())
 
 
-def validate_tangent(spec: SpaceSpec, X, tol: float = 1e-9) -> ViolationReport:
+def validate_tangent(spec: SpaceSpec, X, tol: float = CHECK_TOL) -> ViolationReport:
     """Report how far ``X`` is from the tangent space of ``spec``.
 
     Checks skew-Hermitianity, anti-invariance under the involution, the

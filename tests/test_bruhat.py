@@ -34,8 +34,7 @@ from bruhatdiag.components import (
 from bruhatdiag.linalg import (
     EXPANSION_CAP,
     ExpansionLimitError,
-    det,
-    flipped_determinants,
+    _flipped_determinants,
     leading_signature,
 )
 from bruhatdiag.spaces import (
@@ -53,6 +52,9 @@ from bruhatdiag.spaces import (
     validate_tangent,
 )
 from walls import wall_scales
+
+#: The limit-check grid as the float array the ray core takes.
+GRID = np.array(DEFAULT_GRID)
 
 FAMILY_CASES = [
     aiii(2, 3), diii(3), ci(3), cii(2, 2),
@@ -207,7 +209,7 @@ class TestDiagonalRoutes:
             X = build_tangent(spec, random_coordinates(spec, rng))
             g = cayley(X)
             report = diagonal_via_minors(g)
-            assert abs(report.product - det(g)) <= 1e-8
+            assert abs(report.product - np.linalg.det(g)) <= 1e-8
             assert abs(report.product - 1.0) <= 1e-8  # embedded points are special unitary
 
     def test_reciprocal_pairing_on_reflection_families(self):
@@ -258,7 +260,7 @@ class TestMinorIdentity:
         g = cayley(X)
         dets = _flip_loop(X)
         for k in range(1, 6):
-            lhs = det(g[:k, :k]) * dets[0]
+            lhs = np.linalg.det(g[:k, :k]) * dets[0]
             assert abs(lhs - dets[k]) <= 1e-10 * max(1.0, abs(dets[k]))
 
 
@@ -279,12 +281,12 @@ class TestSignRule:
                     upper = [i for i in alpha if i <= m]
                     lower = [i - m for i in alpha if i > m]
                     idx = np.array(alpha) - 1
-                    term = det((Ik @ X)[np.ix_(idx, idx)])
+                    term = np.linalg.det((Ik @ X)[np.ix_(idx, idx)])
                     if len(upper) != len(lower):
                         assert abs(term) <= 1e-12
                         continue
                     W = Z[np.ix_(np.array(upper) - 1, np.array(lower) - 1)]
-                    base = det(W @ W.conj().T)
+                    base = np.linalg.det(W @ W.conj().T)
                     sign = -1.0 if sum(1 for i in alpha if i <= k) % 2 else 1.0
                     assert abs(term - sign * base) <= 1e-10
                     total += term
@@ -303,7 +305,7 @@ class TestSignRule:
                 upper = sum(1 for i in alpha if i < m)
                 if upper != size - upper:
                     unbalanced += 1
-                    assert det(X[np.ix_(alpha, alpha)]) == 0.0, alpha
+                    assert np.linalg.det(X[np.ix_(alpha, alpha)]) == 0.0, alpha
         assert unbalanced == 2 ** N - 6
 
 
@@ -769,12 +771,12 @@ class TestDistinctFlips:
     def test_degenerate_sizes(self):
         zero = np.zeros((6, 6), dtype=complex)
         block = layout(aiii(3, 3)).zero_block
-        assert flipped_determinants(zero, block).tobytes() == _flip_loop(zero).tobytes()
-        assert np.array_equal(flipped_determinants(zero, block), np.ones(7))
-        empty = np.zeros((0, 0))
+        assert _flipped_determinants(zero, block).tobytes() == _flip_loop(zero).tobytes()
+        assert np.array_equal(_flipped_determinants(zero, block), np.ones(7))
+        empty = np.zeros((0, 0), dtype=complex)
         no_block = np.zeros(0, dtype=bool)
-        assert flipped_determinants(empty, no_block).tobytes() == _flip_loop(empty).tobytes()
-        assert flipped_determinants(empty, no_block).tolist() == [1.0]
+        assert _flipped_determinants(empty, no_block).tobytes() == _flip_loop(empty).tobytes()
+        assert _flipped_determinants(empty, no_block).tolist() == [1.0]
 
     def test_only_distinct_flips_are_factorized(self, monkeypatch):
         # 8 nonzero rows, 4 of them outside the zero block: 9 flips of 4 x 4
@@ -790,7 +792,7 @@ class TestDistinctFlips:
             N = spec.ambient
             p = N - np.count_nonzero(layout(spec).zero_block)
             shapes.clear()
-            flipped_determinants(X, layout(spec).zero_block)
+            _flipped_determinants(X, layout(spec).zero_block)
             assert shapes == [(N + 1, p, p)], spec.family
 
     def test_limit_check_allocates_no_dense_grid_stack(self):
@@ -826,8 +828,8 @@ class TestDistinctFlips:
                 non_tangents.append(A)
             non_tangents.append(_random_skew_hermitian(rng, spec.ambient))
             for A in non_tangents:
-                for call in (lambda: flipped_determinants(A, block),
-                             lambda: flipped_determinants(A, block, DEFAULT_GRID),
+                for call in (lambda: _flipped_determinants(A, block),
+                             lambda: _flipped_determinants(A, block, GRID),
                              lambda: cross_check(A, spec),
                              lambda: diagonal_via_cayley(A, spec),
                              lambda: diagonal_via_coroots(spec, A),
@@ -836,7 +838,7 @@ class TestDistinctFlips:
                         call()
             # a block mask of the wrong size
             with pytest.raises(ValueError, match="zero_block has"):
-                flipped_determinants(X[1:, 1:], block)
+                _flipped_determinants(X[1:, 1:], block)
 
     def test_split_stack_equals_full_stack_with_zero_rows(self):
         rng = np.random.default_rng(84)
@@ -847,13 +849,13 @@ class TestDistinctFlips:
                 A = X.copy()
                 A[drop] = 0.0
                 A[:, drop] = 0.0
-                split, full = flipped_determinants(A, block), _flip_loop(A)
+                split, full = _flipped_determinants(A, block), _flip_loop(A)
                 assert np.allclose(split, full, rtol=1e-13, atol=0), (spec.family, drop)
                 # a zero row leaves its flip's determinant equal to the previous one
                 assert all(split[k + 1] == split[k] for k in drop), (spec.family, drop)
         # the zero matrix keeps no row: every determinant is the empty 1
         block = layout(aiii(3, 3)).zero_block
-        assert flipped_determinants(np.zeros((6, 6)), block).tolist() == [1.0] * 7
+        assert _flipped_determinants(np.zeros((6, 6)), block).tolist() == [1.0] * 7
 
     def test_ray_equals_per_point_calls_bitwise(self, monkeypatch):
         # a ray plans on the matrix, as a call on each scaled copy would
@@ -869,33 +871,29 @@ class TestDistinctFlips:
             rows[::3] = 0.0
             for A in (X, no_p, no_t, rows, np.zeros_like(X)):
                 shapes.clear()
-                got = flipped_determinants(A, block, DEFAULT_GRID)
+                got = _flipped_determinants(A, block, GRID)
                 assert got.shape == (len(DEFAULT_GRID), N + 1)
                 stacked = shapes[0]
                 for t, dets in zip(DEFAULT_GRID, got):
-                    assert dets.tobytes() == flipped_determinants(t * A, block).tobytes(), spec
+                    assert dets.tobytes() == _flipped_determinants(t * A, block).tobytes(), spec
                 if A is no_p:
                     assert stacked[-1] == 0, spec
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_ray_validates_its_matrix_scales_and_scaled_entries(self):
-        X = build_tangent(aiii(2, 3), random_coordinates(aiii(2, 3), np.random.default_rng(89)))
-        block = layout(aiii(2, 3)).zero_block
-        for bad in ([[1.0]], [1.0, 0.0], [-1.0], [np.nan]):
-            with pytest.raises(ValueError, match="scales must be"):
-                flipped_determinants(X, block, bad)
-        with pytest.raises(ValueError, match="square"):
-            flipped_determinants(np.stack([X, X]), block, [1.0])
-        with pytest.raises(ValueError, match="finite"):
-            flipped_determinants(np.full((5, 5), np.nan), block, [1.0])
-        # an entry that overflows at one scale raises, as a call on t * X does
+    def test_ray_refuses_a_scaled_entry_that_overflows(self):
+        spec = aiii(2, 3)
+        X = build_tangent(spec, random_coordinates(spec, np.random.default_rng(89)))
+        rep = ComponentRep(spec, (1,) * spec.ambient)
+        # an entry that overflows at one scale raises, as validating t * X does
         big = 1e306 * X
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-            flipped_determinants(1000.0 * big, block)
-        with pytest.raises(ValueError, match="finite"):
-            flipped_determinants(big, block, [1.0, 1000.0])
+            cross_check(1000.0 * big, spec)
+        for call in (lambda: spaces._flipped_stack(spec, big, np.array([1.0, 1000.0])),
+                     lambda: limit_check(rep, big)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
         # an empty ray has no rows
-        assert flipped_determinants(X, block, []).shape == (0, 6)
+        assert spaces._flipped_stack(spec, X, np.array([])).shape == (0, 6)
 
     def test_ray_bound_refuses_exactly_where_the_scaled_entries_overflow(self):
         # the ray decides overflow from max(scales) * max|Re, Im| before any
@@ -928,14 +926,14 @@ class TestDistinctFlips:
                     with pytest.raises(ValueError, match="finite"):
                         linalg._on_ray(A, scales)
                     with pytest.raises(ValueError, match="finite"):  # no determinant is taken
-                        flipped_determinants(A, block, scales)
+                        _flipped_determinants(A, block, scales)
                 else:
                     kept += 1
                     got = linalg._on_ray(A, scales)
                     assert got.tobytes() == (scales[:, None, None] * A).tobytes()
-                    if not finite:  # validation refuses it before the ray
+                    if not finite:  # the caller's validation refuses it before the ray
                         with pytest.raises(ValueError, match="finite"):
-                            flipped_determinants(A, block, scales)
+                            limit_check(ComponentRep(spec, (1,) * spec.ambient), A)
         assert (refused, kept) == (131, 149)
         # one just below each grid point's edge passes, one just above refuses
         for t in DEFAULT_GRID:
@@ -946,14 +944,15 @@ class TestDistinctFlips:
         # a scale that underflows an entry to zero keeps its row
         A = X.copy()
         A[i, j], A[j, i] = 1e-300, -1e-300
-        got = flipped_determinants(A, block, [1e-30])
-        assert got.tobytes() == flipped_determinants(A, block, [1e-30, 1.0])[:1].tobytes()
+        got = _flipped_determinants(A, block, np.array([1e-30]))
+        ray = _flipped_determinants(A, block, np.array([1e-30, 1.0]))
+        assert got.tobytes() == ray[:1].tobytes()
         assert np.isfinite(got).all()
         # an empty kept block has no entries to overflow, even at an
         # infinite scale
         zero = np.zeros((6, 6))
         block = layout(aiii(3, 3)).zero_block
-        assert flipped_determinants(zero, block, [np.inf]).tolist() == [[1.0] * 7]
+        assert _flipped_determinants(zero, block, np.array([np.inf])).tolist() == [[1.0] * 7]
 
     def test_one_row_outside_block_keeps_per_flip_products_bitwise(self):
         # with p = 1 a single product over the flips would be a matrix-vector
@@ -974,8 +973,8 @@ class TestDistinctFlips:
             for _ in range(10):
                 X = build_tangent(spec, random_coordinates(spec, rng))
                 want = schur_loop(X, block).tobytes()
-                assert flipped_determinants(X, block).tobytes() == want, spec
-                ray = flipped_determinants(X, block, [1.0, 2.0])
+                assert _flipped_determinants(X, block).tobytes() == want, spec
+                ray = _flipped_determinants(X, block, np.array([1.0, 2.0]))
                 assert ray[0].tobytes() == want, spec
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning",
@@ -1147,6 +1146,27 @@ class TestSharedTables:
             passes.clear()
             check_draw(spec, np.random.default_rng(75))
             assert passes.count((N, N)) == 2, spec.family
+
+    def test_every_entry_point_validates_its_matrix(self):
+        # the one record the routes share validates the X or g it is given
+        spec = aiii(2, 3)
+        X = build_tangent(spec, random_coordinates(spec, np.random.default_rng(76)))
+        g = cayley(X)
+        nan = X.copy()
+        nan[0, 3] = complex(0.5, np.nan)
+        entries = [lambda A: diagonal_via_gauss(A), lambda A: diagonal_via_minors(A),
+                   lambda A: diagonal_via_cayley(A, spec), diagonal_via_fredholm,
+                   lambda A: diagonal_via_coroots(spec, A), lambda A: cross_check(A, spec)]
+        entries += [lambda A, route=route: bruhat.run_route(route, A, spec) for route in ROUTES]
+        for entry in entries:
+            for A, match in ((nan, "finite"), (X[:, :-1], "square"), (X[None], "square")):
+                with pytest.raises(ValueError, match=match):
+                    entry(A)
+        # nested lists are coerced as arrays are
+        assert (diagonal_via_cayley(X.tolist(), spec).entries.tobytes()
+                == diagonal_via_cayley(X, spec).entries.tobytes())
+        assert diagonal_via_gauss(g.tolist()).entries.tobytes() == (
+            diagonal_via_gauss(g).entries.tobytes())
 
     def test_refusal_matches_first_refusing_route(self):
         # the CP^2 boundary |z|^2 = 1 fails at gauss; near-boundary AIII(1, 2)

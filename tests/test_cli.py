@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bruhatdiag import bruhat, cli, golden, repcompat, spaces
-from bruhatdiag.cayley import cayley
+from bruhatdiag.cayley import _verify_image, cayley, verify_image
 from bruhatdiag.cli import main
 from bruhatdiag.linalg import matrix_from_json
 
@@ -87,6 +87,23 @@ class TestDiagonalCommand:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert '"max_gap": NaN' in out and '"ok": false' in out
+
+    def test_single_route_with_non_finite_entries_exits_two(self):
+        # the 1e200 payload overflows the flipped stack, so the three routes
+        # that read it print NaN entries; a subprocess keeps the overflow
+        # warnings out of this suite's warnings-as-errors
+        src = str(Path(bruhat.__file__).resolve().parent.parent)
+        argv = ["d", "--family", "AIII", "--m", "1", "--n", "1",
+                "--payload", '{"Z": [[[1e200, 0]]]}', "--method"]
+        codes = []
+        for method in bruhat.ROUTES:
+            proc = subprocess.run([sys.executable, "-m", "bruhatdiag.cli", *argv, method],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120)
+            entries = np.array(json.loads(proc.stdout)["entries"])
+            assert np.isfinite(entries).all() == (proc.returncode == 0), method
+            codes.append(proc.returncode)
+        assert codes == [0, 0, 2, 2, 2]
 
     @pytest.mark.parametrize("z, text", [
         (complex(np.nan, np.nan), "nan+nani"), (complex(0.5, np.nan), "0.5+nani"),
@@ -224,6 +241,16 @@ class TestVerifyCommands:
                     inspect.signature(bruhat.check_draw).parameters["radius"].default,
                     cli._build_parser().parse_args(["verify"]).radius)
         assert defaults == (spaces.DEFAULT_RADIUS,) * 3
+
+    def test_check_tolerance_defaults_read_one_constant(self, capsys):
+        defaults = (inspect.signature(verify_image).parameters["tol"].default,
+                    inspect.signature(_verify_image).parameters["tol"].default,
+                    inspect.signature(spaces.validate_tangent).parameters["tol"].default,
+                    cli._build_parser().parse_args(["verify"]).tol)
+        assert all(default is spaces.CHECK_TOL for default in defaults)
+        _, out, _ = run_cli(capsys, "d", "--family", "CI", "--n", "2", "--method", "all",
+                            "--payload", CI_PAYLOAD)
+        assert json.loads(out)["tol"] == spaces.CHECK_TOL
 
     def test_verify_single_family(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "AIII",

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from bruhatdiag.linalg import (
     ExpansionLimitError,
+    _flipped_determinants,
+    _minor_expansion,
     _minor_plan,
     _subset_table,
     antitranspose,
     as_matrix,
-    det,
-    flipped_determinants,
-    flipped_minor_expansion,
     leading_signature,
     matrix_from_json,
     matrix_to_json,
@@ -49,42 +48,50 @@ def _tangent(spec, seed):
 
 
 class TestDet:
+    """The two determinant cores, the split stack and the minor expansion,
+    against ``np.linalg.det`` of every ``1 + I_k A``."""
+
     def test_identity(self):
-        assert det(np.eye(3)) == pytest.approx(1.0)
+        # every flip of the zero matrix is the identity
+        for n in (1, 3):
+            zero, no_block = np.zeros((n, n), dtype=complex), np.zeros(n, dtype=bool)
+            assert _flipped_determinants(zero, no_block).tolist() == [1.0] * (n + 1)
+            assert _minor_expansion(zero).tolist() == [1.0] * (n + 1)
 
     def test_diagonal_signs(self):
-        assert det(np.diag([-1.0, -1.0, 1.0])) == pytest.approx(1.0)
+        # flip k of diag(a) is prod(1 - a[:k]) * prod(1 + a[k:])
+        a = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.5j])
+        want = [np.prod(1 - a[:k]) * np.prod(1 + a[k:]) for k in range(4)]
+        no_block = np.zeros(3, dtype=bool)
+        for got in (_flipped_determinants(np.diag(a), no_block), _minor_expansion(np.diag(a))):
+            assert np.allclose(got, want, rtol=1e-15, atol=0)
 
     def test_empty_matrix(self):
-        assert det(np.zeros((0, 0))) == 1.0
+        empty = np.zeros((0, 0), dtype=complex)
+        assert _flipped_determinants(empty, np.zeros(0, dtype=bool)).tolist() == [1.0]
+        assert _minor_expansion(empty).tolist() == [1.0]
 
     def test_agrees_with_minor_expansion(self):
         # oracle: the combinatorial expansion of det(1 + A)
         rng = np.random.default_rng(42)
         for _ in range(10):
             A = _random_complex(rng, (6, 6))
-            direct = det(np.eye(6) + A)
-            expanded = flipped_minor_expansion(A)[0]
+            direct = np.linalg.det(np.eye(6) + A)
+            expanded = _minor_expansion(A)[0]
             assert abs(direct - expanded) <= 1e-9 * (1 + abs(direct))
 
     def test_multiplicative(self):
+        # with A_TT = 0 the block (1 + I_k A)_TT is the identity, so det(1 + I_k A)
+        # factors as det(1_T) times the determinant of its Schur complement
         rng = np.random.default_rng(7)
+        block = np.arange(7) >= 3
         for _ in range(10):
-            A = _random_complex(rng, (5, 5))
-            B = _random_complex(rng, (5, 5))
-            lhs = det(A @ B)
-            rhs = det(A) * det(B)
-            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            det(np.ones((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        A = np.eye(2, dtype=complex)
-        A[0, 1] = np.nan
-        with pytest.raises(ValueError):
-            det(A)
+            A = _random_complex(rng, (7, 7))
+            A[np.ix_(block, block)] = 0.0
+            split = _flipped_determinants(A, block)
+            for k in range(8):
+                full = np.linalg.det(np.eye(7) + leading_signature(7, k) @ A)
+                assert abs(split[k] - full) <= 1e-12 * max(1.0, abs(full)), k
 
 
 class TestTransposedViews:
@@ -94,10 +101,10 @@ class TestTransposedViews:
             A = _random_complex(rng, (n, n))
             assert not A.T.flags.c_contiguous
             C = np.ascontiguousarray(A.T)
-            assert np.array(det(A.T)).tobytes() == np.array(det(C)).tobytes()
             no_block = np.zeros(n, dtype=bool)
-            assert (flipped_determinants(A.T, no_block).tobytes()
-                    == flipped_determinants(C, no_block).tobytes())
+            assert (_flipped_determinants(A.T, no_block).tobytes()
+                    == _flipped_determinants(C, no_block).tobytes())
+            assert _minor_expansion(A.T).tobytes() == _minor_expansion(C).tobytes()
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.5), complex(0.5, np.nan),
                                      complex(np.inf, 0.5), complex(0.5, -np.inf)],
@@ -162,15 +169,15 @@ class TestSignatureMatrix:
 
 class TestPrincipalMinorExpansion:
     def test_zero_matrix(self):
-        assert flipped_minor_expansion(np.zeros((3, 3)))[0] == pytest.approx(1.0)
+        assert _minor_expansion(np.zeros((3, 3)))[0] == pytest.approx(1.0)
 
     def test_two_by_two_diagonal(self):
         a, b = 0.3 + 0.1j, -0.2 + 0.4j
-        total = flipped_minor_expansion(np.diag([a, b]))[0]
+        total = _minor_expansion(np.diag([a, b]))[0]
         assert total == pytest.approx(1 + a + b + a * b)
 
     def test_empty_matrix(self):
-        assert np.array_equal(flipped_minor_expansion(np.zeros((0, 0))), [1.0])
+        assert np.array_equal(_minor_expansion(np.zeros((0, 0))), [1.0])
 
     def test_plan_gathers_every_principal_minor(self):
         rng = np.random.default_rng(9)
@@ -199,11 +206,11 @@ class TestPrincipalMinorExpansion:
             skipped = np.split(~kept, np.cumsum([len(ix) for ix in gathers])[:-1])
             for ix, off in zip(gathers, skipped):
                 assert not np.linalg.det(X.ravel().take(ix[off])).any(), (spec, seed)
-            assert flipped_minor_expansion(X).tobytes() == _full_expansion(X).tobytes()
+            assert _minor_expansion(X).tobytes() == _full_expansion(X).tobytes()
         dets = []
         real_det = np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(len(a)) or real_det(a))
-        flipped_minor_expansion(X)
+        _minor_expansion(X)
         assert len(dets) == calls and sum(dets) == factored
 
     @pytest.mark.parametrize("make", [
@@ -220,19 +227,19 @@ class TestPrincipalMinorExpansion:
         # a size kept whole gathers with the shared table, not a copy
         gathers, _ = _subset_table(n)
         assert all(ix is g for (ix, _), g in zip(_minor_plan((X != 0).tobytes()), gathers))
-        assert flipped_minor_expansion(X).tobytes() == _full_expansion(X).tobytes()
+        assert _minor_expansion(X).tobytes() == _full_expansion(X).tobytes()
 
     def test_cap_enforced(self):
         with pytest.raises(ExpansionLimitError):
-            flipped_minor_expansion(np.zeros((11, 11)))
+            _minor_expansion(np.zeros((11, 11)))
 
     def test_identity_up_to_size_eight(self):
         rng = np.random.default_rng(8)
         for n in range(1, 9):
             for _ in range(3):
                 A = _random_complex(rng, (n, n))
-                direct = det(np.eye(n) + A)
-                expanded = flipped_minor_expansion(A)[0]
+                direct = np.linalg.det(np.eye(n) + A)
+                expanded = _minor_expansion(A)[0]
                 assert abs(direct - expanded) <= 1e-9 * (1 + abs(direct))
 
 
@@ -256,8 +263,8 @@ def small_complex_matrices(draw, max_n=5):
 @given(small_complex_matrices())
 def test_expansion_matches_direct_determinant(A):
     n = A.shape[0]
-    direct = det(np.eye(n) + A)
-    expanded = flipped_minor_expansion(A)[0]
+    direct = np.linalg.det(np.eye(n) + A)
+    expanded = _minor_expansion(A)[0]
     assert abs(direct - expanded) <= 1e-9 * (1 + abs(direct))
 
 

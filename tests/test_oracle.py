@@ -30,8 +30,8 @@ from bruhatdiag import (
     random_coordinates,
 )
 from bruhatdiag.components import DEFAULT_GRID
-from bruhatdiag.linalg import EXPANSION_CAP, flipped_determinants, flipped_minor_expansion
-from bruhatdiag.spaces import layout
+from bruhatdiag.linalg import EXPANSION_CAP, _minor_expansion
+from bruhatdiag.spaces import _flipped_stack
 
 mpmath.mp.dps = 30
 
@@ -199,7 +199,7 @@ def test_split_and_full_stack_match_reference(spec):
     for _ in range(3 if spec.ambient <= 20 else 1):
         X = build_tangent(spec, random_coordinates(spec, rng))
         ref = _dd_flipped(X)
-        assert _rel_err(flipped_determinants(X, layout(spec).zero_block), ref) <= REL_TOL
+        assert _rel_err(_flipped_stack(spec, X), ref) <= REL_TOL
 
 
 #: The ``SMALL`` layouts up to the expansion cap, and dense N = 9 and 10 draws.
@@ -211,17 +211,16 @@ def test_minor_expansion_matches_reference(spec):
     rng = np.random.default_rng(92)
     for _ in range(3):
         X = build_tangent(spec, random_coordinates(spec, rng))
-        assert _rel_err(flipped_minor_expansion(X), _dd_flipped(X)) <= REL_TOL
+        assert _rel_err(_minor_expansion(X), _dd_flipped(X)) <= REL_TOL
 
 
 @pytest.mark.parametrize("j", (4, 12, 20, 28, 36, 44))
 def test_n120_witnesses_match_mpmath(j):
     rep = ComponentRep(aiii(60, 60), tuple([-1] * j + [1] * (60 - j)) * 2)
     X = construct_witness(rep)
-    block = layout(rep.spec).zero_block
     for t in DEFAULT_GRID:
         ref = _mp_flipped(t * X)
-        assert _rel_err(flipped_determinants(t * X, block), ref) <= REL_TOL, t
+        assert _rel_err(_flipped_stack(rep.spec, t * X), ref) <= REL_TOL, t
 
 
 @pytest.mark.parametrize("spec,seed,index", [(aiii(5, 45), 1255, 2), (aiii(10, 10), 1259, 7)])
