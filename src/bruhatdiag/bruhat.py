@@ -227,7 +227,9 @@ class _Input:
     validated here, with each table the routes share built the first time
     one reads it: ``g = cayley(X)``, validated once, its minor cutoffs and
     leading minors, the split stack ``dets`` and its one screened pass.  A
-    ``dets`` built already, such as a draw's stack, is passed in."""
+    ``dets`` built already, such as a draw's stack, is passed in; ``g`` and
+    ``dets`` otherwise come from :func:`~bruhatdiag.cayley._cayley` and
+    :func:`~bruhatdiag.spaces._flipped_stack`, which keep the last tangent's."""
 
     __slots__ = ("X", "spec", "_g", "_cutoffs", "_minors", "_dets", "_screened")
 

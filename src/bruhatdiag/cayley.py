@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .linalg import antitranspose, as_matrix, max_abs
+from .linalg import _LastFinite, antitranspose, as_matrix, max_abs
 from .spaces import CHECK_TOL, SpaceSpec, ViolationReport, _check_ambient, involution_apply, layout
 
 
@@ -22,19 +22,34 @@ def cayley(X) -> np.ndarray:
 
     For skew-Hermitian ``X`` the factor ``1 + X`` is always invertible
     (the spectrum is purely imaginary) and the result is unitary.  The two
-    factors commute, so solving from the left is equivalent.
+    factors commute, so solving from the left is equivalent.  The result
+    is a new writable array, a copy of the image :func:`_cayley` keeps.
     """
-    return _cayley(as_matrix(X))
+    return _cayley(as_matrix(X)).copy()
 
 
 def _cayley(X: np.ndarray) -> np.ndarray:
-    """:func:`cayley` of an already validated matrix."""
+    """:func:`cayley` of an already validated matrix.
+
+    The last finite image is kept, keyed on the exact bytes of ``X``, so
+    the routes and a later :func:`cayley` of the same tangent share one
+    solve; a kept image is read-only.
+    """
+    return _LAST_IMAGE.get(X.tobytes(), _solve, X)
+
+
+def _solve(X: np.ndarray) -> np.ndarray:
+    """``(1 - X) (1 + X)^{-1}`` by one solve; a singular ``1 + X`` raises ``ValueError``."""
     eye = _identity(X.shape[0])
     try:
         g = np.linalg.solve(eye + X, eye - X)
     except np.linalg.LinAlgError as exc:
         raise ValueError("1 + X is numerically singular; input is not skew-Hermitian") from exc
     return g
+
+
+#: The last finite image :func:`_cayley` solved for.
+_LAST_IMAGE = _LastFinite()
 
 
 @functools.lru_cache(maxsize=64)

@@ -124,7 +124,7 @@ def _minor_expansion(A: np.ndarray) -> np.ndarray:
     if n > EXPANSION_CAP:
         raise ExpansionLimitError(
             f"matrix size {n} exceeds the expansion cap {EXPANSION_CAP}; "
-            f"use det(1 + A) directly")
+            f"the cayley_det route computes the same ratios without it")
     if n == 0:  # the empty minor alone
         return np.ones(1, dtype=complex)
     _, signs = _subset_table(n)
@@ -303,6 +303,40 @@ def _split_plan(kept: bytes, block: bytes):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
     return plan
+
+
+class _LastFinite:
+    """A one-entry cache of the last finite array a computation returned.
+
+    ``get(key, compute, *args)`` returns the stored array when ``key``
+    equals the stored key, and otherwise ``compute(*args)``.  A result
+    whose every part is finite is made read-only and replaces the entry;
+    any other result, or a call that raises, leaves the entry as it was,
+    so a non-finite result is computed afresh, warnings included, each
+    time.  Callers key on the exact bytes of the input matrix, so a hit
+    returns the array a fresh call would return, bitwise.  The entry is
+    one ``(key, array)`` pair, read and replaced whole, so a key is never
+    paired with the array of another call.
+    """
+
+    __slots__ = ("entry",)
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.entry = None
+
+    def get(self, key, compute, *args) -> np.ndarray:
+        entry = self.entry
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        value = compute(*args)
+        # finite when its largest float part is: a NaN part propagates through max
+        if math.isfinite(float(abs(value.reshape(-1).view(np.float64)).max(initial=0.0))):
+            value.flags.writeable = False
+            self.entry = key, value
+        return value
 
 
 def max_abs(A) -> float:

@@ -44,6 +44,7 @@ import numpy as np
 from .linalg import (
     _flipped_determinants,
     _json_number,
+    _LastFinite,
     antitranspose,
     array_from_json,
     array_to_json,
@@ -274,9 +275,22 @@ def _check_ambient(spec: SpaceSpec, A: np.ndarray) -> None:
 def _flipped_stack(spec: SpaceSpec, X: np.ndarray, scales=None) -> np.ndarray:
     """``det(1 + I_k X)``, k = 0..N, of an already validated matrix, split
     on the layout's ``zero_block``; with ``scales``, a float array of positive
-    factors, one row per scale (see :func:`~bruhatdiag.linalg._flipped_determinants`)."""
+    factors, one row per scale (see :func:`~bruhatdiag.linalg._flipped_determinants`).
+
+    Without ``scales`` the last finite stack is kept, keyed on ``spec`` and
+    the exact bytes of ``X``, so the draw that judged a tangent and the
+    routes that read it share one stack; a kept stack is read-only.  A
+    stack on a ray is never kept.
+    """
     _check_ambient(spec, X)
-    return _flipped_determinants(X, layout(spec).zero_block, scales)
+    zero_block = layout(spec).zero_block
+    if scales is not None:
+        return _flipped_determinants(X, zero_block, scales)
+    return _LAST_STACK.get((X.tobytes(), spec), _flipped_determinants, X, zero_block)
+
+
+#: The last finite stack :func:`_flipped_stack` built without ``scales``.
+_LAST_STACK = _LastFinite()
 
 
 # --- coordinates -----------------------------------------------------------

@@ -670,6 +670,28 @@ def _count_det_calls(monkeypatch):
     return shapes
 
 
+def _count_samples(monkeypatch):
+    """Record the spec of every candidate payload the rejection loop draws."""
+    samples = []
+    real_sample = spaces._sample_coordinates
+
+    def counting_sample(*args):
+        samples.append(args[0])
+        return real_sample(*args)
+
+    monkeypatch.setattr(spaces, "_sample_coordinates", counting_sample)
+    return samples
+
+
+def _readme_draw(spec, rng):
+    """One draw of the README's library composition: the payload, its
+    tangent, the membership check of its image and the cross check.
+    Returns the tangent and the reports."""
+    X = build_tangent(spec, random_coordinates(spec, rng))
+    verify_image(spec, cayley(X))
+    return X, cross_check(X, spec)
+
+
 class TestSharedDeterminantCore:
     def test_fredholm_empty_matrix(self):
         report = diagonal_via_fredholm(np.zeros((0, 0)))
@@ -738,16 +760,23 @@ class TestSharedDeterminantCore:
             assert len(shapes) == n
             assert [s[1:] for s in shapes] == [(k, k) for k in range(1, n + 1)]
 
-    def test_cross_check_stacks_flipped_determinants_at_most_twice(self, monkeypatch):
-        # a dense draw keeps every row, so each determinant is p x p, p = N - |T|
+    def test_composition_stacks_flipped_determinants_once(self, monkeypatch):
+        # a dense draw keeps every row, so each determinant is p x p, p = N - |T|;
+        # cross_check reads the stack the rejection loop judged the draw on.
+        # A fredholm minor batch can have the same shape (AIII(2, 3): six
+        # balanced 2 x 2 minors), and is counted apart
+        samples = _count_samples(monkeypatch)
+        shapes = _count_det_calls(monkeypatch)
         rng = np.random.default_rng(64)
         for spec, p in zip(FAMILY_CASES, (2, 3, 3, 4, 3, 4)):
-            X = build_tangent(spec, random_coordinates(spec, rng))
             N = spec.ambient
             assert N - np.count_nonzero(layout(spec).zero_block) == p
-            shapes = _count_det_calls(monkeypatch)
-            cross_check(X, spec)
-            assert 1 <= shapes.count((N + 1, p, p)) <= 2, spec.family
+            samples.clear()
+            shapes.clear()
+            X, _ = _readme_draw(spec, rng)
+            assert len(samples) == 1, spec.family  # the first candidate is accepted
+            minors = [ix.shape for ix, _ in linalg._minor_plan((X != 0).tobytes())]
+            assert shapes.count((N + 1, p, p)) == 1 + minors.count((N + 1, p, p)), spec.family
 
 
 def _flip_loop(A):
@@ -1057,6 +1086,17 @@ def _count_linalg_calls(monkeypatch):
     return det_shapes, solves
 
 
+def _count_table_builds(monkeypatch):
+    """Record every split-stack build, counted at its builder because a
+    batched fredholm minor stack can have the stack's (N + 1, p, p) shape,
+    with the ``np.linalg.det`` shapes and ``np.linalg.solve`` calls."""
+    stacks = []
+    real_stack = spaces._flipped_determinants
+    monkeypatch.setattr(spaces, "_flipped_determinants",
+                        lambda *args: stacks.append(1) or real_stack(*args))
+    return (stacks, *_count_linalg_calls(monkeypatch))
+
+
 def _standalone_routes(X, spec):
     """Every route called on its own, in :func:`cross_check` order."""
     g = cayley(X)
@@ -1096,23 +1136,22 @@ class TestSharedTables:
                     assert r.product == a.product, (spec, tag)
                     assert r.lemma3_residual == a.lemma3_residual, (spec, tag)
 
-    def test_cross_check_builds_each_table_once(self, monkeypatch):
-        # the flipped stack is counted at its builder: a batched fredholm
-        # minor stack can have the stack's (N + 1, p, p) shape
-        stacks = []
-        real_stack = spaces._flipped_determinants
-        monkeypatch.setattr(spaces, "_flipped_determinants",
-                            lambda *args: stacks.append(1) or real_stack(*args))
+    def test_composition_builds_each_table_once(self, monkeypatch):
+        # per draw of the README composition: cross_check reads the stack
+        # the rejection loop judged the draw on, and cayley(X) the g it solved for
+        stacks, det_shapes, solves = _count_table_builds(monkeypatch)
+        samples = _count_samples(monkeypatch)
         rng = np.random.default_rng(71)
         for spec in FAMILY_CASES + LARGE_CASES:
-            X = build_tangent(spec, random_coordinates(spec, rng))
             N = spec.ambient
-            stacks.clear()
-            det_shapes, solves = _count_linalg_calls(monkeypatch)
-            cross_check(X, spec)
+            for calls in (stacks, samples, det_shapes, solves):
+                calls.clear()
+            _readme_draw(spec, rng)
+            assert len(samples) == 1, spec.family  # the first candidate is accepted
             assert len(stacks) == 1, spec.family
+            # one leading minor of each size; size N is also verify_image's det g
             for k in range(1, N + 1):
-                assert det_shapes.count((k, k)) == 1, (spec.family, k)
+                assert det_shapes.count((k, k)) == 1 + (k == N), (spec.family, k)
             assert len(solves) == 1, spec.family
 
     def test_cross_check_validates_each_matrix_once(self, monkeypatch):
@@ -1218,6 +1257,94 @@ class TestSharedTables:
         with pytest.raises(NonGenericError) as err:
             cross_check(boundary, aiii(2, 2))
         assert err.value.route == "gauss"
+
+
+def _fresh_tables(spec, X):
+    """The split stack and Cayley image of ``X``, built past every cache."""
+    eye = np.eye(spec.ambient)
+    return (_flipped_determinants(X, layout(spec).zero_block).tobytes(),
+            np.linalg.solve(eye + X, eye - X).tobytes())
+
+
+class TestTangentCache:
+    """The split stack and the Cayley image of the last tangent are kept,
+    keyed on its exact bytes, and a kept table is the one a fresh build
+    gives, bitwise."""
+
+    def test_a_different_tangent_recomputes_both_tables(self, monkeypatch):
+        spec = aiii(2, 3)
+        rng = np.random.default_rng(91)
+        # the draw of Y leaves its stack kept
+        tangents = {name: build_tangent(spec, random_coordinates(spec, rng)) for name in "XY"}
+        want = {name: _fresh_tables(spec, X) for name, X in tangents.items()}
+        stacks, _, solves = _count_table_builds(monkeypatch)
+        for name, builds in (("X", 1), ("X", 0), ("Y", 1), ("X", 1)):
+            X = tangents[name]
+            stacks.clear()
+            solves.clear()
+            got = (spaces._flipped_stack(spec, X).tobytes(), cayley(X).tobytes())
+            assert got == want[name], name
+            assert (len(stacks), len(solves)) == (builds, builds), name
+
+    def test_the_stack_is_kept_per_spec(self):
+        # the same matrix on another layout of its size is split on another
+        # zero block, which this AIII(2, 2) tangent does not vanish on
+        X = build_tangent(aiii(2, 2), random_coordinates(aiii(2, 2), np.random.default_rng(94)))
+        spaces._flipped_stack(aiii(2, 2), X)
+        with pytest.raises(ValueError, match="zero block"):
+            spaces._flipped_stack(SpaceSpec("BDI_even", p=2, q=2), X)
+
+    def test_a_tangent_changed_in_place_recomputes_both_tables(self, monkeypatch):
+        spec = aiii(10, 10)
+        X = build_tangent(spec, random_coordinates(spec, np.random.default_rng(92)))
+        cross_check(X, spec)
+        X *= 0.5  # still a tangent of spec
+        want = _fresh_tables(spec, X)
+        stacks, _, solves = _count_table_builds(monkeypatch)
+        cross_check(X, spec)
+        assert (len(stacks), len(solves)) == (1, 1)
+        assert (spaces._flipped_stack(spec, X).tobytes(), cayley(X).tobytes()) == want
+        assert (len(stacks), len(solves)) == (1, 1)
+
+    def test_the_returned_image_is_a_writable_copy(self, monkeypatch):
+        spec = aiii(2, 3)
+        X = build_tangent(spec, random_coordinates(spec, np.random.default_rng(93)))
+        g = cayley(X)
+        want = g.tobytes()
+        stacks, _, solves = _count_table_builds(monkeypatch)
+        assert g.flags.writeable
+        g[:] = 0
+        again = cayley(X)
+        assert not solves  # served from the kept image
+        assert again.tobytes() == want and again is not g
+        # the kept tables themselves are read-only
+        for kept in (spaces._flipped_stack(spec, X), bruhat._Input(X, spec).g):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0
+        assert not stacks
+
+    def test_a_non_finite_stack_is_never_kept(self, monkeypatch):
+        spec = aiii(1, 1)
+        X = build_tangent(spec, Coordinates(family="AIII", Z=np.array([[1e200]])))
+        stacks, _, _ = _count_table_builds(monkeypatch)
+        for _ in range(2):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(spaces._flipped_stack(spec, X)).any()
+        assert len(stacks) == 2
+        # a fresh build, so the overflow still warns (an error under this suite)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            spaces._flipped_stack(spec, X)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            diagonal_via_cayley(X, spec)
+
+    def test_a_ray_is_never_kept(self, monkeypatch):
+        rep = _block_rep(5, range(2))
+        X = construct_witness(rep)
+        stacks, _, _ = _count_table_builds(monkeypatch)
+        for _ in range(2):
+            assert limit_check(rep, X).converged
+        assert len(stacks) == 2
+        assert spaces._LAST_STACK.entry is None
 
 
 #: Each intermediate ``cross_check`` shares: the ``bruhat`` name that builds

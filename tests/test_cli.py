@@ -142,8 +142,9 @@ class TestDiagonalCommand:
         code, out, err = run_cli(capsys, "d", "--family", "AIII", "--m", "1", "--n", "10",
                                  "--payload", payload, "--method", "fredholm")
         assert (code, out) == (1, "")
+        # the advice names a route the CLI can run: --method cayley_det
         assert err == ("bruhatdiag: error: matrix size 11 exceeds the expansion cap 10; "
-                       "use det(1 + A) directly\n")
+                       "the cayley_det route computes the same ratios without it\n")
 
     def test_method_choices_list_in_route_table_order(self, capsys):
         with pytest.raises(SystemExit):
