@@ -47,7 +47,8 @@ from .linalg import (
     max_abs,
     relative_gap,
 )
-from .spaces import DEFAULT_RADIUS, SpaceSpec, _draw_tangent, _flipped_stack, layout
+from .spaces import (DEFAULT_RADIUS, SpaceSpec, _flipped_stack, build_tangent, layout,
+                     random_coordinates)
 
 #: Coefficient of the scale-aware genericity cutoffs: a leading minor of a
 #: matrix with max-norm M counts as vanishing when |minor| <= GENERIC_TOL * M**k,
@@ -226,18 +227,18 @@ class _Input:
     """One input of the routes, an ``X`` with its ``spec`` or a ``g`` alone,
     validated here, with each table the routes share built the first time
     one reads it: ``g = cayley(X)``, validated once, its minor cutoffs and
-    leading minors, the split stack ``dets`` and its one screened pass.  A
-    ``dets`` built already, such as a draw's stack, is passed in; ``g`` and
-    ``dets`` otherwise come from :func:`~bruhatdiag.cayley._cayley` and
-    :func:`~bruhatdiag.spaces._flipped_stack`, which keep the last tangent's."""
+    leading minors, the split stack ``dets`` and its one screened pass.
+    ``g`` and ``dets`` come from :func:`~bruhatdiag.cayley._cayley` and
+    :func:`~bruhatdiag.spaces._flipped_stack`, which keep the last tangent's,
+    so a draw's tangent reads the stack its draw was accepted on."""
 
     __slots__ = ("X", "spec", "_g", "_cutoffs", "_minors", "_dets", "_screened")
 
-    def __init__(self, X=None, spec=None, g=None, dets=None):
+    def __init__(self, X=None, spec=None, g=None):
         self.X = None if X is None else as_matrix(X)
         self._g = None if g is None else as_matrix(g)
-        self.spec, self._dets = spec, dets
-        self._cutoffs = self._minors = self._screened = None
+        self.spec = spec
+        self._cutoffs = self._minors = self._dets = self._screened = None
 
     @property
     def g(self) -> np.ndarray:
@@ -408,15 +409,15 @@ class Draw:
 
 def check_draw(spec: SpaceSpec, rng: np.random.Generator,
                radius: float = DEFAULT_RADIUS) -> Draw:
-    """Draw a tangent of ``spec`` as :func:`~bruhatdiag.spaces.random_coordinates`
-    does, on the same stream, and check it.
+    """Draw a tangent of ``spec`` with :func:`~bruhatdiag.spaces.random_coordinates`
+    and check it, with the README composition's calls.
 
-    The routes read the stack the draw was accepted on and the membership
+    The routes read the stack the draw was accepted on, which
+    :func:`~bruhatdiag.spaces._flipped_stack` keeps, and the membership
     check reads their image ``g = cayley(X)``; the result equals
     :func:`cross_check`, :func:`max_cross_gap` and ``verify_image``.
     """
-    _, X, dets = _draw_tangent(spec, rng, radius)
-    t = _Input(X, spec, dets=dets)
+    t = _Input(build_tangent(spec, random_coordinates(spec, rng, radius)), spec)
     reports = _run_routes(t)
     membership = max(_verify_image(spec, t.g).violations.values())
     return Draw(reports, max_cross_gap(reports), membership)

@@ -350,27 +350,21 @@ def random_coordinates(spec: SpaceSpec, rng: np.random.Generator,
     """Sample a coordinate payload with entries in the disc of ``radius``.
 
     Constrained payloads (DIII, CI) are filled from their free entries so
-    the symmetry holds exactly rather than after projection.
+    the symmetry holds exactly rather than after projection.  A radius that
+    is not finite and positive raises ``ValueError`` before ``rng`` is read.
 
     Draws whose tangent sits too close to a cell boundary (some
     ``|det(1 + I_k X)|`` at or below :data:`CONDITION_FLOOR`) are redrawn,
     so random sampling stays away from near-degenerate minors; degenerate
-    inputs are for deliberate tests, not accidents.  After 1000 redraws it
-    gives up with ``ValueError``.
+    inputs are for deliberate tests, not accidents.  At a huge radius the
+    stack overflows; it is built without floating-point warnings and a
+    non-finite stack is redrawn like a near-boundary one.  After 1000
+    redraws it gives up with ``ValueError``.  The accepted tangent's stack
+    is the one :func:`_flipped_stack` keeps, so checking the draw's
+    tangent next builds no second stack.
     """
-    return _draw_tangent(spec, rng, radius)[0]
-
-
-def _draw_tangent(spec: SpaceSpec, rng: np.random.Generator,
-                  radius: float) -> tuple[Coordinates, np.ndarray, np.ndarray]:
-    """The rejection loop of :func:`random_coordinates`.
-
-    Returns the accepted payload with the tangent ``X`` and the split
-    stack ``det(1 + I_k X)``, k = 0..N, built to judge it, so a caller
-    that goes on to check the draw need not build either again.  At a huge
-    radius the stack overflows; it is built without floating-point
-    warnings and a non-finite stack is redrawn like a near-boundary one.
-    """
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be a finite number > 0, got {radius}")
     for _ in range(1000):
         coords = _sample_coordinates(spec, rng, radius)
         X = build_tangent(spec, coords)  # finite: every payload entry was checked
@@ -379,7 +373,7 @@ def _draw_tangent(spec: SpaceSpec, rng: np.random.Generator,
         mag = np.hypot(dets.real, dets.imag)
         # an infinite magnitude clears the floor, so finiteness is its own test
         if np.isfinite(mag).all() and mag[1:].min(initial=np.inf) > CONDITION_FLOOR:
-            return coords, X, dets
+            return coords
     raise ValueError(
         f"could not draw a well-conditioned payload for {spec.family} "
         f"at radius {radius}; lower the radius")

@@ -1137,22 +1137,25 @@ class TestSharedTables:
                     assert r.lemma3_residual == a.lemma3_residual, (spec, tag)
 
     def test_composition_builds_each_table_once(self, monkeypatch):
-        # per draw of the README composition: cross_check reads the stack
-        # the rejection loop judged the draw on, and cayley(X) the g it solved for
+        # per draw of the README composition, and of check_draw, which makes
+        # its calls: the routes read the stack the rejection loop judged the
+        # draw on, and the membership check the g they solved for
         stacks, det_shapes, solves = _count_table_builds(monkeypatch)
         samples = _count_samples(monkeypatch)
         rng = np.random.default_rng(71)
         for spec in FAMILY_CASES + LARGE_CASES:
             N = spec.ambient
-            for calls in (stacks, samples, det_shapes, solves):
-                calls.clear()
-            _readme_draw(spec, rng)
-            assert len(samples) == 1, spec.family  # the first candidate is accepted
-            assert len(stacks) == 1, spec.family
-            # one leading minor of each size; size N is also verify_image's det g
-            for k in range(1, N + 1):
-                assert det_shapes.count((k, k)) == 1 + (k == N), (spec.family, k)
-            assert len(solves) == 1, spec.family
+            for draw in (_readme_draw, check_draw):
+                for calls in (stacks, samples, det_shapes, solves):
+                    calls.clear()
+                draw(spec, rng)
+                case = (spec.family, draw.__name__)
+                assert len(samples) == 1, case  # the first candidate is accepted
+                assert len(stacks) == 1, case
+                # one leading minor of each size; size N is also verify_image's det g
+                for k in range(1, N + 1):
+                    assert det_shapes.count((k, k)) == 1 + (k == N), (case, k)
+                assert len(solves) == 1, case
 
     def test_cross_check_validates_each_matrix_once(self, monkeypatch):
         # one finiteness pass over X and one over g = cayley(X), and one
@@ -1412,11 +1415,8 @@ class TestRouteIndependence:
 
     @pytest.mark.parametrize("name", list(SHARED_INTERMEDIATES))
     def test_check_draw_perturbed_table_moves_exactly_its_routes(self, monkeypatch, name):
-        # check_draw reads the stack its draw loop accepted; at this seed
-        # every layout accepts its first payload, so the loop builds one
-        module = spaces if name == "flipped stack" else bruhat
         self._assert_moves_exactly_its_routes(
-            monkeypatch, name, module, SHARED_INTERMEDIATES[name][0],
+            monkeypatch, name, bruhat, SHARED_INTERMEDIATES[name][0],
             lambda spec: check_draw(spec, np.random.default_rng(77)).reports)
 
 

@@ -325,7 +325,9 @@ class TestVerifyCommands:
 
     def test_verify_builds_one_image_and_stack_per_draw(self, capsys, monkeypatch):
         # seed 134 redraws the first AIII(2, 3) payload: a redrawn payload
-        # costs its own stack, an accepted one no second stack or image
+        # costs its own stack, an accepted one no second stack or image.
+        # Builds are counted, not calls: the routes' read of the kept stack
+        # is a call that builds nothing.
         solves, stacks, samples = [], [], []
         real_solve = np.linalg.solve
         real_sample = spaces._sample_coordinates
@@ -340,10 +342,9 @@ class TestVerifyCommands:
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(spaces, "_sample_coordinates", counting_sample)
-        for module in (spaces, bruhat):
-            real = module._flipped_stack
-            monkeypatch.setattr(module, "_flipped_stack",
-                                lambda *args, real=real: stacks.append(1) or real(*args))
+        real_stack = spaces._flipped_determinants
+        monkeypatch.setattr(spaces, "_flipped_determinants",
+                            lambda *args: stacks.append(1) or real_stack(*args))
         code, out, _ = run_cli(capsys, "verify", "--seed", "134", "--draws", "3")
         assert code == 0
         assert len(json.loads(out)["results"]) == 6

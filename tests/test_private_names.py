@@ -10,12 +10,12 @@ from pathlib import Path
 import bruhatdiag
 
 #: Module -> the private names other modules may take from it: the
-#: ambient-size check, the draw loop, the split stack and the disc sampler
-#: of ``spaces``; the validated-input cores of ``linalg`` and ``cayley``, and
-#: the one-entry cache the split stack and the Cayley image keep their last
-#: result in; the vectorized ratio check the limit checks share with the routes.
+#: ambient-size check, the split stack and the disc sampler of ``spaces``;
+#: the validated-input cores of ``linalg`` and ``cayley``, and the one-entry
+#: cache the split stack and the Cayley image keep their last result in; the
+#: vectorized ratio check the limit checks share with the routes.
 ALLOWED = {
-    "spaces": {"_check_ambient", "_draw_tangent", "_flipped_stack", "_disc_sample"},
+    "spaces": {"_check_ambient", "_flipped_stack", "_disc_sample"},
     "linalg": {"_flipped_determinants", "_json_number", "_LastFinite", "_minor_expansion"},
     "cayley": {"_cayley", "_verify_image"},
     "bruhat": {"_screened_ratios"},

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bruhatdiag import spaces
-from bruhatdiag.bruhat import diagonal_via_cayley, diagonal_via_coroots
+from bruhatdiag.bruhat import check_draw, diagonal_via_cayley, diagonal_via_coroots
 from bruhatdiag.cayley import cayley, verify_image
 from bruhatdiag.linalg import antitranspose, leading_signature
 from bruhatdiag.spaces import (
@@ -457,6 +457,15 @@ class TestCoordinateJson:
                                 lambda spec, X, value=value: np.full(X.shape[0] + 1, value))
             with pytest.raises(ValueError, match="could not draw a well-conditioned payload"):
                 random_coordinates(aiii(1, 2), np.random.default_rng(38))
+
+    @pytest.mark.parametrize("radius", [0.0, -0.0, -0.7, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("draw", [random_coordinates, check_draw])
+    def test_radius_not_finite_and_positive_is_refused_before_drawing(self, draw, radius):
+        rng = np.random.default_rng(39)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"radius must be a finite number > 0, got {radius}$"):
+            draw(aiii(1, 1), rng, radius)
+        assert rng.bit_generator.state == state
 
 
 # Hand-written per-family tables: the registry must derive the same layout.
